@@ -24,7 +24,9 @@ import numpy as np
 from ._numeric import exact_cumsum
 from .errors import (
     Disconnected,
+    InvalidArgument,
     InvalidLength,
+    MalformedMatrix,
     NegativeWeight,
     NotIrreducible,
     NotReversible,
@@ -101,7 +103,7 @@ class Observable:
     def __post_init__(self):
         v = _frozen(self.values)
         if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise ValueError("observable must be a finite 1-d vector")
+            raise InvalidArgument("observable must be a finite 1-d vector")
         object.__setattr__(self, "values", v)
 
 
@@ -219,11 +221,11 @@ def build_random_walk(weights) -> ReversibleChain:
     """
     w = np.array(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"weights must be square, got shape {w.shape}")
+        raise MalformedMatrix(f"weights must be square, got shape {w.shape}")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise NegativeWeight("weights must be finite and nonnegative")
     if np.max(np.abs(w - w.T)) > ADMISSION_TOL:
-        raise ValueError("weights must be symmetric")
+        raise MalformedMatrix("weights must be symmetric")
     w = 0.5 * (w + w.T)
     degree = w.sum(axis=1)
     if np.any(degree <= 0.0):
@@ -248,15 +250,16 @@ def build_metropolis(target, proposal) -> ReversibleChain:
     p = p / p.sum()
     n = p.shape[0]
     if prop.shape != (n, n):
-        raise ValueError(f"proposal shape {prop.shape} does not match target size {n}")
+        raise MalformedMatrix(f"proposal shape {prop.shape} does not match target size {n}")
     if np.max(np.abs(prop - prop.T)) > ADMISSION_TOL:
-        raise ValueError("proposal must be symmetric")
+        raise MalformedMatrix("proposal must be symmetric")
     if np.max(np.abs(prop.sum(axis=1) - 1.0)) > ADMISSION_TOL or np.any(prop < 0.0):
         raise NotStochastic("proposal must be row-stochastic")
     accept = np.minimum(1.0, p[None, :] / p[:, None])
     q = prop * accept
     np.fill_diagonal(q, 0.0)
-    np.fill_diagonal(q, 1.0 - q.sum(axis=1))
+    # proposal rows are admitted to 1e-9, so rounding may leave a full row a hair above 1
+    np.fill_diagonal(q, np.maximum(1.0 - q.sum(axis=1), 0.0))
     if not _strongly_connected(q > 0.0):
         raise NotIrreducible("Metropolis kernel is not irreducible")
     return _certify(q, p)
@@ -266,16 +269,12 @@ def project_mean_zero(raw, chain: ReversibleChain) -> Observable:
     """Center a raw vector so its stationary mean vanishes."""
     v = np.asarray(raw, dtype=float)
     if v.shape != (chain.n_states,):
-        raise ValueError(f"observable length {v.shape} does not match {chain.n_states} states")
+        raise InvalidArgument(f"observable shape {v.shape} does not fit {chain.n_states} states")
     return Observable(values=v - float(np.dot(chain.stationary, v)))
 
 
-def stationary_mean(chain: ReversibleChain, f: Observable) -> float:
-    return float(np.dot(chain.stationary, f.values))
-
-
 def require_centered(chain: ReversibleChain, f: Observable, tol: float = CERTIFIED_TOL) -> None:
-    m = stationary_mean(chain, f)
+    m = float(np.dot(chain.stationary, f.values))
     if abs(m) > tol:
         raise ValueError(f"observable is not centered: stationary mean {m:.3e}")
 

@@ -25,8 +25,8 @@ command list in order and writes a manifest last. Outputs are
 byte-identical across reruns of the same config and master seed; manifests
 differ only in their wall-clock timings.
 
-Exit codes: 0 success, 2 config error, 3 numerical error, 4 statistical
-acceptance failure.
+Exit codes: 0 success, 2 config or argument error, 3 numerical error, 4
+statistical acceptance failure.
 """
 from __future__ import annotations
 
@@ -35,7 +35,9 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,15 +54,15 @@ from .chain import (
     sample_trajectory,
 )
 from .decomposition import decompose_trajectory
-from .errors import ConfigError, NumericalError, RcltError, StatisticalFailure
+from .errors import ConfigError, MalformedMatrix, NumericalError, RcltError, StatisticalFailure
 from .limits import (
-    SE_MULTIPLIER,
+    DEGENERATE_TOL,
     clt_test,
     fclt_profile,
     maximal_inequality_check,
     uniform_integrability_diagnostic,
 )
-from .spectral import spectral_measure, variance_report
+from .spectral import asymptotic_variance_spectral, spectral_measure, variance_report
 
 SCHEMA_VERSION = 1
 
@@ -126,13 +128,7 @@ class RunManifest:
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "outputs": self.outputs,
-            "timings": self.timings,
-        }
+        return {"schema": SCHEMA_VERSION, **asdict(self)}
 
 
 # --- loading -----------------------------------------------------------------
@@ -146,6 +142,17 @@ def _read_json(path: Path) -> dict:
         raise ConfigError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _wrong_type(value, default) -> bool:
+    """Whether a config value cannot stand where ``default`` does; counts take integers only."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is not type(default)
+    if default is None or isinstance(default, int):
+        return not (isinstance(value, int) or (value is None and default is None))
+    if isinstance(default, float):
+        return not isinstance(value, (int, float))
+    return not isinstance(value, type(default))
 
 
 def _normalize_commands(raw) -> list[tuple[str, dict]]:
@@ -162,19 +169,24 @@ def _normalize_commands(raw) -> list[tuple[str, dict]]:
             raise ConfigError(f"unusable command entry: {entry!r}")
         if name not in COMMANDS:
             raise ConfigError(f"unknown subcommand {name!r}; known: {', '.join(COMMANDS)}")
-        merged = dict(DEFAULT_PARAMS[name])
+        defaults = DEFAULT_PARAMS[name]
+        for key, value in params.items():
+            if key not in defaults:
+                known = ", ".join(defaults)
+                raise ConfigError(f"unknown {name} parameter {key!r}; known: {known}")
+            if _wrong_type(value, defaults[key]):
+                raise ConfigError(f"{name} parameter {key!r} has the wrong type: {value!r}")
+        merged = dict(defaults)
         merged.update(params)
         commands.append((name, merged))
     return commands
 
 
 def _needs_seed(commands: list[tuple[str, dict]]) -> bool:
-    for name, params in commands:
-        if name in SEEDED_COMMANDS:
-            if name == "maximal" and params.get("exhaustive", False):
-                continue
-            return True
-    return False
+    return any(
+        name in SEEDED_COMMANDS and not (name == "maximal" and params["exhaustive"])
+        for name, params in commands
+    )
 
 
 def load_config(
@@ -234,6 +246,10 @@ def build_chain_from_definition(definition: dict) -> ReversibleChain:
         raise ConfigError(f"chain 'kind' must be kernel|random_walk|metropolis, got {kind!r}")
     if matrix is None:
         raise ConfigError("chain definition is missing 'matrix'")
+    try:
+        matrix = np.array(matrix, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedMatrix(f"chain 'matrix' is not a numeric matrix: {exc}") from exc
     if kind == "kernel":
         return build_chain(matrix)
     if kind == "random_walk":
@@ -244,14 +260,20 @@ def build_chain_from_definition(definition: dict) -> ReversibleChain:
     return build_metropolis(target, matrix)
 
 
-def resolve_observable(config: ExperimentConfig, chain: ReversibleChain) -> Observable:
-    """Pick the config observable (falling back to the chain file's) and center it."""
+def _centered_observable(config: ExperimentConfig, chain: ReversibleChain):
+    """(centered observable, raw stationary mean) of the config's observable, else the chain's."""
     raw = config.observable
     if raw is None:
         raw = config.chain_definition.get("observable")
     if raw is None:
         raise ConfigError("no observable given in config or chain definition")
-    return project_mean_zero(np.asarray(raw, dtype=float), chain)
+    f = project_mean_zero(raw, chain)
+    return f, float(np.dot(chain.stationary, np.asarray(raw, dtype=float)))
+
+
+def resolve_observable(config: ExperimentConfig, chain: ReversibleChain) -> Observable:
+    """Pick the config observable (falling back to the chain file's) and center it."""
+    return _centered_observable(config, chain)[0]
 
 
 def save_chain_definition(path, chain: ReversibleChain, observable=None) -> None:
@@ -267,29 +289,21 @@ def save_chain_definition(path, chain: ReversibleChain, observable=None) -> None
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Dry-run diagnostics: chain admissibility, centering, degeneracy."""
-    diagnostics: list[str] = []
     try:
         chain = build_chain_from_definition(config.chain_definition)
-    except (RcltError, ValueError) as exc:
-        diagnostics.append(f"chain not admissible: {exc}")
-        return diagnostics
+    except RcltError as exc:
+        return [f"chain not admissible: {exc}"]
+    try:
+        f, mean = _centered_observable(config, chain)
+    except ConfigError as exc:
+        return [str(exc)]
 
-    raw = config.observable
-    if raw is None:
-        raw = config.chain_definition.get("observable")
-    if raw is None:
-        diagnostics.append("no observable given in config or chain definition")
-        return diagnostics
-    mean = float(np.dot(chain.stationary, np.asarray(raw, dtype=float)))
+    diagnostics: list[str] = []
     if abs(mean) > 1e-12:
         diagnostics.append(f"observable auto-centered (stationary mean {mean:.6g})")
-    f = project_mean_zero(np.asarray(raw, dtype=float), chain)
-
-    wants_clt = any(name in ("clt", "fclt") for name, _ in config.commands)
-    if wants_clt:
-        rho = spectral_measure(chain, f)
-        sigma2 = float(np.dot(rho.weights, (1.0 + rho.lambdas) / (1.0 - rho.lambdas)))
-        if sigma2 <= 1e-8:
+    if any(name in ("clt", "fclt") for name, _ in config.commands):
+        sigma2 = asymptotic_variance_spectral(spectral_measure(chain, f))
+        if sigma2 <= DEGENERATE_TOL:
             diagnostics.append(f"degenerate variance: sigma2 = {sigma2:.6g}")
     return diagnostics
 
@@ -308,9 +322,10 @@ def _csv_cell(value) -> str:
     return repr(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [f"# schema={SCHEMA_VERSION}", ",".join(header)]
-    for row in rows:
+def _write_csv(path: Path, columns: dict) -> None:
+    """One CSV column per entry of ``columns`` (name -> equally long sequence)."""
+    lines = [f"# schema={SCHEMA_VERSION}", ",".join(columns)]
+    for row in zip(*columns.values()):
         lines.append(",".join(_csv_cell(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -318,205 +333,114 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 # --- command execution -------------------------------------------------------------
 
 
-def _run_spectrum(config, chain, f, params, outdir, stem):
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand's library call and what it writes.
+
+    ``call(config, chain, f, params)`` gives the result; ``payload`` turns it into
+    the JSON report body and ``csv``, if set, into CSV columns. Calls look library
+    functions up in this module's globals at run time.
+    """
+
+    call: Callable
+    payload: Callable
+    csv: Callable | None = None
+
+
+def _variance(config, chain, f, params):
+    """(spectral measure, variance report), sharing one eigendecomposition."""
     rho = spectral_measure(chain, f)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "spectrum",
-        "atoms": [[lam, w] for lam, w in rho.atoms()],
-        "total_mass": rho.total_mass,
-    }
-    target = outdir / f"{stem}.json"
-    _write_json(target, payload)
-    return [target]
+    return rho, variance_report(chain, f, rho=rho, **params)
 
 
-def _run_variance(config, chain, f, params, outdir, stem):
-    report = variance_report(chain, f, n_max=int(params["n_max"]))
-    rho = spectral_measure(chain, f)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "variance",
-        "atoms": [[lam, w] for lam, w in rho.atoms()],
-        **report.to_dict(),
-    }
-    json_path = outdir / f"{stem}.json"
-    csv_path = outdir / f"{stem}.csv"
-    _write_json(json_path, payload)
-    _write_csv(csv_path, ["n", "var_over_n"], payload["var_over_n"])
-    return [json_path, csv_path]
+def _decompose(config, chain, f, params):
+    """(trajectory, decomposition terms) for the seeded path of the params."""
+    seed = derive_seed(config.master_seed, params["seed_index"])
+    traj = sample_trajectory(chain, f, params["length"], seed)
+    return traj, decompose_trajectory(chain, f, traj, params["horizon"])
 
 
-def _run_decompose(config, chain, f, params, outdir, stem):
-    length = int(params["length"])
-    horizon = params.get("horizon")
-    traj_seed = derive_seed(config.master_seed, int(params.get("seed_index", 0)))
-    traj = sample_trajectory(chain, f, length, traj_seed)
-    terms = decompose_trajectory(chain, f, traj, horizon=None if horizon is None else int(horizon))
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "decompose",
-        "length": length,
-        "horizon": terms.horizon,
-        "trajectory_seed": traj_seed,
-        "max_pair_residual": terms.max_pair_residual,
-        "max_decomposition_residual": terms.max_decomposition_residual,
-    }
-    json_path = outdir / f"{stem}.json"
-    csv_path = outdir / f"{stem}.csv"
-    _write_json(json_path, payload)
-    rows = []
-    for k in range(length + 1):
-        rows.append(
-            [
-                k,
-                traj.observables[k],
-                terms.forward_finite[k],
-                terms.reversed_finite[k],
-                terms.lookahead[k],
-                terms.forward_limit[k],
-                terms.reversed_limit[k],
-                terms.pair_residual[k],
-                terms.decomposition_residual[k],
-            ]
-        )
-    _write_csv(
-        csv_path,
-        [
-            "k",
-            "x_k",
-            "forward_increment",
-            "reversed_increment",
-            "lookahead",
-            "forward_limit",
-            "reversed_limit",
-            "residual_pair",
-            "residual_decomposition",
-        ],
-        rows,
-    )
-    return [json_path, csv_path]
+def _with_verdict(report) -> dict:
+    return {"passed": report.passed, "failures": list(report.failures), **report.to_dict()}
 
 
-def _run_clt(config, chain, f, params, outdir, stem):
-    report = clt_test(
-        chain,
-        f,
-        n=int(params["n"]),
-        m=int(params["m"]),
-        seed=config.master_seed,
-        ks_threshold=float(params["ks_threshold"]),
-    )
-    passed = report.ks_statistic <= report.ks_threshold
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "clt",
-        "passed": bool(passed),
-        **report.to_dict(),
-    }
-    json_path = outdir / f"{stem}.json"
-    csv_path = outdir / f"{stem}.csv"
-    _write_json(json_path, payload)
-    _write_csv(
-        csv_path,
-        ["replica", "normalized_sum"],
-        [[r, z] for r, z in enumerate(report.normalized_sums)],
-    )
-    if not passed:
-        raise StatisticalFailure(
-            f"clt: KS statistic {report.ks_statistic:.5f} exceeds threshold "
-            f"{report.ks_threshold:.5f}"
-        )
-    return [json_path, csv_path]
-
-
-def _run_fclt(config, chain, f, params, outdir, stem):
-    report = fclt_profile(
-        chain,
-        f,
-        n=int(params["n"]),
-        m=int(params["m"]),
-        grid=list(params["grid"]),
-        seed=config.master_seed,
-    )
-    sigma2 = report.sigma2_used
-    failures = []
-    for t, var, se in report.variance_profile:
-        if abs(var - sigma2 * t) > SE_MULTIPLIER * se + 1e-12:
-            failures.append(f"Var at t={t}: {var:.5g} vs {sigma2 * t:.5g} (se {se:.3g})")
-    for s, t, cov, se in report.covariance_profile:
-        if abs(cov - sigma2 * min(s, t)) > SE_MULTIPLIER * se + 1e-12:
-            failures.append(f"Cov at ({s},{t}): {cov:.5g} vs {sigma2 * min(s, t):.5g}")
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "fclt",
-        "passed": not failures,
-        "failures": failures,
-        **report.to_dict(),
-    }
-    json_path = outdir / f"{stem}.json"
-    _write_json(json_path, payload)
-    if failures:
-        raise StatisticalFailure("fclt: " + "; ".join(failures))
-    return [json_path]
-
-
-def _run_maximal(config, chain, f, params, outdir, stem):
-    report = maximal_inequality_check(
-        chain,
-        f,
-        n=int(params["n"]),
-        lambdas=[float(v) for v in params["lambdas"]],
-        mode=str(params["mode"]),
-        exhaustive=bool(params["exhaustive"]),
-        m=None if params.get("m") is None else int(params["m"]),
-        seed=config.master_seed,
-        two_sided=bool(params["two_sided"]),
-    )
-    failures = []
-    for entry in report.maximal_margins:
-        if entry["lhs"] > entry["rhs"] + entry["slack"] + 1e-12:
-            failures.append(
-                f"lambda={entry['lambda']}: lhs {entry['lhs']:.6g} > rhs {entry['rhs']:.6g}"
-            )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "maximal",
-        "passed": not failures,
-        "failures": failures,
-        **report.to_dict(),
-    }
-    json_path = outdir / f"{stem}.json"
-    _write_json(json_path, payload)
-    if failures:
-        raise StatisticalFailure("maximal: " + "; ".join(failures))
-    return [json_path]
-
-
-def _run_ui(config, chain, f, params, outdir, stem):
-    report = uniform_integrability_diagnostic(
-        chain,
-        f,
-        n_list=[int(v) for v in params["n_list"]],
-        epsilon_grid=[float(v) for v in params["epsilon_grid"]],
-        seed=config.master_seed,
-        m=int(params["m"]),
-    )
-    payload = {"schema": SCHEMA_VERSION, "command": "ui-diagnostic", **report.to_dict()}
-    json_path = outdir / f"{stem}.json"
-    _write_json(json_path, payload)
-    return [json_path]
-
-
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "variance": _run_variance,
-    "decompose": _run_decompose,
-    "clt": _run_clt,
-    "fclt": _run_fclt,
-    "maximal": _run_maximal,
-    "ui-diagnostic": _run_ui,
+_COMMANDS = {
+    "spectrum": _Command(
+        call=lambda config, chain, f, p: spectral_measure(chain, f),
+        payload=lambda rho: {"atoms": rho.atoms(), "total_mass": rho.total_mass},
+    ),
+    "variance": _Command(
+        call=_variance,
+        payload=lambda result: {"atoms": result[0].atoms(), **result[1].to_dict()},
+        csv=lambda result: {
+            "n": range(1, len(result[1].var_over_n) + 1),
+            "var_over_n": result[1].var_over_n,
+        },
+    ),
+    "decompose": _Command(
+        call=_decompose,
+        payload=lambda result: {
+            "length": result[0].length,
+            "horizon": result[1].horizon,
+            "trajectory_seed": result[0].seed,
+            "max_pair_residual": result[1].max_pair_residual,
+            "max_decomposition_residual": result[1].max_decomposition_residual,
+        },
+        csv=lambda result: {
+            "k": range(result[0].length + 1),
+            "x_k": result[0].observables,
+            "forward_increment": result[1].forward_finite,
+            "reversed_increment": result[1].reversed_finite,
+            "lookahead": result[1].lookahead,
+            "forward_limit": result[1].forward_limit,
+            "reversed_limit": result[1].reversed_limit,
+            "residual_pair": result[1].pair_residual,
+            "residual_decomposition": result[1].decomposition_residual,
+        },
+    ),
+    "clt": _Command(
+        call=lambda config, chain, f, p: clt_test(chain, f, seed=config.master_seed, **p),
+        payload=lambda report: {"passed": report.passed, **report.to_dict()},
+        csv=lambda report: {
+            "replica": range(len(report.normalized_sums)),
+            "normalized_sum": report.normalized_sums,
+        },
+    ),
+    "fclt": _Command(
+        call=lambda config, chain, f, p: fclt_profile(chain, f, seed=config.master_seed, **p),
+        payload=_with_verdict,
+    ),
+    "maximal": _Command(
+        call=lambda config, chain, f, p: maximal_inequality_check(
+            chain, f, seed=config.master_seed, **p
+        ),
+        payload=_with_verdict,
+    ),
+    "ui-diagnostic": _Command(
+        call=lambda config, chain, f, p: uniform_integrability_diagnostic(
+            chain, f, seed=config.master_seed, **p
+        ),
+        payload=lambda report: report.to_dict(),
+    ),
 }
+
+
+def _run_command(name, config, chain, f, params, outdir, stem) -> list[Path]:
+    """Run one subcommand, write its report files and judge its verdict."""
+    command = _COMMANDS[name]
+    result = command.call(config, chain, f, params)
+    files = [outdir / f"{stem}.json"]
+    _write_json(files[0], {"schema": SCHEMA_VERSION, "command": name, **command.payload(result)})
+    if command.csv:
+        files.append(outdir / f"{stem}.csv")
+        _write_csv(files[1], command.csv(result))
+    failures = getattr(result, "failures", ())
+    if failures:
+        raise StatisticalFailure(f"{name}: " + "; ".join(failures))
+    return files
+
+
+_RUNNERS = {name: partial(_run_command, name) for name in COMMANDS}
 
 
 def _output_stems(commands: list[tuple[str, dict]]) -> list[str]:
@@ -541,16 +465,11 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
         commands = [(n, p) for n, p in commands if n == only]
         if not commands:
             commands = [(only, dict(DEFAULT_PARAMS[only]))]
-            if only in SEEDED_COMMANDS and config.master_seed is None:
-                if not (only == "maximal" and commands[0][1].get("exhaustive", False)):
-                    raise ConfigError(f"subcommand {only!r} needs a master_seed")
+            if config.master_seed is None and _needs_seed(commands):
+                raise ConfigError(f"subcommand {only!r} needs a master_seed")
 
     chain = build_chain_from_definition(config.chain_definition)
-    f = resolve_observable(config, chain)
-    mean_raw = config.observable
-    if mean_raw is None:
-        mean_raw = config.chain_definition.get("observable")
-    raw_mean = float(np.dot(chain.stationary, np.asarray(mean_raw, dtype=float)))
+    f, raw_mean = _centered_observable(config, chain)
     if abs(raw_mean) > 1e-12:
         print(f"warning: observable auto-centered (stationary mean {raw_mean:.6g})", file=sys.stderr)
 

@@ -25,6 +25,11 @@ Two layers of objects are computed for a trajectory xi_0..xi_N:
   with extended-precision accumulation this keeps both identity residuals
   at the 1e-12 certification level along thousands of steps.
 
+``decompose_trajectory`` returns every per-position term as an array indexed
+by time (the forward increment at k is ``terms.forward_finite[k]``, and so on)
+and builds the O(horizon * S^2) per-state vectors once per path.
+``boundary_term``, the absolute-horizon drift, is the one per-position function.
+
 Every expectation exposed here (martingale certificates, second moments,
 L2 distances between finite-horizon and limit increments) is an exact sum
 over the finite state space, never a Monte Carlo estimate.
@@ -37,7 +42,7 @@ import numpy as np
 
 from ._numeric import exact_cumsum
 from .chain import Observable, ReversibleChain, Trajectory, require_centered
-from .errors import IndexOutOfRange, NumericalError
+from .errors import IndexOutOfRange, InvalidArgument, NumericalError
 from .spectral import SpectralMeasure, poisson_solve, spectral_measure
 
 #: residual level certified for both decomposition identities
@@ -56,7 +61,7 @@ def _horizon_vectors(chain: ReversibleChain, f: Observable, n: int):
     ~1 ulp regardless of the horizon.
     """
     if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
+        raise InvalidArgument(f"horizon must be >= 1, got {n}")
     q = chain.kernel.astype(_LONGDOUBLE)
     v = f.values.astype(_LONGDOUBLE)
     phi = v.copy()
@@ -75,37 +80,6 @@ def resolvent_pair(chain: ReversibleChain, f: Observable):
     g = poisson_solve(chain, f)
     w = chain.kernel @ g
     return g, w
-
-
-def _check_position(traj: Trajectory, k: int, low: int, high: int) -> None:
-    if not (low <= k <= high):
-        raise IndexOutOfRange(
-            f"position {k} outside [{low}, {high}] on a length-{traj.length} trajectory"
-        )
-
-
-def forward_difference(
-    chain: ReversibleChain, f: Observable, traj: Trajectory, k: int, n: int
-) -> float:
-    """Finite-horizon forward martingale increment at position k.
-
-    Equals f(xi_k) plus the Cesaro-averaged prediction updates
-    (1/n) sum_{i<n} sum_{j<=i} [(Q^j f)(xi_k) - (Q^{j+1} f)(xi_{k-1})]
-    minus (Q f)(xi_{k-1}); needs only xi_{k-1} and xi_k since every
-    conditional expectation is an exact kernel-power read.
-    """
-    _check_position(traj, k, 1, traj.length)
-    phi, pred, _ = _horizon_vectors(chain, f, n)
-    return float(phi[traj.states[k]] - pred[traj.states[k - 1]])
-
-
-def reversed_difference(
-    chain: ReversibleChain, f: Observable, traj: Trajectory, k: int, n: int
-) -> float:
-    """Time mirror of ``forward_difference``: conditions on xi_{k+1}."""
-    _check_position(traj, k, 0, traj.length - 1)
-    phi, pred, _ = _horizon_vectors(chain, f, n)
-    return float(phi[traj.states[k]] - pred[traj.states[k + 1]])
 
 
 def boundary_term(
@@ -160,31 +134,6 @@ def boundary_l2_norm(
     # no atom sits at 1 (spectral_measure guarantees it), so the quotient is safe
     geom = lam * (1.0 - lam**steps) / np.where(denom == 0.0, 1.0, denom)
     return float(np.dot(rho.weights, geom * geom)) / (n * n)
-
-
-def limit_difference(
-    chain: ReversibleChain, f: Observable, traj: Trajectory, k: int
-) -> float:
-    """Limit forward martingale increment g(xi_k) - (Q g)(xi_{k-1}).
-
-    Evaluated through the fixed point g = f + w with w = Q g, i.e. as
-    f(xi_k) + w(xi_k) - w(xi_{k-1}); algebraically identical, and the form
-    under which consecutive increments telescope exactly.
-    """
-    _check_position(traj, k, 1, traj.length)
-    _, w = resolvent_pair(chain, f)
-    s = traj.states
-    return float(f.values[s[k]] + w[s[k]] - w[s[k - 1]])
-
-
-def reversed_limit_difference(
-    chain: ReversibleChain, f: Observable, traj: Trajectory, k: int
-) -> float:
-    """Limit reversed increment g(xi_k) - (Q g)(xi_{k+1})."""
-    _check_position(traj, k, 0, traj.length - 1)
-    _, w = resolvent_pair(chain, f)
-    s = traj.states
-    return float(f.values[s[k]] + w[s[k]] - w[s[k + 1]])
 
 
 def martingale_certificate(
@@ -289,7 +238,7 @@ def decompose_trajectory(
     require_centered(chain, f)
     n_len = traj.length
     if n_len < 2:
-        raise ValueError(f"trajectory must have length >= 2, got {n_len}")
+        raise InvalidArgument(f"trajectory must have length >= 2, got {n_len}")
     n_hor = n_len if horizon is None else int(horizon)
 
     phi, pred, drift = _horizon_vectors(chain, f, n_hor)

@@ -2,7 +2,7 @@
 
 Three families matter to callers (and to the CLI exit-code mapping):
 
-- ``ConfigError``       -> bad experiment configuration / input files (exit 2)
+- ``ConfigError``       -> bad experiment configuration, input files or arguments (exit 2)
 - ``NumericalError``    -> chain admission, spectral or solver failures (exit 3)
 - ``StatisticalFailure``-> a seeded Monte Carlo check missed its declared
   threshold (exit 4); the computation itself succeeded.
@@ -16,6 +16,10 @@ class RcltError(Exception):
 
 class ConfigError(RcltError):
     """Experiment configuration is unusable (missing file, bad schema, ...)."""
+
+
+class InvalidArgument(ConfigError, ValueError):
+    """A parameter or observable lies outside its domain (grid time, mode, length, ...)."""
 
 
 class NumericalError(RcltError):
@@ -50,6 +54,10 @@ class NegativeWeight(NumericalError):
 
 class ZeroTargetMass(NumericalError):
     """A Metropolis target puts zero (or negative) mass on some state."""
+
+
+class MalformedMatrix(NumericalError, ValueError):
+    """A weight or proposal matrix is not square, mis-sized or not symmetric."""
 
 
 class InvalidLength(NumericalError):

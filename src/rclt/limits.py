@@ -19,6 +19,9 @@ centered observable of nondegenerate asymptotic variance sigma^2:
 - uniform integrability: tail expectations of max_j S_j^2 / n over a grid
   of cutoffs, reported per trajectory length as a decay diagnostic.
 
+A check with a threshold also judges it: ``LimitReport.failures`` names
+every comparison that missed, and ``passed`` is true when none did.
+
 Replica r always consumes its own generator stream seeded from
 (master seed, r), so every number is bit-reproducible and batch
 simulation agrees exactly with stacking single sampled trajectories.
@@ -26,13 +29,19 @@ simulation agrees exactly with stacking single sampled trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .chain import Observable, ReversibleChain, derive_seed, require_centered
 from .decomposition import resolvent_pair
-from .errors import DegenerateVariance, ExhaustiveTooLarge, InvalidLength, InvalidReplicas
+from .errors import (
+    DegenerateVariance,
+    ExhaustiveTooLarge,
+    InvalidArgument,
+    InvalidLength,
+    InvalidReplicas,
+)
 from .spectral import asymptotic_variance_spectral, spectral_measure
 
 #: sigma^2 below this is treated as the degenerate case
@@ -63,25 +72,17 @@ class LimitReport:
     ui_table: list[dict] = field(default_factory=list)
     tolerances: dict = field(default_factory=dict)
     normalized_sums: np.ndarray | None = None
+    failures: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "n": self.n,
-            "m": self.m,
-            "sigma2_used": self.sigma2_used,
-            "master_seed": self.master_seed,
-            "exact": self.exact,
-            "mode": self.mode,
-            "ks_statistic": self.ks_statistic,
-            "ks_threshold": self.ks_threshold,
-            "dkw_epsilon_99": self.dkw_epsilon_99,
-            "variance_profile": [list(row) for row in self.variance_profile],
-            "covariance_profile": [list(row) for row in self.covariance_profile],
-            "maximal_margins": self.maximal_margins,
-            "ui_table": self.ui_table,
-            "tolerances": self.tolerances,
-        }
+        """Every field but the replica sums and the verdict, as plain data."""
+        data = asdict(self)
+        del data["normalized_sums"], data["failures"]
+        return data
 
 
 # --- batched simulation -----------------------------------------------------
@@ -177,7 +178,8 @@ def clt_test(
 
     Samples m independent stationary replicas of length n, normalizes the
     final partial sums by the spectral asymptotic variance and reports the
-    Kolmogorov-Smirnov distance together with the DKW calibration.
+    Kolmogorov-Smirnov distance together with the DKW calibration. The
+    check fails when the distance exceeds ``ks_threshold``.
     """
     require_centered(chain, f)
     _check_mc_arguments(n, m, seed)
@@ -190,6 +192,8 @@ def clt_test(
             sums += values[states]
     z = sums / math.sqrt(sigma2 * n)
     ks = ks_distance_to_normal(z)
+    ks_threshold = float(ks_threshold)
+    miss = f"KS statistic {ks:.5f} exceeds threshold {ks_threshold:.5f}"
     return LimitReport(
         op="clt",
         n=int(n),
@@ -197,10 +201,11 @@ def clt_test(
         sigma2_used=sigma2,
         master_seed=int(seed),
         ks_statistic=ks,
-        ks_threshold=float(ks_threshold),
+        ks_threshold=ks_threshold,
         dkw_epsilon_99=dkw_epsilon(m),
-        tolerances={"ks_threshold": float(ks_threshold)},
+        tolerances={"ks_threshold": ks_threshold},
         normalized_sums=z,
+        failures=() if ks <= ks_threshold else (miss,),
     )
 
 
@@ -219,13 +224,14 @@ def fclt_profile(
 
     Snapshots W(t) = S_[nt] / sqrt(n) at each grid time over m replicas;
     the Brownian limit demands Var W(t) = sigma^2 t and
-    Cov(W(s), W(t)) = sigma^2 min(s, t).
+    Cov(W(s), W(t)) = sigma^2 min(s, t). Each of those comparisons fails
+    when it misses by more than SE_MULTIPLIER standard errors.
     """
     require_centered(chain, f)
     _check_mc_arguments(n, m, seed)
     grid = sorted(float(t) for t in grid)
     if grid and (grid[0] < 0.0 or grid[-1] > 1.0):
-        raise ValueError(f"grid times must lie in [0, 1], got {grid}")
+        raise InvalidArgument(f"grid times must lie in [0, 1], got {grid}")
     sigma2 = _sigma2_or_raise(chain, f)
 
     indices = [int(math.floor(n * t)) for t in grid]
@@ -236,8 +242,6 @@ def fclt_profile(
     pending = {}
     for j, idx in enumerate(indices):
         pending.setdefault(idx, []).append(j)
-    for j in pending.get(0, []):
-        snapshots[j] = 0.0
     for t, states in _iter_batch(chain, n, m, seed):
         if t >= 1:
             sums += values[states]
@@ -245,6 +249,7 @@ def fclt_profile(
                 snapshots[j] = sums / root_n
 
     variance_profile = []
+    failures = []
     for j, t in enumerate(grid):
         w = snapshots[j]
         centered = w - w.mean()
@@ -252,6 +257,8 @@ def fclt_profile(
         var = float(sq.mean())
         se = float(sq.std() / math.sqrt(m))
         variance_profile.append((t, var, se))
+        if abs(var - sigma2 * t) > SE_MULTIPLIER * se + 1e-12:
+            failures.append(f"Var at t={t}: {var:.5g} vs {sigma2 * t:.5g} (se {se:.3g})")
 
     covariance_profile = []
     for a in range(len(grid)):
@@ -259,9 +266,11 @@ def fclt_profile(
             wa = snapshots[a] - snapshots[a].mean()
             wb = snapshots[b] - snapshots[b].mean()
             prod = wa * wb
-            covariance_profile.append(
-                (grid[a], grid[b], float(prod.mean()), float(prod.std() / math.sqrt(m)))
-            )
+            s, t = grid[a], grid[b]
+            cov, se = float(prod.mean()), float(prod.std() / math.sqrt(m))
+            covariance_profile.append((s, t, cov, se))
+            if abs(cov - sigma2 * min(s, t)) > SE_MULTIPLIER * se + 1e-12:
+                failures.append(f"Cov at ({s},{t}): {cov:.5g} vs {sigma2 * min(s, t):.5g}")
 
     return LimitReport(
         op="fclt",
@@ -272,6 +281,7 @@ def fclt_profile(
         variance_profile=variance_profile,
         covariance_profile=covariance_profile,
         tolerances={"se_multiplier": SE_MULTIPLIER},
+        failures=tuple(failures),
     )
 
 
@@ -306,7 +316,7 @@ def _limit_increments(chain: ReversibleChain, f: Observable, paths: np.ndarray, 
     exactly like the forward case).
     """
     if mode not in ("forward", "reversed"):
-        raise ValueError(f"mode must be 'forward' or 'reversed', got {mode!r}")
+        raise InvalidArgument(f"mode must be 'forward' or 'reversed', got {mode!r}")
     _, w = resolvent_pair(chain, f)
     value = f.values + w
     ordered = paths if mode == "forward" else paths[:, ::-1]
@@ -345,46 +355,41 @@ def maximal_inequality_check(
     Exhaustive mode enumerates every stationary path with its exact
     probability (zero statistical slack); Monte Carlo mode estimates both
     sides with standard errors. The inequality is evaluated on the limit
-    martingale increments, whose stationarity it requires.
+    martingale increments, whose stationarity it requires; a level fails
+    when its left side exceeds the right by more than the statistical slack.
     """
     require_centered(chain, f)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidLength(f"trajectory length must be a positive integer, got {n!r}")
     if exhaustive:
         paths, prob = _enumerate_paths(chain, n)
-        weights = prob
         used_m = None
     else:
         _check_mc_arguments(n, m, seed)
         paths = np.empty((m, n + 1), dtype=np.int64)
         for t, states in _iter_batch(chain, n, m, seed):
             paths[:, t] = states
-        weights = None
         used_m = int(m)
 
     increments = _limit_increments(chain, f, paths, mode)
     margins = []
+    failures = []
     for lam in lambdas:
         lhs_vals, rhs_vals = _maximal_sides(increments, float(lam), two_sided)
-        if weights is not None:
-            entry = {
-                "lambda": float(lam),
-                "lhs": float(np.dot(weights, lhs_vals)),
-                "rhs": float(np.dot(weights, rhs_vals)),
-                "se_lhs": 0.0,
-                "se_rhs": 0.0,
-            }
+        if exhaustive:
+            lhs, rhs = float(np.dot(prob, lhs_vals)), float(np.dot(prob, rhs_vals))
+            se_lhs = se_rhs = 0.0
         else:
-            root_m = math.sqrt(len(lhs_vals))
-            entry = {
-                "lambda": float(lam),
-                "lhs": float(lhs_vals.mean()),
-                "rhs": float(rhs_vals.mean()),
-                "se_lhs": float(lhs_vals.std() / root_m),
-                "se_rhs": float(rhs_vals.std() / root_m),
-            }
-        entry["slack"] = SE_MULTIPLIER * (entry["se_lhs"] + entry["se_rhs"])
-        margins.append(entry)
+            root_m = math.sqrt(used_m)
+            lhs, rhs = float(lhs_vals.mean()), float(rhs_vals.mean())
+            se_lhs, se_rhs = float(lhs_vals.std() / root_m), float(rhs_vals.std() / root_m)
+        slack = SE_MULTIPLIER * (se_lhs + se_rhs)
+        margins.append(
+            {"lambda": float(lam), "lhs": lhs, "rhs": rhs, "slack": slack,
+             "se_lhs": se_lhs, "se_rhs": se_rhs}
+        )
+        if lhs > rhs + slack + 1e-12:
+            failures.append(f"lambda={float(lam)}: lhs {lhs:.6g} > rhs {rhs:.6g}")
 
     return LimitReport(
         op="maximal",
@@ -395,6 +400,7 @@ def maximal_inequality_check(
         mode=mode,
         maximal_margins=margins,
         tolerances={"se_multiplier": SE_MULTIPLIER, "two_sided": bool(two_sided)},
+        failures=tuple(failures),
     )
 
 
@@ -419,7 +425,7 @@ def uniform_integrability_diagnostic(
     require_centered(chain, f)
     n_list = [int(v) for v in n_list]
     if n_list != sorted(n_list) or len(set(n_list)) != len(n_list) or min(n_list) < 1:
-        raise ValueError(f"n_list must be strictly increasing positive integers, got {n_list}")
+        raise InvalidArgument(f"n_list must be strictly increasing positive integers: {n_list}")
     _check_mc_arguments(n_list[0], m, seed)
 
     values = f.values

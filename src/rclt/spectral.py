@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Observable, ReversibleChain, require_centered
-from .errors import EigenFailure, FiniteVarianceViolated, SingularPoisson
+from .errors import EigenFailure, FiniteVarianceViolated, InvalidArgument, SingularPoisson
 
 #: eigenvalues may exceed [-1, 1] by at most this much before clamping fails
 CLAMP_TOL = 1e-10
@@ -157,7 +157,7 @@ def asymptotic_variance_poisson(chain: ReversibleChain, f: Observable) -> float:
 def asymptotic_variance_series(chain: ReversibleChain, f: Observable, n_max: int) -> np.ndarray:
     """Exact Var(S_n)/n for n = 1..n_max from the covariance sequence."""
     if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+        raise InvalidArgument(f"n_max must be >= 1, got {n_max}")
     rho = spectral_measure(chain, f)
     gamma = np.empty(n_max)
     powers = rho.weights.copy()
@@ -284,9 +284,12 @@ class VarianceReport:
         }
 
 
-def variance_report(chain: ReversibleChain, f: Observable, n_max: int = 1000) -> VarianceReport:
-    """Assemble the three-route variance comparison for one observable."""
-    rho = spectral_measure(chain, f)
+def variance_report(
+    chain: ReversibleChain, f: Observable, n_max: int = 1000, rho: SpectralMeasure | None = None
+) -> VarianceReport:
+    """Assemble the three-route variance comparison (``rho``: f's spectral measure, if known)."""
+    if rho is None:
+        rho = spectral_measure(chain, f)
     series = asymptotic_variance_series(chain, f, n_max)
     return VarianceReport(
         sigma2_spectral=asymptotic_variance_spectral(rho),

@@ -166,6 +166,7 @@ def test_criterion_07_maximal_inequality_exhaustive() -> None:
                 for entry in report.maximal_margins:
                     assert entry["lhs"] <= entry["rhs"] + 1e-12, (n, mode, entry)
                     checked += 1
+                assert report.passed, report.failures
     _report(7, f"exact enumeration: {checked} (chain, n, mode, lambda) cases, zero slack")
 
 
@@ -173,6 +174,7 @@ def test_criterion_08_normal_limit() -> None:
     for i, (chain, f) in enumerate(mixing_fixture_pairs()):
         report = rclt.clt_test(chain, f, n=2_000, m=10_000, seed=MASTER_SEED + i)
         assert report.ks_statistic <= 0.02, report.ks_statistic
+        assert report.passed, report.failures
     with pytest.raises(rclt.DegenerateVariance):
         chain = flip_chain()
         rclt.clt_test(chain, observable(chain, [1.0, -1.0]), n=2_000, m=100, seed=MASTER_SEED)
@@ -194,6 +196,7 @@ def test_criterion_09_brownian_profile() -> None:
             z = abs(cov - sigma2 * min(s, t)) / se
             assert z <= 3.0, (s, t, cov, z)
             worst = max(worst, z)
+        assert report.passed, report.failures
     _report(9, f"variance and covariance profiles within 3 SE (worst z = {worst:.2f})")
 
 

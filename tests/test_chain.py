@@ -91,6 +91,18 @@ def test_metropolis_zero_target_mass() -> None:
         rclt.build_metropolis([0.5, 0.5, 0.0], np.full((3, 3), 1 / 3))
 
 
+def test_metropolis_full_acceptance_row_rounding() -> None:
+    # the lowest-target state accepts every move; its proposal row sums to
+    # 1 + 2.2e-16, so 1 - rowsum rounds below zero and is held at zero
+    a, b = 0.1, 0.3
+    c = 1 - a - b
+    proposal = [[0, a, b, c], [a, 0, c, b], [b, c, 0, a], [c, b, a, 0]]
+    chain = rclt.build_metropolis([2, 3, 1, 4], proposal)
+    assert chain.kernel[2, 2] == 0.0
+    np.testing.assert_allclose(chain.stationary, [0.2, 0.3, 0.1, 0.4], atol=1e-15)
+    assert chain.detailed_balance_residual() <= CERT
+
+
 def test_project_mean_zero_examples() -> None:
     chain = two_state()
     np.testing.assert_allclose(rclt.project_mean_zero([1, -1], chain).values, [1, -1], atol=0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -69,6 +70,22 @@ def test_load_config_requires_seed_for_monte_carlo(tmp_path) -> None:
         load_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [{"ks_treshold": 0.5}, {"n": True}, {"m": False}, {"n": 2.5}],
+    ids=["typo", "bool-n", "bool-m", "float-n"],
+)
+def test_load_config_rejects_unknown_or_mistyped_params(tmp_path, params) -> None:
+    cfg = _config(tmp_path, [{"command": "clt", "params": params}])
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+
+
+def test_load_config_accepts_boolean_flags(tmp_path) -> None:
+    cfg = _config(tmp_path, [{"command": "maximal", "params": {"two_sided": True}}])
+    assert load_config(cfg).commands[0][1]["two_sided"] is True
+
+
 def test_exhaustive_maximal_needs_no_seed(tmp_path) -> None:
     cfg = _config(tmp_path, [{"command": "maximal", "params": {"n": 4}}], seed=None)
     config = load_config(cfg)
@@ -100,6 +117,9 @@ def test_validate_reports_inadmissible_chain(tmp_path) -> None:
     cfg = _config(tmp_path, ["spectrum"], chain=bad, observable=[1.0, 0.0, -1.0])
     diagnostics = validate(load_config(cfg))
     assert any(d.startswith("chain not admissible") for d in diagnostics)
+    ragged = {"kind": "kernel", "matrix": [[0.5, 0.5], [1.0]]}
+    cfg = _config(tmp_path, ["spectrum"], chain=ragged, observable=[1.0, -1.0])
+    assert validate(load_config(cfg))[0].startswith("chain not admissible")
 
 
 def test_spectrum_report_content(tmp_path) -> None:
@@ -121,12 +141,29 @@ def test_chain_definition_round_trip(tmp_path) -> None:
     np.testing.assert_allclose(rebuilt.stationary, chain.stationary, atol=1e-15)
 
 
+#: SHA-256 of every report of test_run_is_byte_reproducible, recorded on
+#: x86-64 Linux (numpy with OpenBLAS); a change in any report byte shows here
+REPORT_DIGESTS = {
+    "clt.csv": "8c1e166bc81c2783bd545637076d28f6ccb37cd782c737585ee85dc088035bcb",
+    "clt.json": "3d467a0c51e52dae496fe7ade2ecbee1eb61146a5e068535299fe87fdf3f9868",
+    "decompose.csv": "040428437b184bbaec9d81540bc4c204867423dbb0289172fe0fb11fdb5ccccd",
+    "decompose.json": "20569dde3f2d54dbad000b004284162f1502b39fac32f609be234029d5b46495",
+    "fclt.json": "946a16d0a4e9f9938e83d2c0e44e68055352d8f5cea4b056d9c49cee854d0045",
+    "maximal.json": "8897aa399055836f3088dbb48924c915c00362278f0da938429c84801405fe55",
+    "spectrum.json": "2a9b492dd83eb823e273651e1563a8c7c93b4e0a7eaa42760e0068c15f0ca6b5",
+    "ui_diagnostic.json": "442a7919cc8b7f112d78563cb69ededa20b66085aea556e518cb4606d2de3a23",
+    "variance.csv": "8d16d9b9c296839c9e599ddab6a2ed8d809d6484e7944dcb173bab8ef59f5c72",
+    "variance.json": "0d3394d56317c3dda55e4a888417dc3fd26be3c145e4cc50f01e747e7452c507",
+}
+
+
 def test_run_is_byte_reproducible(tmp_path) -> None:
     commands = [
         "spectrum",
         {"command": "variance", "params": {"n_max": 100}},
         {"command": "decompose", "params": {"length": 40}},
         {"command": "clt", "params": {"n": 100, "m": 200, "ks_threshold": 0.2}},
+        {"command": "fclt", "params": {"n": 100, "m": 200, "grid": [0.5, 1.0]}},
         {"command": "maximal", "params": {"n": 4}},
         {"command": "ui-diagnostic", "params": {"n_list": [20], "epsilon_grid": [1.0], "m": 50}},
     ]
@@ -138,6 +175,7 @@ def test_run_is_byte_reproducible(tmp_path) -> None:
     assert manifest_a.config_hash == manifest_b.config_hash
     names = sorted(p.name for p in (tmp_path / "out_a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "out_b").iterdir())
+    assert names == sorted([*REPORT_DIGESTS, "manifest.json"])
     for name in names:
         if name == "manifest.json":
             a = json.loads((tmp_path / "out_a" / name).read_text())
@@ -146,9 +184,9 @@ def test_run_is_byte_reproducible(tmp_path) -> None:
             b.pop("timings")
             assert a == b
         else:
-            assert (tmp_path / "out_a" / name).read_bytes() == (
-                tmp_path / "out_b" / name
-            ).read_bytes()
+            data = (tmp_path / "out_a" / name).read_bytes()
+            assert data == (tmp_path / "out_b" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[name], name
 
 
 def test_numerical_failure_removes_partial_outputs(tmp_path) -> None:
@@ -161,7 +199,7 @@ def test_numerical_failure_removes_partial_outputs(tmp_path) -> None:
     assert not (out / "manifest.json").exists()
 
 
-def test_statistical_failure_keeps_reports(tmp_path) -> None:
+def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
     commands = [{"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 1e-9}}]
     cfg = _config(tmp_path, commands)
     code = main(["run", "--config", str(cfg)])
@@ -169,6 +207,37 @@ def test_statistical_failure_keeps_reports(tmp_path) -> None:
     assert (tmp_path / "out" / "clt.json").exists()
     payload = json.loads((tmp_path / "out" / "clt.json").read_text())
     assert payload["passed"] is False
+    # the CLI reports the library's own verdict
+    chain = build_chain_from_definition(TWO_STATE)
+    f = rclt.project_mean_zero(TWO_STATE["observable"], chain)
+    report = rclt.clt_test(chain, f, n=50, m=100, seed=4242, ks_threshold=1e-9)
+    assert not report.passed
+    expected = "statistical failure: clt: " + "; ".join(report.failures) + "\n"
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize(
+    ("chain", "command", "extra", "code"),
+    [
+        (
+            {"kind": "random_walk", "matrix": [[0.5, 1.0], [0.2, 0.5]], "observable": [1, -1]},
+            "spectrum",
+            {},
+            3,
+        ),
+        ({"kind": "kernel", "matrix": [[0.5, 0.5], [1.0]], "observable": [1, -1]}, "spectrum", {}, 3),
+        (TWO_STATE, "spectrum", {"observable": [1.0, 0.0, -1.0]}, 2),
+        (TWO_STATE, {"command": "fclt", "params": {"grid": [0.5, 2.0]}}, {}, 2),
+        (TWO_STATE, {"command": "maximal", "params": {"mode": "sideways"}}, {}, 2),
+    ],
+    ids=["asymmetric-weights", "ragged-matrix", "observable-length", "fclt-grid", "maximal-mode"],
+)
+def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra, code) -> None:
+    cfg = _config(tmp_path, [command], chain=chain, **extra)
+    assert main(["run", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_main_exit_codes(tmp_path) -> None:

@@ -27,33 +27,34 @@ def test_forward_difference_iid_is_observable() -> None:
     f = observable(chain, [1.0, -2.0])
     traj = rclt.sample_trajectory(chain, f, 30, seed=3)
     for n in (1, 2, 9):
+        terms = rclt.decompose_trajectory(chain, f, traj, horizon=n)
         for k in (1, 7, 30):
-            assert rclt.forward_difference(chain, f, traj, k, n) == pytest.approx(
-                traj.observables[k], abs=1e-13
-            )
+            assert terms.forward_finite[k] == pytest.approx(traj.observables[k], abs=1e-13)
             if k < 30:
-                assert rclt.reversed_difference(chain, f, traj, k, n) == pytest.approx(
-                    traj.observables[k], abs=1e-13
-                )
+                assert terms.reversed_finite[k] == pytest.approx(traj.observables[k], abs=1e-13)
 
 
 def test_forward_difference_hand_value() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])
-    traj = _fixed_trajectory(chain, f, [0, 0])
-    assert rclt.forward_difference(chain, f, traj, 1, 2) == pytest.approx(0.625, abs=1e-14)
+    traj = _fixed_trajectory(chain, f, [0, 0, 0])
+    terms = rclt.decompose_trajectory(chain, f, traj, horizon=2)
+    assert terms.forward_finite[1] == pytest.approx(0.625, abs=1e-14)
 
 
 def test_forward_difference_index_errors() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])
     traj = rclt.sample_trajectory(chain, f, 10, seed=1)
-    with pytest.raises(rclt.IndexOutOfRange):
-        rclt.forward_difference(chain, f, traj, 0, 3)
-    with pytest.raises(rclt.IndexOutOfRange):
-        rclt.forward_difference(chain, f, traj, 11, 3)
-    with pytest.raises(rclt.IndexOutOfRange):
-        rclt.reversed_difference(chain, f, traj, 10, 3)
+    terms = rclt.decompose_trajectory(chain, f, traj, horizon=3)
+    # forward terms read xi_{k-1}, reversed ones xi_{k+1}: the slots a
+    # term cannot reach hold NaN and the arrays end at position 10
+    for forward in (terms.forward_finite, terms.forward_limit):
+        assert forward.shape == (11,)
+        assert np.isnan(forward[0]) and not np.any(np.isnan(forward[1:]))
+    for reversed_ in (terms.reversed_finite, terms.reversed_limit):
+        assert reversed_.shape == (11,)
+        assert np.isnan(reversed_[10]) and not np.any(np.isnan(reversed_[:10]))
 
 
 def test_martingale_certificates_finite_and_limit() -> None:
@@ -109,15 +110,17 @@ def test_limit_difference_examples() -> None:
     iid = iid_chain((0.4, 0.6))
     fi = observable(iid, [1.0, -0.5])
     traj = rclt.sample_trajectory(iid, fi, 20, seed=8)
+    limit = rclt.decompose_trajectory(iid, fi, traj).forward_limit
     for k in (1, 5, 20):
-        assert rclt.limit_difference(iid, fi, traj, k) == pytest.approx(traj.observables[k], abs=1e-13)
+        assert limit[k] == pytest.approx(traj.observables[k], abs=1e-13)
 
     chain = two_state()
     f = observable(chain, [1, -1])
     traj2 = rclt.sample_trajectory(chain, f, 20, seed=8)
+    limit2 = rclt.decompose_trajectory(chain, f, traj2).forward_limit
     for k in (1, 9):
         expected = 2.0 * traj2.observables[k] - traj2.observables[k - 1]
-        assert rclt.limit_difference(chain, f, traj2, k) == pytest.approx(expected, abs=1e-12)
+        assert limit2[k] == pytest.approx(expected, abs=1e-12)
 
 
 def test_limit_difference_variance_matches_sigma2() -> None:
@@ -226,10 +229,10 @@ def test_finite_horizon_terms_converge_to_limit_terms() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])
     traj = rclt.sample_trajectory(chain, f, 40, seed=6)
-    limit = np.array([rclt.limit_difference(chain, f, traj, k) for k in range(1, 41)])
+    limit = rclt.decompose_trajectory(chain, f, traj).forward_limit[1:]
     gaps = []
     for n in (2, 16, 128):
-        finite = np.array([rclt.forward_difference(chain, f, traj, k, n) for k in range(1, 41)])
+        finite = rclt.decompose_trajectory(chain, f, traj, horizon=n).forward_finite[1:]
         gaps.append(np.max(np.abs(finite - limit)))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 0.1

@@ -68,6 +68,7 @@ def test_clt_smoke_on_two_state_chain() -> None:
     report = rclt.clt_test(chain, f, n=500, m=2000, seed=321, ks_threshold=0.05)
     assert report.sigma2_used == pytest.approx(3.0, abs=1e-12)
     assert report.ks_statistic <= 0.05
+    assert report.passed and report.failures == ()
     assert report.normalized_sums.shape == (2000,)
     assert report.dkw_epsilon_99 == pytest.approx(math.sqrt(math.log(200.0) / 4000.0), abs=1e-12)
 
@@ -77,6 +78,7 @@ def test_clt_iid_chain_full_scale() -> None:
     f = observable(chain, [1, -1])
     report = rclt.clt_test(chain, f, n=2000, m=10_000, seed=20240611)
     assert report.ks_statistic <= 0.02
+    assert report.passed
 
 
 def test_clt_is_bit_reproducible() -> None:
@@ -86,6 +88,12 @@ def test_clt_is_bit_reproducible() -> None:
     b = rclt.clt_test(chain, f, n=120, m=400, seed=777)
     assert np.array_equal(a.normalized_sums, b.normalized_sums)
     assert a.ks_statistic == b.ks_statistic
+    strict = rclt.clt_test(chain, f, n=120, m=400, seed=777, ks_threshold=1e-9)
+    assert strict.ks_statistic == a.ks_statistic
+    assert not strict.passed
+    assert strict.failures == (
+        f"KS statistic {a.ks_statistic:.5f} exceeds threshold 0.00000",
+    )
 
 
 def test_fclt_grid_validation_and_zero_time() -> None:
@@ -96,6 +104,11 @@ def test_fclt_grid_validation_and_zero_time() -> None:
     report = rclt.fclt_profile(chain, f, n=100, m=50, grid=[0.0, 0.5], seed=3)
     t0, var0, se0 = report.variance_profile[0]
     assert (t0, var0, se0) == (0.0, 0.0, 0.0)
+    assert report.passed
+    # six replicas of eight steps: the t = 1/4 variance misses by more than 3 SE
+    small = rclt.fclt_profile(chain, f, n=8, m=6, grid=[0.25, 0.5, 0.75, 1.0], seed=0)
+    assert not small.passed
+    assert small.failures == ("Var at t=0.25: 0.40278 vs 0.75 (se 0.0935)",)
 
 
 def test_fclt_profile_matches_brownian_scaling() -> None:
@@ -107,6 +120,7 @@ def test_fclt_profile_matches_brownian_scaling() -> None:
         assert abs(var - sigma2 * t) <= 3.0 * se + 0.02, (t, var)
     for s, t, cov, se in report.covariance_profile:
         assert abs(cov - sigma2 * min(s, t)) <= 3.0 * se + 0.02, (s, t, cov)
+    assert report.passed, report.failures
 
 
 def test_maximal_exhaustive_iid_hand_enumeration() -> None:
@@ -118,6 +132,7 @@ def test_maximal_exhaustive_iid_hand_enumeration() -> None:
     assert entry["lhs"] == pytest.approx(2.0, abs=1e-12)
     assert entry["rhs"] == pytest.approx(6.5, abs=1e-12)
     assert report.exact
+    assert report.passed
 
 
 def test_maximal_exhaustive_large_lambda_vanishes() -> None:
@@ -157,6 +172,7 @@ def test_maximal_two_sided_variant_holds() -> None:
         )
         for entry in report.maximal_margins:
             assert entry["lhs"] <= entry["rhs"] + 1e-12
+        assert report.passed
 
 
 def test_maximal_budget_guard() -> None:
@@ -176,6 +192,7 @@ def test_maximal_monte_carlo_mode() -> None:
     for entry in report.maximal_margins:
         assert entry["se_lhs"] > 0.0
         assert entry["lhs"] <= entry["rhs"] + entry["slack"]
+    assert report.passed
     again = rclt.maximal_inequality_check(
         chain, f, n=40, lambdas=[0.0, 1.0], m=2000, seed=5150
     )
@@ -206,6 +223,8 @@ def test_ui_diagnostic_monotone_in_cutoff() -> None:
         by_n.setdefault(row["n"], []).append(row["tail_expectation"])
     for n, tails in by_n.items():
         assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:])), n
+    # a diagnostic without a threshold never fails
+    assert report.passed and report.failures == ()
 
 
 def test_ui_diagnostic_single_step_matches_exact_tail() -> None:
