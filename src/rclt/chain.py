@@ -243,8 +243,13 @@ def build_metropolis(target, proposal) -> ReversibleChain:
     Off-diagonal moves are accepted with probability min(1, target_j /
     target_i); rejected mass sits on the diagonal.
     """
-    p = np.array(target, dtype=float)
+    try:
+        p = np.array(target, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedMatrix(f"target is not a numeric vector: {exc}") from exc
     prop = np.array(proposal, dtype=float)
+    if p.ndim != 1:
+        raise MalformedMatrix(f"target must be a vector, got shape {p.shape}")
     if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
         raise ZeroTargetMass("target must be strictly positive on every state")
     p = p / p.sum()
@@ -267,7 +272,10 @@ def build_metropolis(target, proposal) -> ReversibleChain:
 
 def project_mean_zero(raw, chain: ReversibleChain) -> Observable:
     """Center a raw vector so its stationary mean vanishes."""
-    v = np.asarray(raw, dtype=float)
+    try:
+        v = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"observable is not a numeric vector: {exc}") from exc
     if v.shape != (chain.n_states,):
         raise InvalidArgument(f"observable shape {v.shape} does not fit {chain.n_states} states")
     return Observable(values=v - float(np.dot(chain.stationary, v)))
@@ -277,6 +285,15 @@ def require_centered(chain: ReversibleChain, f: Observable, tol: float = CERTIFI
     m = float(np.dot(chain.stationary, f.values))
     if abs(m) > tol:
         raise ValueError(f"observable is not centered: stationary mean {m:.3e}")
+
+
+def _cumulative_tables(chain: ReversibleChain):
+    """Stationary CDF and row-wise kernel CDFs, each with its last entry pinned to 1."""
+    cum_pi = np.cumsum(chain.stationary)
+    cum_pi[-1] = 1.0
+    cum_rows = np.cumsum(chain.kernel, axis=1)
+    cum_rows[:, -1] = 1.0
+    return cum_pi, cum_rows
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -298,12 +315,7 @@ def sample_trajectory(chain: ReversibleChain, f: Observable, length: int, seed: 
     require_centered(chain, f)
     rng = np.random.default_rng(int(seed))
     u = rng.random(length + 1)
-    cum_pi = np.cumsum(chain.stationary)
-    cum_pi[-1] = 1.0
-    cum_rows = np.cumsum(chain.kernel, axis=1)
-    cum_rows[:, -1] = 1.0
-    pi_list = cum_pi.tolist()
-    row_lists = cum_rows.tolist()
+    pi_list, row_lists = (table.tolist() for table in _cumulative_tables(chain))
     n_max = chain.n_states - 1
 
     states = np.empty(length + 1, dtype=np.int64)

@@ -212,18 +212,16 @@ def load_config(
             raise ConfigError(f"observable file does not exist: {obs_path}")
         observable = _read_json(obs_path)
     if observable is not None:
-        if not isinstance(observable, list):
-            raise ConfigError("observable must be a vector (or a path to a JSON vector)")
+        if not isinstance(observable, list) or any(_wrong_type(v, 0.0) for v in observable):
+            raise ConfigError("observable must be a vector of numbers (or a path to one)")
         observable = [float(v) for v in observable]
 
     commands = _normalize_commands(raw.get("commands"))
     master_seed = raw.get("master_seed")
     if seed_override is not None:
         master_seed = seed_override
-    if master_seed is not None:
-        master_seed = int(master_seed)
-        if master_seed < 0:
-            raise ConfigError("master_seed must be a nonnegative 64-bit integer")
+    if master_seed is not None and (_wrong_type(master_seed, 0) or not 0 <= master_seed < 2**64):
+        raise ConfigError(f"master_seed must be a nonnegative 64-bit integer, got {master_seed!r}")
     if master_seed is None and _needs_seed(commands):
         raise ConfigError("master_seed is required when a Monte Carlo subcommand is requested")
 

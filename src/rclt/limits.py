@@ -25,6 +25,8 @@ every comparison that missed, and ``passed`` is true when none did.
 Replica r always consumes its own generator stream seeded from
 (master seed, r), so every number is bit-reproducible and batch
 simulation agrees exactly with stacking single sampled trajectories.
+A step of m replicas on S states costs O(m log S): each replica bisects
+its own cumulative kernel row and compares the doubles ``bisect_right`` does.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .chain import Observable, ReversibleChain, derive_seed, require_centered
+from .chain import Observable, ReversibleChain, _cumulative_tables, derive_seed, require_centered
 from .decomposition import resolvent_pair
 from .errors import (
     DegenerateVariance,
@@ -88,14 +90,6 @@ class LimitReport:
 # --- batched simulation -----------------------------------------------------
 
 
-def _cumulative_tables(chain: ReversibleChain):
-    cum_pi = np.cumsum(chain.stationary)
-    cum_pi[-1] = 1.0
-    cum_rows = np.cumsum(chain.kernel, axis=1)
-    cum_rows[:, -1] = 1.0
-    return cum_pi, cum_rows
-
-
 def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int, block: int = 256):
     """Yield (t, states) for t = 0..n across m replicas.
 
@@ -103,25 +97,31 @@ def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int, block:
     and consumes one uniform for the stationary start plus one per step,
     exactly like ``sample_trajectory``; chunked draws leave the streams
     unchanged, so batch and single-path simulation agree bit for bit.
+
+    Each replica bisects its own cumulative row, padded with 1.0 to 2^k >= S
+    entries, in k rounds of one comparison each, so a step costs O(m log S);
+    the start bisects an extra row, the stationary CDF. The rows never
+    decrease before their pinned last entry, and that entry and the padding
+    are 1.0 > u, so ``entry <= u`` holds on a prefix of the row: the rounds
+    count exactly the entries ``bisect_right`` counts.
     """
     rngs = [np.random.default_rng(derive_seed(master_seed, r)) for r in range(m)]
     cum_pi, cum_rows = _cumulative_tables(chain)
-    last = chain.n_states - 1
-    states = np.empty(m, dtype=np.int64)
-    t = 0
-    while t <= n:
-        width = min(block, n + 1 - t)
-        uniforms = np.empty((m, width))
+    k = (chain.n_states - 1).bit_length()
+    rows = np.vstack([cum_rows, cum_pi])
+    flat = np.pad(rows, [(0, 0), (0, (1 << k) - chain.n_states)], constant_values=1.0).ravel()
+    rounds = [1 << j for j in range(k - 1, -1, -1)]
+    states = np.full(m, chain.n_states)  # row S of the table: the start draw
+    for first in range(0, n + 1, block):
+        uniforms = np.empty((min(block, n + 1 - first), m))
         for r, rng in enumerate(rngs):
-            uniforms[r] = rng.random(width)
-        for j in range(width):
-            u = uniforms[:, j]
-            if t == 0:
-                states = np.minimum(np.searchsorted(cum_pi, u, side="right"), last)
-            else:
-                states = np.minimum((cum_rows[states] <= u[:, None]).sum(axis=1), last)
+            uniforms[:, r] = rng.random(uniforms.shape[0])
+        for t, u in enumerate(uniforms, first):
+            cursor = states << k
+            for step in rounds:
+                cursor += (flat.take(cursor + (step - 1)) <= u) * step
+            states = cursor & ((1 << k) - 1)
             yield t, states
-            t += 1
 
 
 def _check_mc_arguments(n: int, m: int | None, seed: int | None) -> None:
@@ -239,14 +239,11 @@ def fclt_profile(
     sums = np.zeros(m)
     snapshots = np.zeros((len(grid), m))
     root_n = math.sqrt(n)
-    pending = {}
-    for j, idx in enumerate(indices):
-        pending.setdefault(idx, []).append(j)
     for t, states in _iter_batch(chain, n, m, seed):
         if t >= 1:
             sums += values[states]
-            for j in pending.get(t, []):
-                snapshots[j] = sums / root_n
+            if t in indices:
+                snapshots[np.equal(indices, t)] = sums / root_n
 
     variance_profile = []
     failures = []
@@ -420,7 +417,8 @@ def uniform_integrability_diagnostic(
     For each length n, estimates E[ T 1{T > c} ] with T = max_j S_j^2 / n
     per replica; decay in the cutoff c, uniformly over n, is the
     diagnostic signature of uniform integrability. Monotone decrease in c
-    holds by construction for the shared sample.
+    holds by construction for the shared sample. Replica streams are
+    prefix consistent, so one pass to max(n_list) serves every length.
     """
     require_centered(chain, f)
     n_list = [int(v) for v in n_list]
@@ -429,15 +427,18 @@ def uniform_integrability_diagnostic(
     _check_mc_arguments(n_list[0], m, seed)
 
     values = f.values
+    sums = np.zeros(m)
+    peak_sq = np.zeros(m)
+    peaks = {}
+    for t, states in _iter_batch(chain, n_list[-1], m, seed):
+        if t >= 1:
+            sums += values[states]
+            np.maximum(peak_sq, sums * sums, out=peak_sq)
+            if t in n_list:
+                peaks[t] = peak_sq.copy()
     table = []
     for n in n_list:
-        sums = np.zeros(m)
-        peak_sq = np.zeros(m)
-        for t, states in _iter_batch(chain, n, m, seed):
-            if t >= 1:
-                sums += values[states]
-                np.maximum(peak_sq, sums * sums, out=peak_sq)
-        scaled = peak_sq / n
+        scaled = peaks[n] / n
         for c in epsilon_grid:
             tail_vals = scaled * (scaled > c)
             table.append(

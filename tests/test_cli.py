@@ -39,7 +39,7 @@ def _config(tmp_path: Path, commands, chain=TWO_STATE, seed=4242, name="config.j
         **extra,
     }
     if seed is not None:
-        payload["master_seed"] = seed
+        payload.setdefault("master_seed", seed)
     return _write(tmp_path / name, payload)
 
 
@@ -229,8 +229,32 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         (TWO_STATE, "spectrum", {"observable": [1.0, 0.0, -1.0]}, 2),
         (TWO_STATE, {"command": "fclt", "params": {"grid": [0.5, 2.0]}}, {}, 2),
         (TWO_STATE, {"command": "maximal", "params": {"mode": "sideways"}}, {}, 2),
+        (
+            {"kind": "metropolis", "matrix": [[0.5, 0.5], [0.5, 0.5]], "target": [1, [2, 3]],
+             "observable": [1, -1]},
+            "spectrum",
+            {},
+            3,
+        ),
+        (TWO_STATE, "spectrum", {"observable": ["a", "b"]}, 2),
+        ({**TWO_STATE, "observable": ["a", "b"]}, "spectrum", {}, 2),
+        (TWO_STATE, "clt", {"master_seed": True}, 2),
+        (TWO_STATE, "clt", {"master_seed": 1.7}, 2),
+        (TWO_STATE, "clt", {"master_seed": 2**70}, 2),
     ],
-    ids=["asymmetric-weights", "ragged-matrix", "observable-length", "fclt-grid", "maximal-mode"],
+    ids=[
+        "asymmetric-weights",
+        "ragged-matrix",
+        "observable-length",
+        "fclt-grid",
+        "maximal-mode",
+        "ragged-target",
+        "config-observable-strings",
+        "chain-observable-strings",
+        "seed-bool",
+        "seed-float",
+        "seed-over-64-bits",
+    ],
 )
 def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra, code) -> None:
     cfg = _config(tmp_path, [command], chain=chain, **extra)
@@ -238,6 +262,13 @@ def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_seed_override_must_fit_64_bits(tmp_path, capsys) -> None:
+    cfg = _config(tmp_path, ["spectrum"])
+    assert main(["run", "--config", str(cfg), "--seed", str(2**64)]) == 2
+    assert capsys.readouterr().err.startswith("config error: master_seed")
+    assert load_config(cfg, seed_override=2**64 - 1).master_seed == 2**64 - 1
 
 
 def test_main_exit_codes(tmp_path) -> None:

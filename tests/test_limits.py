@@ -13,6 +13,7 @@ from .fixture_chains import (
     flip_chain,
     iid_chain,
     observable,
+    random_lazy_chain,
     tiny_fixture_pairs,
     two_state,
 )
@@ -24,6 +25,29 @@ def test_batch_simulation_equals_stacked_single_paths() -> None:
     m, n, master = 7, 83, 4711
     mat = np.empty((m, n + 1), dtype=np.int64)
     for t, states in _iter_batch(chain, n, m, master, block=13):
+        mat[:, t] = states
+    for r in range(m):
+        single = rclt.sample_trajectory(chain, f, n, rclt.derive_seed(master, r))
+        assert np.array_equal(single.states, mat[r])
+
+
+@pytest.mark.parametrize(
+    ("make_chain", "block"),
+    [
+        (flip_chain, 13),  # zero kernel entries: repeated cumulative values
+        (lambda: rclt.build_chain([[1.0]]), 13),  # one state: no bisection rounds
+        (lambda: random_lazy_chain(37, seed=5), 13),  # 6 rounds over rows padded to 64
+        (lambda: random_lazy_chain(37, seed=5), 1),
+        (lambda: random_lazy_chain(37, seed=5), 500),  # one block longer than the path
+    ],
+    ids=["flip", "one-state", "37-states", "37-states-block-1", "37-states-block-500"],
+)
+def test_batch_stepping_edge_cases_equal_single_paths(make_chain, block) -> None:
+    chain = make_chain()
+    f = observable(chain, np.random.default_rng(chain.n_states).normal(size=chain.n_states))
+    m, n, master = 7, 83, 4711  # block 13 does not divide the n + 1 = 84 draws
+    mat = np.empty((m, n + 1), dtype=np.int64)
+    for t, states in _iter_batch(chain, n, m, master, block=block):
         mat[:, t] = states
     for r in range(m):
         single = rclt.sample_trajectory(chain, f, n, rclt.derive_seed(master, r))
@@ -261,6 +285,17 @@ def test_ui_diagnostic_flip_chain_bounded_paths() -> None:
     )
     # |S_j| <= 1 along alternating paths, so max_j S_j^2 / n <= 1/10 < 0.2
     assert report.ui_table[0]["tail_expectation"] == 0.0
+
+
+def test_ui_diagnostic_one_pass_equals_single_lengths() -> None:
+    chain = random_lazy_chain(37, seed=5)
+    f = observable(chain, np.random.default_rng(37).normal(size=37))
+    grid = [0.1, 1.0, 4.0]
+    n_list = [1, 7, 50, 300]  # 300 steps span two draw blocks
+    report = rclt.uniform_integrability_diagnostic(chain, f, n_list, grid, seed=99, m=40)
+    for n in n_list:
+        single = rclt.uniform_integrability_diagnostic(chain, f, [n], grid, seed=99, m=40)
+        assert [row for row in report.ui_table if row["n"] == n] == single.ui_table
 
 
 def test_ui_diagnostic_validates_n_list() -> None:
