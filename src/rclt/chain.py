@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,9 @@ class ReversibleChain:
 
     Instances are immutable and safe to share across threads. The
     constructor re-checks every certified invariant; use the ``build_*``
-    factories rather than constructing directly from raw user input.
+    factories rather than constructing directly from raw user input. The
+    eigensystem is computed on first use and cached read-only, so it does
+    not break immutability.
     """
 
     kernel: np.ndarray
@@ -88,6 +91,16 @@ class ReversibleChain:
     def pi_dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Inner product <a, b> in L2 of the stationary law."""
         return float(np.dot(self.stationary * np.asarray(a), np.asarray(b)))
+
+    @cached_property
+    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (eigenvalues, orthonormal eigenvectors) of D^{1/2} Q D^{-1/2}, solved once."""
+        d_sqrt = np.sqrt(self.stationary)
+        sym = d_sqrt[:, None] * self.kernel / d_sqrt[None, :]
+        lam, phi = np.linalg.eigh(0.5 * (sym + sym.T))
+        lam.setflags(write=False)
+        phi.setflags(write=False)
+        return lam, phi
 
     def detailed_balance_residual(self) -> float:
         flow = self.stationary[:, None] * self.kernel
@@ -284,7 +297,7 @@ def project_mean_zero(raw, chain: ReversibleChain) -> Observable:
 def require_centered(chain: ReversibleChain, f: Observable, tol: float = CERTIFIED_TOL) -> None:
     m = float(np.dot(chain.stationary, f.values))
     if abs(m) > tol:
-        raise ValueError(f"observable is not centered: stationary mean {m:.3e}")
+        raise InvalidArgument(f"observable is not centered: stationary mean {m:.3e}")
 
 
 def _cumulative_tables(chain: ReversibleChain):

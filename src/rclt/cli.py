@@ -98,16 +98,21 @@ class ExperimentConfig:
 
     chain_spec: Path
     chain_definition: dict
+    chain_sha256: str
     observable: list[float] | None
     commands: list[tuple[str, dict]]
     master_seed: int | None
     output_dir: Path
 
     def effective_payload(self) -> dict:
-        """Content that determines every output byte (output_dir excluded)."""
+        """Content that determines every output byte (output_dir excluded).
+
+        The chain file enters by the SHA-256 of its bytes, taken when
+        ``load_config`` read it, so hashing does not serialise the matrix.
+        """
         return {
             "schema": SCHEMA_VERSION,
-            "chain_definition": self.chain_definition,
+            "chain_sha256": self.chain_sha256,
             "observable": self.observable,
             "commands": [{"command": c, "params": p} for c, p in self.commands],
             "master_seed": self.master_seed,
@@ -134,13 +139,16 @@ class RunManifest:
 # --- loading -----------------------------------------------------------------
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path) -> tuple[object, str]:
+    """A JSON file's parsed content and the SHA-256 hex digest of its bytes."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
+        data = path.read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        data = data.decode()  # frees the bytes: one copy of the file is held while parsing
+        return json.loads(data), digest
     except FileNotFoundError as exc:
         raise ConfigError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -194,7 +202,7 @@ def load_config(
 ) -> ExperimentConfig:
     """Load, path-resolve and structurally validate an experiment config."""
     path = Path(path)
-    raw = _read_json(path)
+    raw = _read_json(path)[0]
     base = path.parent
 
     chain_spec = raw.get("chain_spec")
@@ -203,14 +211,14 @@ def load_config(
     chain_path = (base / chain_spec).resolve()
     if not chain_path.exists():
         raise ConfigError(f"chain definition file does not exist: {chain_path}")
-    chain_definition = _read_json(chain_path)
+    chain_definition, chain_sha256 = _read_json(chain_path)
 
     observable = raw.get("observable")
     if isinstance(observable, str):
         obs_path = (base / observable).resolve()
         if not obs_path.exists():
             raise ConfigError(f"observable file does not exist: {obs_path}")
-        observable = _read_json(obs_path)
+        observable = _read_json(obs_path)[0]
     if observable is not None:
         if not isinstance(observable, list) or any(_wrong_type(v, 0.0) for v in observable):
             raise ConfigError("observable must be a vector of numbers (or a path to one)")
@@ -229,6 +237,7 @@ def load_config(
     return ExperimentConfig(
         chain_spec=chain_path,
         chain_definition=chain_definition,
+        chain_sha256=chain_sha256,
         observable=observable,
         commands=commands,
         master_seed=master_seed,
@@ -345,12 +354,6 @@ class _Command:
     csv: Callable | None = None
 
 
-def _variance(config, chain, f, params):
-    """(spectral measure, variance report), sharing one eigendecomposition."""
-    rho = spectral_measure(chain, f)
-    return rho, variance_report(chain, f, rho=rho, **params)
-
-
 def _decompose(config, chain, f, params):
     """(trajectory, decomposition terms) for the seeded path of the params."""
     seed = derive_seed(config.master_seed, params["seed_index"])
@@ -368,7 +371,7 @@ _COMMANDS = {
         payload=lambda rho: {"atoms": rho.atoms(), "total_mass": rho.total_mass},
     ),
     "variance": _Command(
-        call=_variance,
+        call=lambda _, chain, f, p: (spectral_measure(chain, f), variance_report(chain, f, **p)),
         payload=lambda result: {"atoms": result[0].atoms(), **result[1].to_dict()},
         csv=lambda result: {
             "n": range(1, len(result[1].var_over_n) + 1),

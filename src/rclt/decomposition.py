@@ -176,7 +176,7 @@ def l2_convergence_table(
     from 1.
     """
     if list(horizons) != sorted(set(int(h) for h in horizons)) or min(horizons, default=1) < 1:
-        raise ValueError("horizons must be strictly increasing positive integers")
+        raise InvalidArgument("horizons must be strictly increasing positive integers")
     g, _ = resolvent_pair(chain, f)
     out = np.empty(len(horizons))
     for i, n in enumerate(horizons):

@@ -7,13 +7,22 @@ f is the atomic measure putting weight <f, psi_k>^2 at eigenvalue
 lambda_k; its k-th moment equals the lag-k stationary covariance
 E(X_0 X_k).
 
+The eigensystem is solved once per chain (``ReversibleChain`` caches it
+read-only), so every spectral measure, gap and series of one chain costs a
+projection, not an eigensolve.
+
 The asymptotic variance sigma^2 = lim Var(S_n)/n is computed by three
-independent routes that must agree:
+routes that must agree:
 
 - spectral:  sum of w * (1 + lambda) / (1 - lambda) over atoms,
 - resolvent: 2 <g, f> - <f, f> with (I - Q) g = f solved on the centered
   subspace,
 - series:    the exact finite-n sequence Var(S_n)/n extrapolated in 1/n.
+
+The series route reads the same cached eigensystem as the spectral route,
+so it is not yet independent of the eigensolver: an eigensolver error
+both routes share goes unseen by their comparison. Only the resolvent
+route avoids the eigensolver.
 
 The finiteness of sum w / (1 - lambda) is exactly the asymptotic
 linearity of Var(S_n); mass at lambda = 1 is the failure mode and is
@@ -49,11 +58,11 @@ class SpectralMeasure:
         lam = np.array(self.lambdas, dtype=float)
         w = np.array(self.weights, dtype=float)
         if lam.shape != w.shape or lam.ndim != 1:
-            raise ValueError("lambdas and weights must be 1-d arrays of equal length")
+            raise InvalidArgument("lambdas and weights must be 1-d arrays of equal length")
         if np.any(lam < -1.0) or np.any(lam > 1.0):
-            raise ValueError("spectral atoms must lie in [-1, 1]")
+            raise InvalidArgument("spectral atoms must lie in [-1, 1]")
         if np.any(w < 0.0):
-            raise ValueError("spectral weights must be nonnegative")
+            raise InvalidArgument("spectral weights must be nonnegative")
         lam.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
@@ -68,13 +77,10 @@ class SpectralMeasure:
 
 
 def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
-    """Eigen-decompose the symmetrized kernel and project f onto its basis."""
+    """Project f onto the chain's eigenbasis of the symmetrized kernel."""
     require_centered(chain, f)
-    d_sqrt = np.sqrt(chain.stationary)
-    sym = d_sqrt[:, None] * chain.kernel / d_sqrt[None, :]
-    sym = 0.5 * (sym + sym.T)
     try:
-        lam, phi = np.linalg.eigh(sym)
+        lam, phi = chain._eigensystem
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
     excess = max(0.0, float(lam.max()) - 1.0, -1.0 - float(lam.min()))
@@ -82,7 +88,7 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
         raise EigenFailure(f"eigenvalue escaped [-1, 1] by {excess:.3e}")
     lam = np.clip(lam, -1.0, 1.0)
 
-    coef = (d_sqrt * f.values) @ phi
+    coef = (np.sqrt(chain.stationary) * f.values) @ phi
     weights = coef * coef
 
     at_one = np.abs(1.0 - lam) <= ATOM_AT_ONE_TOL
@@ -104,7 +110,7 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
 def moment(rho: SpectralMeasure, k: int) -> float:
     """k-th moment of the spectral measure = lag-k stationary covariance."""
     if k < 0:
-        raise ValueError(f"moment order must be nonnegative, got {k}")
+        raise InvalidArgument(f"moment order must be nonnegative, got {k}")
     return float(np.dot(rho.weights, rho.lambdas**k))
 
 
@@ -195,7 +201,7 @@ def variance_integrand_check(rho: SpectralMeasure, n: int) -> float:
     to reproduce the covariance formula exactly.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
     lam = rho.lambdas
     one_minus_sq = 1.0 - lam * lam
     partial = np.ones_like(lam)  # 1 + t + ... + t^k, starting at k = 0
@@ -217,7 +223,7 @@ def cauchy_quantity(rho: SpectralMeasure, n: int, p: int) -> float:
     expression stays polynomial (finite at t = 1 and t = -1).
     """
     if not (1 <= n < p):
-        raise ValueError(f"need 1 <= n < p, got n={n}, p={p}")
+        raise InvalidArgument(f"need 1 <= n < p, got n={n}, p={p}")
     lam = rho.lambdas
     m = p - n + 1
     head = lam ** (2 * n - 2)
@@ -238,7 +244,7 @@ def cauchy_quantity_direct(chain: ReversibleChain, f: Observable, n: int, p: int
     the independent oracle for ``cauchy_quantity``.
     """
     if not (1 <= n < p):
-        raise ValueError(f"need 1 <= n < p, got n={n}, p={p}")
+        raise InvalidArgument(f"need 1 <= n < p, got n={n}, p={p}")
     require_centered(chain, f)
     v = f.values.copy()
     u = np.zeros_like(v)
@@ -253,14 +259,10 @@ def cauchy_quantity_direct(chain: ReversibleChain, f: Observable, n: int, p: int
 
 def spectral_gap(chain: ReversibleChain, absolute: bool = False) -> float:
     """1 minus the second-largest eigenvalue (or largest modulus below 1)."""
-    d_sqrt = np.sqrt(chain.stationary)
-    sym = d_sqrt[:, None] * chain.kernel / d_sqrt[None, :]
-    lam = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    lam = np.sort(lam)[::-1]
-    rest = lam[1:]
+    rest = chain._eigensystem[0][:-1]  # ascending, without the top eigenvalue 1
     if rest.size == 0:
         return 0.0
-    top = float(np.max(np.abs(rest))) if absolute else float(rest[0])
+    top = float(np.max(np.abs(rest))) if absolute else float(rest[-1])
     return 1.0 - top
 
 
@@ -284,12 +286,9 @@ class VarianceReport:
         }
 
 
-def variance_report(
-    chain: ReversibleChain, f: Observable, n_max: int = 1000, rho: SpectralMeasure | None = None
-) -> VarianceReport:
-    """Assemble the three-route variance comparison (``rho``: f's spectral measure, if known)."""
-    if rho is None:
-        rho = spectral_measure(chain, f)
+def variance_report(chain: ReversibleChain, f: Observable, n_max: int = 1000) -> VarianceReport:
+    """Assemble the three-route variance comparison."""
+    rho = spectral_measure(chain, f)
     series = asymptotic_variance_series(chain, f, n_max)
     return VarianceReport(
         sigma2_spectral=asymptotic_variance_spectral(rho),

@@ -264,6 +264,13 @@ def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra,
     assert "Traceback" not in err
 
 
+def test_chain_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys) -> None:
+    cfg = _config(tmp_path, ["spectrum"])
+    (tmp_path / "chain.json").write_bytes(b'{"kind": "kernel\xff"}')
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: invalid JSON in ")
+
+
 def test_seed_override_must_fit_64_bits(tmp_path, capsys) -> None:
     cfg = _config(tmp_path, ["spectrum"])
     assert main(["run", "--config", str(cfg), "--seed", str(2**64)]) == 2
@@ -301,6 +308,29 @@ def test_seed_override_changes_hash(tmp_path) -> None:
     b = load_config(cfg, seed_override=999)
     assert a.config_hash() != b.config_hash()
     assert b.master_seed == 999
+
+
+def test_config_hash_semantics(tmp_path) -> None:
+    cfg = _config(tmp_path, ["spectrum"])
+    base = load_config(cfg).config_hash()
+    assert load_config(cfg).config_hash() == base
+    assert load_config(cfg, out_override="elsewhere").config_hash() == base
+    assert load_config(cfg, seed_override=4243).config_hash() != base
+    assert load_config(_config(tmp_path, ["spectrum"], observable=[1.0, 0.5])).config_hash() != base
+    matrix = {**TWO_STATE, "matrix": [[0.75, 0.25], [0.25, 0.7500000000000001]]}
+    assert load_config(_config(tmp_path, ["spectrum"], chain=matrix)).config_hash() != base
+    # the chain file enters by its bytes: the same definition laid out differently hashes apart
+    _config(tmp_path, ["spectrum"])
+    (tmp_path / "chain.json").write_text(json.dumps(TWO_STATE) + "\n")
+    assert load_config(cfg).config_hash() != base
+
+
+def test_config_hash_is_pinned(tmp_path) -> None:
+    """A change to what the hash covers, or how, has to update this digest deliberately."""
+    cfg = _config(tmp_path, ["spectrum", {"command": "clt", "params": {"n": 100}}])
+    assert load_config(cfg).config_hash() == (
+        "2a68b924c139422e5ac158cd3e47004061127dd1b2b32cf1a896d8ade7f22d2b"
+    )
 
 
 def test_decompose_outputs_have_expected_columns(tmp_path) -> None:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 import rclt
+from rclt import cli
 
 from .fixture_chains import (
     flip_chain,
@@ -244,3 +247,86 @@ def test_variance_report_three_way_agreement() -> None:
         assert abs(
             report.sigma2_spectral - (2.0 * report.finiteness_integral - rclt.spectral_measure(chain, f).total_mass)
         ) <= 1e-12 * scale
+
+
+_ATOM = rclt.SpectralMeasure(lambdas=np.array([0.5]), weights=np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rclt.chain.require_centered(two_state(), rclt.Observable(values=np.array([1.0, 0.0]))),
+        lambda: rclt.SpectralMeasure(lambdas=np.array([0.5, 0.1]), weights=np.array([1.0])),
+        lambda: rclt.SpectralMeasure(lambdas=np.array([1.5]), weights=np.array([1.0])),
+        lambda: rclt.SpectralMeasure(lambdas=np.array([0.5]), weights=np.array([-1.0])),
+        lambda: rclt.moment(_ATOM, -1),
+        lambda: rclt.variance_integrand_check(_ATOM, 0),
+        lambda: rclt.cauchy_quantity(_ATOM, 3, 3),
+        lambda: rclt.cauchy_quantity_direct(two_state(), observable(two_state(), [1, -1]), 0, 2),
+        lambda: rclt.l2_convergence_table(two_state(), observable(two_state(), [1, -1]), [4, 2]),
+    ],
+    ids=[
+        "require-centered",
+        "measure-shapes",
+        "measure-atom-outside",
+        "measure-negative-weight",
+        "moment-order",
+        "integrand-n",
+        "cauchy-n-p",
+        "cauchy-direct-n-p",
+        "l2-table-horizons",
+    ],
+)
+def test_bad_library_arguments_raise_typed_errors(call) -> None:
+    with pytest.raises(rclt.RcltError) as info:
+        call()
+    assert isinstance(info.value, rclt.InvalidArgument)
+    assert isinstance(info.value, ValueError)
+
+
+def test_one_eigensolve_per_chain(tmp_path, monkeypatch) -> None:
+    calls = []
+
+    def counting(name):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+
+        return counted
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    chains = []
+    build = cli.build_chain_from_definition
+
+    def keep_chain(definition):
+        chains.append(build(definition))
+        return chains[-1]
+
+    monkeypatch.setattr(cli, "build_chain_from_definition", keep_chain)
+    chain_file = {
+        "kind": "kernel",
+        "matrix": [[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.3, 0.6]],
+        "observable": [1.0, 0.0, -1.0],
+    }
+    (tmp_path / "chain.json").write_text(json.dumps(chain_file))
+    commands = [
+        "spectrum",
+        {"command": "variance", "params": {"n_max": 50}},
+        {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 0.5}},
+        {"command": "fclt", "params": {"n": 50, "m": 100, "grid": [0.5, 1.0]}},
+    ]
+    config = {"chain_spec": "chain.json", "commands": commands, "master_seed": 7}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    manifest = cli.run(cli.load_config(tmp_path / "config.json"))
+    assert sorted(manifest.outputs) == ["clt", "fclt", "spectrum", "variance"]
+    (chain,) = chains
+    assert 0.0 < rclt.spectral_gap(chain) < 1.0
+    assert calls == ["eigh"]
+    lam, phi = chain._eigensystem
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+    with pytest.raises(ValueError):
+        phi[0, 0] = 0.0
