@@ -60,6 +60,7 @@ from .limits import (
     clt_test,
     fclt_profile,
     maximal_inequality_check,
+    run_checks,
     uniform_integrability_diagnostic,
 )
 from .spectral import asymptotic_variance_spectral, spectral_measure, variance_report
@@ -153,7 +154,12 @@ def _read_json(path: Path) -> tuple[object, str]:
 
 
 def _wrong_type(value, default) -> bool:
-    """Whether a config value cannot stand where ``default`` does; counts take integers only."""
+    """Whether a config value cannot stand where ``default`` does; counts take integers only.
+
+    A list must hold entries that could each stand where the default's first entry does.
+    """
+    if isinstance(default, list):
+        return not isinstance(value, list) or any(_wrong_type(v, default[0]) for v in value)
     if isinstance(default, bool) or isinstance(value, bool):
         return type(value) is not type(default)
     if default is None or isinstance(default, int):
@@ -220,7 +226,7 @@ def load_config(
             raise ConfigError(f"observable file does not exist: {obs_path}")
         observable = _read_json(obs_path)[0]
     if observable is not None:
-        if not isinstance(observable, list) or any(_wrong_type(v, 0.0) for v in observable):
+        if _wrong_type(observable, [0.0]):
             raise ConfigError("observable must be a vector of numbers (or a path to one)")
         observable = [float(v) for v in observable]
 
@@ -346,12 +352,15 @@ class _Command:
 
     ``call(config, chain, f, params)`` gives the result; ``payload`` turns it into
     the JSON report body and ``csv``, if set, into CSV columns. Calls look library
-    functions up in this module's globals at run time.
+    functions up in this module's globals at run time. ``check``, on the Monte
+    Carlo commands, is the ``rclt.limits`` check whose report ``run`` takes from
+    the run's shared replica pass instead; exhaustive ``maximal`` uses ``call``.
     """
 
-    call: Callable
     payload: Callable
+    call: Callable | None = None
     csv: Callable | None = None
+    check: Callable | None = None
 
 
 def _decompose(config, chain, f, params):
@@ -400,36 +409,54 @@ _COMMANDS = {
         },
     ),
     "clt": _Command(
-        call=lambda config, chain, f, p: clt_test(chain, f, seed=config.master_seed, **p),
+        check=clt_test,
         payload=lambda report: {"passed": report.passed, **report.to_dict()},
         csv=lambda report: {
             "replica": range(len(report.normalized_sums)),
             "normalized_sum": report.normalized_sums,
         },
     ),
-    "fclt": _Command(
-        call=lambda config, chain, f, p: fclt_profile(chain, f, seed=config.master_seed, **p),
-        payload=_with_verdict,
-    ),
+    "fclt": _Command(check=fclt_profile, payload=_with_verdict),
     "maximal": _Command(
-        call=lambda config, chain, f, p: maximal_inequality_check(
-            chain, f, seed=config.master_seed, **p
-        ),
+        check=maximal_inequality_check,
+        call=lambda config, chain, f, p: maximal_inequality_check(chain, f, **p),
         payload=_with_verdict,
     ),
     "ui-diagnostic": _Command(
-        call=lambda config, chain, f, p: uniform_integrability_diagnostic(
-            chain, f, seed=config.master_seed, **p
-        ),
-        payload=lambda report: report.to_dict(),
+        check=uniform_integrability_diagnostic, payload=lambda report: report.to_dict()
     ),
 }
 
 
-def _run_command(name, config, chain, f, params, outdir, stem) -> list[Path]:
-    """Run one subcommand, write its report files and judge its verdict."""
+def _monte_carlo(name: str, params: dict) -> bool:
+    return _COMMANDS[name].check is not None and not params.get("exhaustive", False)
+
+
+def _shared_pass(config, chain, f, commands, first: int) -> dict[int, object]:
+    """Results of the Monte Carlo commands from index ``first`` on, from one replica pass.
+
+    A command whose check raised before the pass maps to that error; the
+    commands after it are left out, since the run stops there.
+    """
+    indices = [i for i in range(first, len(commands)) if _monte_carlo(*commands[i])]
+    checks = [
+        (_COMMANDS[name].check, {k: v for k, v in params.items() if k != "exhaustive"})
+        for name, params in (commands[i] for i in indices)
+    ]
+    reports, error = run_checks(chain, f, config.master_seed, checks)
+    shared: dict[int, object] = dict(zip(indices, reports))
+    if error is not None:
+        shared[indices[len(reports)]] = error
+    return shared
+
+
+def _run_command(name, config, chain, f, params, outdir, stem, result=None) -> list[Path]:
+    """Run one subcommand, or take its shared-pass ``result``, write its reports and judge them."""
     command = _COMMANDS[name]
-    result = command.call(config, chain, f, params)
+    if result is None:
+        result = command.call(config, chain, f, params)
+    elif isinstance(result, Exception):
+        raise result
     files = [outdir / f"{stem}.json"]
     _write_json(files[0], {"schema": SCHEMA_VERSION, "command": name, **command.payload(result)})
     if command.csv:
@@ -457,9 +484,11 @@ def _output_stems(commands: list[tuple[str, dict]]) -> list[str]:
 def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     """Execute the config's commands (or a single one) and write a manifest.
 
-    On a module error, files already written by this invocation are
-    removed before the error propagates; outputs of a statistical failure
-    are complete reports and are kept.
+    The first Monte Carlo command steps the replicas once for itself and
+    every later Monte Carlo command; each report is still written at its
+    own command's turn, in config order. On a module error, files already
+    written by this invocation are removed before the error propagates;
+    outputs of a statistical failure are complete reports and are kept.
     """
     commands = config.commands
     if only is not None:
@@ -477,10 +506,13 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_hash=config.config_hash(), version=__version__)
     written: list[Path] = []
+    shared: dict[int, object] = {}
     try:
-        for (name, params), stem in zip(commands, _output_stems(commands)):
+        for i, ((name, params), stem) in enumerate(zip(commands, _output_stems(commands))):
             start = time.perf_counter()
-            files = _RUNNERS[name](config, chain, f, params, config.output_dir, stem)
+            if not shared and _monte_carlo(name, params):
+                shared = _shared_pass(config, chain, f, commands, i)
+            files = _RUNNERS[name](config, chain, f, params, config.output_dir, stem, shared.get(i))
             written.extend(files)
             manifest.outputs[stem] = [p.name for p in files]
             manifest.timings[stem] = time.perf_counter() - start

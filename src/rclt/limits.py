@@ -27,10 +27,20 @@ Replica r always consumes its own generator stream seeded from
 simulation agrees exactly with stacking single sampled trajectories.
 A step of m replicas on S states costs O(m log S): each replica bisects
 its own cumulative kernel row and compares the doubles ``bisect_right`` does.
+
+The Monte Carlo checks are readers of one replica pass. Building a
+check's reader validates its arguments and computes sigma^2; the reader
+then takes ``feed(t, states)`` for the states of its m replicas at
+t = 0..n and gives its ``report()``. ``run_checks`` is the one driver:
+it steps max m replicas to max n once and feeds every reader its prefix
+of replicas and steps. Streams are prefix consistent in both r and t, so
+each reader sees exactly the states a pass of its own would, and each
+public check is a one-request call of the driver.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -142,6 +152,64 @@ def _sigma2_or_raise(chain: ReversibleChain, f: Observable) -> float:
     return sigma2
 
 
+# --- one pass, many readers ---------------------------------------------------
+
+
+class _PartialSums:
+    """Reader base: keeps S_t of each of m replicas and calls ``_at(t)`` for t >= 1."""
+
+    def __init__(self, f: Observable, n: int, m: int, seed: int):
+        self.n, self.m, self.seed = n, m, seed
+        self.values = f.values
+        self.sums = np.zeros(m)
+
+    def feed(self, t: int, states: np.ndarray) -> None:
+        if t >= 1:
+            self.sums += self.values[states]
+            self._at(t)
+
+    def _at(self, t: int) -> None:
+        pass
+
+
+def run_checks(
+    chain: ReversibleChain, f: Observable, seed: int, checks: list[tuple[Callable, dict]]
+) -> tuple[list[LimitReport], Exception | None]:
+    """Reports of several Monte Carlo checks from one pass over the replicas.
+
+    ``checks`` lists (check, params) pairs: ``check`` is ``clt_test``,
+    ``fclt_profile``, ``uniform_integrability_diagnostic`` or the Monte
+    Carlo ``maximal_inequality_check``, and ``params`` its arguments other
+    than chain, f, seed and ``exhaustive``. Each report equals what that
+    call gives alone.
+
+    Readers are built in order. If building one raises, the checks after
+    it are not built and only those before it are simulated: the result
+    is their reports and that error, else every report and None.
+    """
+    readers, error = [], None
+    for check, params in checks:
+        try:
+            readers.append(_READERS[check](chain, f, seed=seed, **params))
+        except Exception as exc:  # the caller raises it at that check's turn
+            error = exc
+            break
+    if readers:
+        n, m = max(r.n for r in readers), max(r.m for r in readers)
+        for t, states in _iter_batch(chain, n, m, seed):
+            for reader in readers:
+                if t <= reader.n:
+                    reader.feed(t, states[: reader.m])
+    return [reader.report() for reader in readers], error
+
+
+def _one_check(check: Callable, chain: ReversibleChain, f: Observable, seed, **params):
+    reports, error = run_checks(chain, f, seed, [(check, params)])
+    if error is not None:
+        raise error
+    return reports[0]
+
+
 # --- normal limit ------------------------------------------------------------
 
 
@@ -166,6 +234,33 @@ def dkw_epsilon(m: int, alpha: float = 0.01) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * m))
 
 
+class _CltReader(_PartialSums):
+    def __init__(self, chain, f, n, m, seed, ks_threshold=0.02):
+        require_centered(chain, f)
+        _check_mc_arguments(n, m, seed)
+        self.sigma2 = _sigma2_or_raise(chain, f)
+        self.ks_threshold = float(ks_threshold)
+        super().__init__(f, n, m, seed)
+
+    def report(self) -> LimitReport:
+        z = self.sums / math.sqrt(self.sigma2 * self.n)
+        ks = ks_distance_to_normal(z)
+        miss = f"KS statistic {ks:.5f} exceeds threshold {self.ks_threshold:.5f}"
+        return LimitReport(
+            op="clt",
+            n=int(self.n),
+            m=int(self.m),
+            sigma2_used=self.sigma2,
+            master_seed=int(self.seed),
+            ks_statistic=ks,
+            ks_threshold=self.ks_threshold,
+            dkw_epsilon_99=dkw_epsilon(self.m),
+            tolerances={"ks_threshold": self.ks_threshold},
+            normalized_sums=z,
+            failures=() if ks <= self.ks_threshold else (miss,),
+        )
+
+
 def clt_test(
     chain: ReversibleChain,
     f: Observable,
@@ -181,35 +276,66 @@ def clt_test(
     Kolmogorov-Smirnov distance together with the DKW calibration. The
     check fails when the distance exceeds ``ks_threshold``.
     """
-    require_centered(chain, f)
-    _check_mc_arguments(n, m, seed)
-    sigma2 = _sigma2_or_raise(chain, f)
-
-    values = f.values
-    sums = np.zeros(m)
-    for t, states in _iter_batch(chain, n, m, seed):
-        if t >= 1:
-            sums += values[states]
-    z = sums / math.sqrt(sigma2 * n)
-    ks = ks_distance_to_normal(z)
-    ks_threshold = float(ks_threshold)
-    miss = f"KS statistic {ks:.5f} exceeds threshold {ks_threshold:.5f}"
-    return LimitReport(
-        op="clt",
-        n=int(n),
-        m=int(m),
-        sigma2_used=sigma2,
-        master_seed=int(seed),
-        ks_statistic=ks,
-        ks_threshold=ks_threshold,
-        dkw_epsilon_99=dkw_epsilon(m),
-        tolerances={"ks_threshold": ks_threshold},
-        normalized_sums=z,
-        failures=() if ks <= ks_threshold else (miss,),
-    )
+    return _one_check(clt_test, chain, f, seed, n=n, m=m, ks_threshold=ks_threshold)
 
 
 # --- path-scaling profile -----------------------------------------------------
+
+
+class _FcltReader(_PartialSums):
+    def __init__(self, chain, f, n, m, grid, seed):
+        require_centered(chain, f)
+        _check_mc_arguments(n, m, seed)
+        grid = sorted(float(t) for t in grid)
+        if grid and (grid[0] < 0.0 or grid[-1] > 1.0):
+            raise InvalidArgument(f"grid times must lie in [0, 1], got {grid}")
+        self.sigma2 = _sigma2_or_raise(chain, f)
+        super().__init__(f, n, m, seed)
+        self.grid = grid
+        self.indices = [int(math.floor(n * t)) for t in grid]
+        self.snapshots = np.zeros((len(grid), m))
+
+    def _at(self, t: int) -> None:
+        if t in self.indices:
+            self.snapshots[np.equal(self.indices, t)] = self.sums / math.sqrt(self.n)
+
+    def report(self) -> LimitReport:
+        grid, snapshots, sigma2, m = self.grid, self.snapshots, self.sigma2, self.m
+        variance_profile = []
+        failures = []
+        for j, t in enumerate(grid):
+            w = snapshots[j]
+            centered = w - w.mean()
+            sq = centered * centered
+            var = float(sq.mean())
+            se = float(sq.std() / math.sqrt(m))
+            variance_profile.append((t, var, se))
+            if abs(var - sigma2 * t) > SE_MULTIPLIER * se + 1e-12:
+                failures.append(f"Var at t={t}: {var:.5g} vs {sigma2 * t:.5g} (se {se:.3g})")
+
+        covariance_profile = []
+        for a in range(len(grid)):
+            for b in range(a + 1, len(grid)):
+                wa = snapshots[a] - snapshots[a].mean()
+                wb = snapshots[b] - snapshots[b].mean()
+                prod = wa * wb
+                s, t = grid[a], grid[b]
+                cov, se = float(prod.mean()), float(prod.std() / math.sqrt(m))
+                covariance_profile.append((s, t, cov, se))
+                if abs(cov - sigma2 * min(s, t)) > SE_MULTIPLIER * se + 1e-12:
+                    failures.append(f"Cov at ({s},{t}): {cov:.5g} vs {sigma2 * min(s, t):.5g}")
+
+        return LimitReport(
+            op="fclt",
+            n=int(self.n),
+            m=int(m),
+            sigma2_used=sigma2,
+            master_seed=int(self.seed),
+            variance_profile=variance_profile,
+            covariance_profile=covariance_profile,
+            tolerances={"se_multiplier": SE_MULTIPLIER},
+            failures=tuple(failures),
+        )
 
 
 def fclt_profile(
@@ -227,59 +353,7 @@ def fclt_profile(
     Cov(W(s), W(t)) = sigma^2 min(s, t). Each of those comparisons fails
     when it misses by more than SE_MULTIPLIER standard errors.
     """
-    require_centered(chain, f)
-    _check_mc_arguments(n, m, seed)
-    grid = sorted(float(t) for t in grid)
-    if grid and (grid[0] < 0.0 or grid[-1] > 1.0):
-        raise InvalidArgument(f"grid times must lie in [0, 1], got {grid}")
-    sigma2 = _sigma2_or_raise(chain, f)
-
-    indices = [int(math.floor(n * t)) for t in grid]
-    values = f.values
-    sums = np.zeros(m)
-    snapshots = np.zeros((len(grid), m))
-    root_n = math.sqrt(n)
-    for t, states in _iter_batch(chain, n, m, seed):
-        if t >= 1:
-            sums += values[states]
-            if t in indices:
-                snapshots[np.equal(indices, t)] = sums / root_n
-
-    variance_profile = []
-    failures = []
-    for j, t in enumerate(grid):
-        w = snapshots[j]
-        centered = w - w.mean()
-        sq = centered * centered
-        var = float(sq.mean())
-        se = float(sq.std() / math.sqrt(m))
-        variance_profile.append((t, var, se))
-        if abs(var - sigma2 * t) > SE_MULTIPLIER * se + 1e-12:
-            failures.append(f"Var at t={t}: {var:.5g} vs {sigma2 * t:.5g} (se {se:.3g})")
-
-    covariance_profile = []
-    for a in range(len(grid)):
-        for b in range(a + 1, len(grid)):
-            wa = snapshots[a] - snapshots[a].mean()
-            wb = snapshots[b] - snapshots[b].mean()
-            prod = wa * wb
-            s, t = grid[a], grid[b]
-            cov, se = float(prod.mean()), float(prod.std() / math.sqrt(m))
-            covariance_profile.append((s, t, cov, se))
-            if abs(cov - sigma2 * min(s, t)) > SE_MULTIPLIER * se + 1e-12:
-                failures.append(f"Cov at ({s},{t}): {cov:.5g} vs {sigma2 * min(s, t):.5g}")
-
-    return LimitReport(
-        op="fclt",
-        n=int(n),
-        m=int(m),
-        sigma2_used=sigma2,
-        master_seed=int(seed),
-        variance_profile=variance_profile,
-        covariance_profile=covariance_profile,
-        tolerances={"se_multiplier": SE_MULTIPLIER},
-        failures=tuple(failures),
-    )
+    return _one_check(fclt_profile, chain, f, seed, n=n, m=m, grid=grid)
 
 
 # --- maximal inequality -------------------------------------------------------
@@ -304,8 +378,8 @@ def _enumerate_paths(chain: ReversibleChain, n: int):
     return paths, prob
 
 
-def _limit_increments(chain: ReversibleChain, f: Observable, paths: np.ndarray, mode: str):
-    """Limit martingale increment matrix (rows = paths, columns = 1..n).
+def _limit_martingale(chain: ReversibleChain, f: Observable, mode: str):
+    """(f + w, w) for the resolvent pair's w: the limit increment is their difference along a path.
 
     Forward mode reads the path left to right; reversed mode accumulates
     the reversed increments from the far end of the path, which is their
@@ -315,7 +389,11 @@ def _limit_increments(chain: ReversibleChain, f: Observable, paths: np.ndarray, 
     if mode not in ("forward", "reversed"):
         raise InvalidArgument(f"mode must be 'forward' or 'reversed', got {mode!r}")
     _, w = resolvent_pair(chain, f)
-    value = f.values + w
+    return f.values + w, w
+
+
+def _limit_increments(value: np.ndarray, w: np.ndarray, paths: np.ndarray, mode: str):
+    """Limit martingale increment matrix (rows = paths, columns = 1..n)."""
     ordered = paths if mode == "forward" else paths[:, ::-1]
     return value[ordered[:, 1:]] - w[ordered[:, :-1]]
 
@@ -334,6 +412,59 @@ def _maximal_sides(increments: np.ndarray, lam: float, two_sided: bool):
         hit = (run_max > lam).astype(float)
     rhs = 4.0 * np.sum(increments * increments * hit, axis=1)
     return lhs, rhs
+
+
+def _maximal_report(increments, lambdas, mode, two_sided, prob=None, m=None, seed=None):
+    """Judge each level: exactly under the path probabilities ``prob``, else over m replicas."""
+    margins = []
+    failures = []
+    for lam in lambdas:
+        lhs_vals, rhs_vals = _maximal_sides(increments, lam, two_sided)
+        if prob is not None:
+            lhs, rhs = float(np.dot(prob, lhs_vals)), float(np.dot(prob, rhs_vals))
+            se_lhs = se_rhs = 0.0
+        else:
+            root_m = math.sqrt(m)
+            lhs, rhs = float(lhs_vals.mean()), float(rhs_vals.mean())
+            se_lhs, se_rhs = float(lhs_vals.std() / root_m), float(rhs_vals.std() / root_m)
+        slack = SE_MULTIPLIER * (se_lhs + se_rhs)
+        margins.append(
+            {"lambda": lam, "lhs": lhs, "rhs": rhs, "slack": slack,
+             "se_lhs": se_lhs, "se_rhs": se_rhs}
+        )
+        if lhs > rhs + slack + 1e-12:
+            failures.append(f"lambda={lam}: lhs {lhs:.6g} > rhs {rhs:.6g}")
+
+    return LimitReport(
+        op="maximal",
+        n=increments.shape[1],
+        m=m,
+        master_seed=seed,
+        exact=prob is not None,
+        mode=mode,
+        maximal_margins=margins,
+        tolerances={"se_multiplier": SE_MULTIPLIER, "two_sided": bool(two_sided)},
+        failures=tuple(failures),
+    )
+
+
+class _MaximalReader:
+    def __init__(self, chain, f, n, lambdas, mode="forward", m=None, seed=None, two_sided=False):
+        require_centered(chain, f)
+        _check_mc_arguments(n, m, seed)
+        self.value, self.w = _limit_martingale(chain, f, mode)
+        self.lambdas = [float(lam) for lam in lambdas]
+        self.n, self.m, self.seed, self.mode, self.two_sided = n, m, seed, mode, two_sided
+        self.paths = np.empty((m, n + 1), dtype=np.int64)
+
+    def feed(self, t: int, states: np.ndarray) -> None:
+        self.paths[:, t] = states
+
+    def report(self) -> LimitReport:
+        increments = _limit_increments(self.value, self.w, self.paths, self.mode)
+        return _maximal_report(
+            increments, self.lambdas, self.mode, self.two_sided, m=int(self.m), seed=int(self.seed)
+        )
 
 
 def maximal_inequality_check(
@@ -355,53 +486,62 @@ def maximal_inequality_check(
     martingale increments, whose stationarity it requires; a level fails
     when its left side exceeds the right by more than the statistical slack.
     """
+    if not exhaustive:
+        return _one_check(
+            maximal_inequality_check, chain, f, seed,
+            n=n, lambdas=lambdas, mode=mode, m=m, two_sided=two_sided,
+        )
     require_centered(chain, f)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidLength(f"trajectory length must be a positive integer, got {n!r}")
-    if exhaustive:
-        paths, prob = _enumerate_paths(chain, n)
-        used_m = None
-    else:
-        _check_mc_arguments(n, m, seed)
-        paths = np.empty((m, n + 1), dtype=np.int64)
-        for t, states in _iter_batch(chain, n, m, seed):
-            paths[:, t] = states
-        used_m = int(m)
-
-    increments = _limit_increments(chain, f, paths, mode)
-    margins = []
-    failures = []
-    for lam in lambdas:
-        lhs_vals, rhs_vals = _maximal_sides(increments, float(lam), two_sided)
-        if exhaustive:
-            lhs, rhs = float(np.dot(prob, lhs_vals)), float(np.dot(prob, rhs_vals))
-            se_lhs = se_rhs = 0.0
-        else:
-            root_m = math.sqrt(used_m)
-            lhs, rhs = float(lhs_vals.mean()), float(rhs_vals.mean())
-            se_lhs, se_rhs = float(lhs_vals.std() / root_m), float(rhs_vals.std() / root_m)
-        slack = SE_MULTIPLIER * (se_lhs + se_rhs)
-        margins.append(
-            {"lambda": float(lam), "lhs": lhs, "rhs": rhs, "slack": slack,
-             "se_lhs": se_lhs, "se_rhs": se_rhs}
-        )
-        if lhs > rhs + slack + 1e-12:
-            failures.append(f"lambda={float(lam)}: lhs {lhs:.6g} > rhs {rhs:.6g}")
-
-    return LimitReport(
-        op="maximal",
-        n=int(n),
-        m=used_m,
-        master_seed=None if exhaustive else int(seed),
-        exact=bool(exhaustive),
-        mode=mode,
-        maximal_margins=margins,
-        tolerances={"se_multiplier": SE_MULTIPLIER, "two_sided": bool(two_sided)},
-        failures=tuple(failures),
-    )
+    paths, prob = _enumerate_paths(chain, n)
+    increments = _limit_increments(*_limit_martingale(chain, f, mode), paths, mode)
+    return _maximal_report(increments, [float(lam) for lam in lambdas], mode, two_sided, prob)
 
 
 # --- uniform integrability ------------------------------------------------------
+
+
+class _UiReader(_PartialSums):
+    def __init__(self, chain, f, n_list, epsilon_grid, seed, m=2000):
+        require_centered(chain, f)
+        n_list = [int(v) for v in n_list]
+        if not n_list or n_list != sorted(set(n_list)) or n_list[0] < 1:
+            raise InvalidArgument(f"n_list must be strictly increasing positive integers: {n_list}")
+        _check_mc_arguments(n_list[0], m, seed)
+        super().__init__(f, n_list[-1], m, seed)
+        self.n_list = n_list
+        self.cutoffs = [float(c) for c in epsilon_grid]
+        self.peak_sq = np.zeros(m)
+        self.peaks = {}
+
+    def _at(self, t: int) -> None:
+        np.maximum(self.peak_sq, self.sums * self.sums, out=self.peak_sq)
+        if t in self.n_list:
+            self.peaks[t] = self.peak_sq.copy()
+
+    def report(self) -> LimitReport:
+        table = []
+        for n in self.n_list:
+            scaled = self.peaks[n] / n
+            for c in self.cutoffs:
+                tail_vals = scaled * (scaled > c)
+                table.append(
+                    {
+                        "n": n,
+                        "cutoff": c,
+                        "tail_expectation": float(tail_vals.mean()),
+                        "se": float(tail_vals.std() / math.sqrt(self.m)),
+                    }
+                )
+        return LimitReport(
+            op="ui-diagnostic",
+            n=self.n,
+            m=int(self.m),
+            master_seed=int(self.seed),
+            ui_table=table,
+            tolerances={"se_multiplier": SE_MULTIPLIER},
+        )
 
 
 def uniform_integrability_diagnostic(
@@ -420,41 +560,16 @@ def uniform_integrability_diagnostic(
     holds by construction for the shared sample. Replica streams are
     prefix consistent, so one pass to max(n_list) serves every length.
     """
-    require_centered(chain, f)
-    n_list = [int(v) for v in n_list]
-    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list) or min(n_list) < 1:
-        raise InvalidArgument(f"n_list must be strictly increasing positive integers: {n_list}")
-    _check_mc_arguments(n_list[0], m, seed)
-
-    values = f.values
-    sums = np.zeros(m)
-    peak_sq = np.zeros(m)
-    peaks = {}
-    for t, states in _iter_batch(chain, n_list[-1], m, seed):
-        if t >= 1:
-            sums += values[states]
-            np.maximum(peak_sq, sums * sums, out=peak_sq)
-            if t in n_list:
-                peaks[t] = peak_sq.copy()
-    table = []
-    for n in n_list:
-        scaled = peaks[n] / n
-        for c in epsilon_grid:
-            tail_vals = scaled * (scaled > c)
-            table.append(
-                {
-                    "n": n,
-                    "cutoff": float(c),
-                    "tail_expectation": float(tail_vals.mean()),
-                    "se": float(tail_vals.std() / math.sqrt(m)),
-                }
-            )
-
-    return LimitReport(
-        op="ui-diagnostic",
-        n=n_list[-1],
-        m=int(m),
-        master_seed=int(seed),
-        ui_table=table,
-        tolerances={"se_multiplier": SE_MULTIPLIER},
+    return _one_check(
+        uniform_integrability_diagnostic, chain, f, seed,
+        n_list=n_list, epsilon_grid=epsilon_grid, m=m,
     )
+
+
+#: the reader behind each Monte Carlo check, by the check's public function
+_READERS = {
+    clt_test: _CltReader,
+    fclt_profile: _FcltReader,
+    maximal_inequality_check: _MaximalReader,
+    uniform_integrability_diagnostic: _UiReader,
+}

@@ -241,6 +241,13 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         (TWO_STATE, "clt", {"master_seed": True}, 2),
         (TWO_STATE, "clt", {"master_seed": 1.7}, 2),
         (TWO_STATE, "clt", {"master_seed": 2**70}, 2),
+        (TWO_STATE, {"command": "ui-diagnostic", "params": {"n_list": ["a"]}}, {}, 2),
+        (TWO_STATE, {"command": "ui-diagnostic", "params": {"n_list": [10.7]}}, {}, 2),
+        (TWO_STATE, {"command": "ui-diagnostic", "params": {"n_list": []}}, {}, 2),
+        (TWO_STATE, {"command": "ui-diagnostic", "params": {"epsilon_grid": [None]}}, {}, 2),
+        (TWO_STATE, {"command": "fclt", "params": {"grid": ["x"]}}, {}, 2),
+        (TWO_STATE, {"command": "fclt", "params": {"grid": [True]}}, {}, 2),
+        (TWO_STATE, {"command": "maximal", "params": {"lambdas": ["x"]}}, {}, 2),
     ],
     ids=[
         "asymmetric-weights",
@@ -254,6 +261,13 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         "seed-bool",
         "seed-float",
         "seed-over-64-bits",
+        "ui-n-list-string",
+        "ui-n-list-float",
+        "ui-n-list-empty",
+        "ui-epsilon-null",
+        "fclt-grid-string",
+        "fclt-grid-bool",
+        "maximal-lambda-string",
     ],
 )
 def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra, code) -> None:
@@ -262,6 +276,96 @@ def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def _reports(outdir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir()) if p.name != "manifest.json"}
+
+
+def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
+    """Every Monte Carlo command of a run reads one replica pass; each report is its own."""
+    commands = [
+        {"command": "clt", "params": {"n": 60, "m": 150, "ks_threshold": 0.5}},
+        "spectrum",
+        {"command": "fclt", "params": {"n": 300, "m": 120, "grid": [0.0, 0.3, 1.0]}},
+        {"command": "clt", "params": {"n": 25, "m": 200, "ks_threshold": 0.5}},
+        {"command": "ui-diagnostic", "params": {"n_list": [1, 7, 40], "m": 30}},
+        {"command": "maximal", "params": {"n": 5, "exhaustive": False, "m": 90, "two_sided": True}},
+    ]
+    chain = {"kind": "random_walk", "matrix": [[2, 1, 1], [1, 1, 3], [1, 3, 4]],
+             "observable": [1.0, -0.5, 0.25]}
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    run(load_config(_config(shared, commands, chain=chain)))
+    together = _reports(shared / "out")
+    assert len(together) == 8
+    for index, command in enumerate(commands):
+        alone = tmp_path / f"alone_{index}"
+        alone.mkdir()
+        run(load_config(_config(alone, [command], chain=chain)))
+        for name, data in _reports(alone / "out").items():
+            # the second clt entry writes clt_2.* in the shared run
+            stem, suffix = name.split(".")
+            shared_name = f"{stem}_2.{suffix}" if index == 3 else name
+            assert together[shared_name] == data, shared_name
+
+
+@pytest.mark.parametrize(
+    ("commands", "code", "err", "kept"),
+    [
+        (
+            [
+                {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 1e-9}},
+                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
+            ],
+            4,
+            "statistical failure: clt: KS statistic 0.07641 exceeds threshold 0.00000\n",
+            ["clt.csv", "clt.json"],
+        ),
+        (
+            [
+                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
+                {"command": "clt", "params": {"n": 50, "m": 100}},
+            ],
+            2,
+            "config error: grid times must lie in [0, 1], got [0.5, 2.0]\n",
+            [],
+        ),
+        (
+            [
+                {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 0.5}},
+                {"command": "decompose", "params": {"horizon": 0}},
+                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
+            ],
+            2,
+            "config error: horizon must be >= 1, got 0\n",
+            [],
+        ),
+    ],
+    ids=["failed-clt-before-bad-fclt", "bad-fclt-first", "decompose-error-before-bad-fclt"],
+)
+def test_shared_pass_keeps_error_order(tmp_path, capsys, commands, code, err, kept) -> None:
+    """A check that raises before the pass does so at its own turn, as a run without sharing did."""
+    cfg = _config(tmp_path, commands)
+    assert main(["run", "--config", str(cfg)]) == code
+    assert capsys.readouterr().err == err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == kept
+
+
+def test_one_replica_pass_per_run(tmp_path, monkeypatch) -> None:
+    """Four Monte Carlo commands derive each replica's seed once: 200 seeds, not 550."""
+    calls = []
+    derive_seed = rclt.limits.derive_seed
+    monkeypatch.setattr(rclt.limits, "derive_seed", lambda *a: calls.append(a) or derive_seed(*a))
+    commands = [
+        {"command": "clt", "params": {"n": 30, "m": 200, "ks_threshold": 0.5}},
+        {"command": "fclt", "params": {"n": 40, "m": 200, "grid": [0.5, 1.0]}},
+        {"command": "ui-diagnostic", "params": {"n_list": [10, 20], "m": 50}},
+        {"command": "maximal", "params": {"n": 4, "exhaustive": False, "m": 100}},
+    ]
+    run(load_config(_config(tmp_path, commands)))
+    assert len(calls) == 200
+    assert len(set(calls)) == 200
 
 
 def test_chain_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys) -> None:

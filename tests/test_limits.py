@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rclt
-from rclt.limits import _enumerate_paths, _iter_batch
+from rclt.limits import _enumerate_paths, _iter_batch, run_checks
 
 from .fixture_chains import (
     cycle_metropolis,
@@ -303,3 +303,31 @@ def test_ui_diagnostic_validates_n_list() -> None:
     f = observable(chain, [1, -1])
     with pytest.raises(ValueError):
         rclt.uniform_integrability_diagnostic(chain, f, [20, 10], [1.0], seed=1, m=10)
+
+
+def test_ui_diagnostic_rejects_empty_n_list() -> None:
+    chain = two_state()
+    f = observable(chain, [1, -1])
+    with pytest.raises(rclt.InvalidArgument):
+        rclt.uniform_integrability_diagnostic(chain, f, [], [1.0], seed=1, m=10)
+
+
+def test_run_checks_simulates_only_the_checks_before_an_error(monkeypatch) -> None:
+    chain = cycle_metropolis()
+    f = observable(chain, [0.3, 1.7, -1.1])
+    clt = {"n": 20, "m": 30, "ks_threshold": 0.5}
+    alone = rclt.clt_test(chain, f, seed=8, **clt)
+    calls = []
+    derive_seed = rclt.limits.derive_seed
+    monkeypatch.setattr(rclt.limits, "derive_seed", lambda *a: calls.append(a) or derive_seed(*a))
+    checks = [
+        (rclt.clt_test, clt),
+        (rclt.fclt_profile, {"n": 20, "m": 10, "grid": [2.0]}),
+        (rclt.uniform_integrability_diagnostic, {"n_list": [5], "epsilon_grid": [1.0], "m": 500}),
+    ]
+    reports, error = run_checks(chain, f, 8, checks)
+    assert isinstance(error, rclt.InvalidArgument)
+    assert len(reports) == 1
+    assert np.array_equal(reports[0].normalized_sums, alone.normalized_sums)
+    assert reports[0].to_dict() == alone.to_dict()
+    assert len(calls) == 30  # the ui check after the error is never built or stepped
