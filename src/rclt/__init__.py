@@ -76,66 +76,3 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Observable",
-    "ReversibleChain",
-    "Trajectory",
-    "build_chain",
-    "build_metropolis",
-    "build_random_walk",
-    "derive_seed",
-    "project_mean_zero",
-    "sample_trajectory",
-    "DecompositionTerms",
-    "boundary_l2_norm",
-    "boundary_term",
-    "decompose_trajectory",
-    "l2_convergence_table",
-    "limit_difference_second_moment",
-    "martingale_certificate",
-    "resolvent_pair",
-    "SpectralMeasure",
-    "VarianceReport",
-    "asymptotic_variance_poisson",
-    "asymptotic_variance_series",
-    "asymptotic_variance_spectral",
-    "cauchy_quantity",
-    "cauchy_quantity_direct",
-    "extrapolate_series_limit",
-    "finiteness_integral",
-    "moment",
-    "poisson_solve",
-    "spectral_gap",
-    "spectral_measure",
-    "variance_integrand_check",
-    "variance_report",
-    "LimitReport",
-    "clt_test",
-    "dkw_epsilon",
-    "fclt_profile",
-    "ks_distance_to_normal",
-    "maximal_inequality_check",
-    "uniform_integrability_diagnostic",
-    "ConfigError",
-    "DegenerateVariance",
-    "Disconnected",
-    "EigenFailure",
-    "ExhaustiveTooLarge",
-    "FiniteVarianceViolated",
-    "IndexOutOfRange",
-    "InvalidArgument",
-    "InvalidLength",
-    "InvalidReplicas",
-    "MalformedMatrix",
-    "NegativeWeight",
-    "NotIrreducible",
-    "NotReversible",
-    "NotStochastic",
-    "NumericalError",
-    "RcltError",
-    "SingularPoisson",
-    "StatisticalFailure",
-    "ZeroTargetMass",
-    "__version__",
-]

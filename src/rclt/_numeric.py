@@ -1,31 +1,39 @@
-"""Accumulation helpers that keep prefix identities at machine precision.
+"""Error-free accumulation that keeps prefix identities at machine precision.
 
 Cumulative sums of thousands of O(1) terms lose ~n*eps absolute accuracy
 when run naively in float64, which is too coarse for the 1e-12 identity
-certificates this package asserts along whole trajectories. Sums are
-therefore accumulated in extended precision (80-bit long double where the
-platform has it, Kahan compensation otherwise) and rounded once at the
-end, so every stored prefix value is correct to ~1 ulp of itself.
+certificates this package asserts along whole trajectories. The prefix
+sums here are compensated with TwoSum error-free transformations (Ogita,
+Rump & Oishi, "Accurate sum and dot product", SISC 2005): the rounding
+error of every float64 addition is recovered exactly and summed on its
+own, so each stored prefix is as accurate as if it had been accumulated
+in twice the working precision and rounded once. Everything is plain,
+vectorised float64, so the result is the same on every platform.
 """
 from __future__ import annotations
 
 import numpy as np
 
-_HAS_LONGDOUBLE = np.finfo(np.longdouble).eps < 1e-18
+
+def two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e == a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
 
 
-def exact_cumsum(x: np.ndarray) -> np.ndarray:
-    """Cumulative sum with ~1 ulp per-entry accuracy, returned as float64."""
+def exact_cumsum(x, lo=None) -> np.ndarray:
+    """Prefix sums of x (plus its low parts ``lo``) as if summed in twice float64 precision.
+
+    ``np.cumsum`` forms s_i = fl(s_{i-1} + x_i) in order; the TwoSum error
+    of each of those additions is then computed elementwise and its prefix
+    sums, with ``lo``, are added back once.
+    """
     x = np.asarray(x, dtype=float)
-    if _HAS_LONGDOUBLE:
-        return np.cumsum(x.astype(np.longdouble)).astype(float)
-    out = np.empty_like(x)
-    total = 0.0
-    comp = 0.0
-    for i, value in enumerate(x):
-        y = value - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[i] = total
-    return out
+    s = np.cumsum(x)
+    prev = np.zeros_like(s)
+    prev[1:] = s[:-1]
+    err = two_sum(prev, x)[1]
+    if lo is not None:
+        err += lo
+    return s + np.cumsum(err)

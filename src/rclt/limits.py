@@ -143,6 +143,14 @@ def _check_mc_arguments(n: int, m: int | None, seed: int | None) -> None:
         raise InvalidReplicas("a master seed is required for Monte Carlo mode")
 
 
+def _numbers(kind: Callable, values, name: str) -> list:
+    """Each entry of ``values`` converted by ``kind`` (float or int), else InvalidArgument."""
+    try:
+        return [kind(v) for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgument(f"{name} must be numeric: {exc}") from exc
+
+
 def _sigma2_or_raise(chain: ReversibleChain, f: Observable) -> float:
     sigma2 = asymptotic_variance_spectral(spectral_measure(chain, f))
     if sigma2 <= DEGENERATE_TOL:
@@ -239,7 +247,7 @@ class _CltReader(_PartialSums):
         require_centered(chain, f)
         _check_mc_arguments(n, m, seed)
         self.sigma2 = _sigma2_or_raise(chain, f)
-        self.ks_threshold = float(ks_threshold)
+        self.ks_threshold = _numbers(float, [ks_threshold], "ks_threshold")[0]
         super().__init__(f, n, m, seed)
 
     def report(self) -> LimitReport:
@@ -286,8 +294,8 @@ class _FcltReader(_PartialSums):
     def __init__(self, chain, f, n, m, grid, seed):
         require_centered(chain, f)
         _check_mc_arguments(n, m, seed)
-        grid = sorted(float(t) for t in grid)
-        if grid and (grid[0] < 0.0 or grid[-1] > 1.0):
+        grid = sorted(_numbers(float, grid, "grid"))
+        if not all(0.0 <= t <= 1.0 for t in grid):
             raise InvalidArgument(f"grid times must lie in [0, 1], got {grid}")
         self.sigma2 = _sigma2_or_raise(chain, f)
         super().__init__(f, n, m, seed)
@@ -453,7 +461,7 @@ class _MaximalReader:
         require_centered(chain, f)
         _check_mc_arguments(n, m, seed)
         self.value, self.w = _limit_martingale(chain, f, mode)
-        self.lambdas = [float(lam) for lam in lambdas]
+        self.lambdas = _numbers(float, lambdas, "lambdas")
         self.n, self.m, self.seed, self.mode, self.two_sided = n, m, seed, mode, two_sided
         self.paths = np.empty((m, n + 1), dtype=np.int64)
 
@@ -496,7 +504,7 @@ def maximal_inequality_check(
         raise InvalidLength(f"trajectory length must be a positive integer, got {n!r}")
     paths, prob = _enumerate_paths(chain, n)
     increments = _limit_increments(*_limit_martingale(chain, f, mode), paths, mode)
-    return _maximal_report(increments, [float(lam) for lam in lambdas], mode, two_sided, prob)
+    return _maximal_report(increments, _numbers(float, lambdas, "lambdas"), mode, two_sided, prob)
 
 
 # --- uniform integrability ------------------------------------------------------
@@ -505,13 +513,13 @@ def maximal_inequality_check(
 class _UiReader(_PartialSums):
     def __init__(self, chain, f, n_list, epsilon_grid, seed, m=2000):
         require_centered(chain, f)
-        n_list = [int(v) for v in n_list]
+        n_list = _numbers(int, n_list, "n_list")
         if not n_list or n_list != sorted(set(n_list)) or n_list[0] < 1:
             raise InvalidArgument(f"n_list must be strictly increasing positive integers: {n_list}")
         _check_mc_arguments(n_list[0], m, seed)
         super().__init__(f, n_list[-1], m, seed)
         self.n_list = n_list
-        self.cutoffs = [float(c) for c in epsilon_grid]
+        self.cutoffs = _numbers(float, epsilon_grid, "epsilon_grid")
         self.peak_sq = np.zeros(m)
         self.peaks = {}
 

@@ -101,8 +101,9 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
     keep = ~at_one & (weights >= WEIGHT_DROP_TOL)
     rho = SpectralMeasure(lambdas=lam[keep], weights=weights[keep])
 
-    mass_err = abs(rho.total_mass - chain.pi_dot(f.values, f.values))
-    if mass_err > 1e-10:
+    mass = chain.pi_dot(f.values, f.values)
+    mass_err = abs(rho.total_mass - mass)
+    if mass_err > 1e-10 * max(1.0, mass):
         raise EigenFailure(f"spectral mass misses E(X_0^2) by {mass_err:.3e}")
     return rho
 

@@ -247,6 +247,7 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         (TWO_STATE, {"command": "ui-diagnostic", "params": {"epsilon_grid": [None]}}, {}, 2),
         (TWO_STATE, {"command": "fclt", "params": {"grid": ["x"]}}, {}, 2),
         (TWO_STATE, {"command": "fclt", "params": {"grid": [True]}}, {}, 2),
+        (TWO_STATE, {"command": "fclt", "params": {"grid": [0.5, float("nan")]}}, {}, 2),
         (TWO_STATE, {"command": "maximal", "params": {"lambdas": ["x"]}}, {}, 2),
     ],
     ids=[
@@ -267,6 +268,7 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         "ui-epsilon-null",
         "fclt-grid-string",
         "fclt-grid-bool",
+        "fclt-grid-nan",
         "maximal-lambda-string",
     ],
 )

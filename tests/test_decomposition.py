@@ -217,6 +217,16 @@ def test_decompose_short_two_state_trajectory() -> None:
     assert terms.horizon == 2
 
 
+def test_identities_hold_on_long_paths() -> None:
+    # a float64 rounding per martingale summand would grow with the length
+    # and break the certified level on several of these 10^5-step paths
+    for index, (chain, f) in enumerate(identity_fixture_pairs()):
+        traj = rclt.sample_trajectory(chain, f, 10**5, seed=rclt.derive_seed(2031, index))
+        terms = rclt.decompose_trajectory(chain, f, traj, horizon=50)
+        assert terms.max_pair_residual <= 1e-12
+        assert terms.max_decomposition_residual <= 1e-12
+
+
 def test_decompose_rejects_tiny_trajectories() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])

@@ -250,6 +250,7 @@ def test_variance_report_three_way_agreement() -> None:
 
 
 _ATOM = rclt.SpectralMeasure(lambdas=np.array([0.5]), weights=np.array([1.0]))
+_TWO = (two_state(), observable(two_state(), [1, -1]))
 
 
 @pytest.mark.parametrize(
@@ -264,6 +265,14 @@ _ATOM = rclt.SpectralMeasure(lambdas=np.array([0.5]), weights=np.array([1.0]))
         lambda: rclt.cauchy_quantity(_ATOM, 3, 3),
         lambda: rclt.cauchy_quantity_direct(two_state(), observable(two_state(), [1, -1]), 0, 2),
         lambda: rclt.l2_convergence_table(two_state(), observable(two_state(), [1, -1]), [4, 2]),
+        lambda: rclt.fclt_profile(*_TWO, n=10, m=5, grid=["x"], seed=1),
+        lambda: rclt.fclt_profile(*_TWO, n=10, m=5, grid=[None], seed=1),
+        lambda: rclt.fclt_profile(*_TWO, n=10, m=5, grid=[0.5, float("nan")], seed=1),
+        lambda: rclt.uniform_integrability_diagnostic(*_TWO, [5], epsilon_grid=["x"], seed=1, m=5),
+        lambda: rclt.uniform_integrability_diagnostic(*_TWO, ["x"], epsilon_grid=[1.0], seed=1, m=5),
+        lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=1, ks_threshold="a"),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[None], exhaustive=True),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[None], m=5, seed=1),
     ],
     ids=[
         "require-centered",
@@ -275,6 +284,14 @@ _ATOM = rclt.SpectralMeasure(lambdas=np.array([0.5]), weights=np.array([1.0]))
         "cauchy-n-p",
         "cauchy-direct-n-p",
         "l2-table-horizons",
+        "fclt-grid-text",
+        "fclt-grid-none",
+        "fclt-grid-nan",
+        "ui-epsilon-grid-text",
+        "ui-n-list-text",
+        "clt-ks-threshold-text",
+        "maximal-lambdas-none-exhaustive",
+        "maximal-lambdas-none-monte-carlo",
     ],
 )
 def test_bad_library_arguments_raise_typed_errors(call) -> None:
@@ -282,6 +299,19 @@ def test_bad_library_arguments_raise_typed_errors(call) -> None:
         call()
     assert isinstance(info.value, rclt.InvalidArgument)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e5])
+def test_centering_and_mass_checks_scale_with_the_observable(scale: float) -> None:
+    # a centered observable in larger units: its mean and spectral mass
+    # carry rounding errors that grow with its size
+    chain = rclt.build_chain(np.array([[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.3, 0.6]]))
+    f = rclt.project_mean_zero(np.array([1.1, 0.3, -0.7]) * scale, chain)
+    rho = rclt.spectral_measure(chain, f)
+    assert rho.total_mass == pytest.approx(chain.pi_dot(f.values, f.values), rel=1e-12)
+    off_centre = rclt.Observable(values=f.values + 1e-9 * scale)
+    with pytest.raises(rclt.InvalidArgument):
+        rclt.spectral_measure(chain, off_centre)
 
 
 def test_one_eigensolve_per_chain(tmp_path, monkeypatch) -> None:
