@@ -16,7 +16,6 @@ package turns second-moment identities into machine-precision assertions.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -322,22 +321,22 @@ def sample_trajectory(chain: ReversibleChain, f: Observable, length: int, seed: 
     The generator consumes exactly ``length + 1`` uniforms in order: one
     inverse-CDF draw from the stationary law for the start, then one per
     transition. Batch simulators elsewhere reproduce single paths by
-    honoring the same protocol.
+    honoring the same protocol. Each draw bisects only the row it needs:
+    ``entry <= u`` holds on a prefix of every cumulative row (its pinned
+    last entry is 1.0 > u), so the count is the same as ``bisect_right``'s
+    and always below the number of states.
     """
     if not isinstance(length, (int, np.integer)) or length < 1:
         raise InvalidLength(f"trajectory length must be a positive integer, got {length!r}")
     require_centered(chain, f)
     rng = np.random.default_rng(int(seed))
     u = rng.random(length + 1)
-    pi_list, row_lists = (table.tolist() for table in _cumulative_tables(chain))
-    n_max = chain.n_states - 1
+    cum_pi, cum_rows = _cumulative_tables(chain)
 
     states = np.empty(length + 1, dtype=np.int64)
-    s = min(bisect.bisect_right(pi_list, u[0]), n_max)
-    states[0] = s
+    s = states[0] = cum_pi.searchsorted(u[0], side="right")
     for t in range(1, length + 1):
-        s = min(bisect.bisect_right(row_lists[s], u[t]), n_max)
-        states[t] = s
+        s = states[t] = cum_rows[s].searchsorted(u[t], side="right")
 
     x = f.values[states]
     partial = np.concatenate(([0.0], exact_cumsum(x[1:])))

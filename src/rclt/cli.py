@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from collections.abc import Callable
@@ -154,9 +155,10 @@ def _read_json(path: Path) -> tuple[object, str]:
 
 
 def _wrong_type(value, default) -> bool:
-    """Whether a config value cannot stand where ``default`` does; counts take integers only.
+    """Whether a config value cannot stand where ``default`` does.
 
-    A list must hold entries that could each stand where the default's first entry does.
+    Counts take integers only and other numbers must be finite. A list must hold
+    entries that could each stand where the default's first entry does.
     """
     if isinstance(default, list):
         return not isinstance(value, list) or any(_wrong_type(v, default[0]) for v in value)
@@ -164,8 +166,8 @@ def _wrong_type(value, default) -> bool:
         return type(value) is not type(default)
     if default is None or isinstance(default, int):
         return not (isinstance(value, int) or (value is None and default is None))
-    if isinstance(default, float):
-        return not isinstance(value, (int, float))
+    if isinstance(default, float):  # Python json reads NaN and Infinity as floats
+        return not (isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
     return not isinstance(value, type(default))
 
 
@@ -350,11 +352,12 @@ def _write_csv(path: Path, columns: dict) -> None:
 class _Command:
     """One subcommand's library call and what it writes.
 
-    ``call(config, chain, f, params)`` gives the result; ``payload`` turns it into
-    the JSON report body and ``csv``, if set, into CSV columns. Calls look library
-    functions up in this module's globals at run time. ``check``, on the Monte
-    Carlo commands, is the ``rclt.limits`` check whose report ``run`` takes from
-    the run's shared replica pass instead; exhaustive ``maximal`` uses ``call``.
+    A command has either a ``call`` or a ``check``, never both.
+    ``call(config, chain, f, params)`` gives the result, looking library functions
+    up in this module's globals at run time. ``check`` is the ``rclt.limits`` check
+    whose report ``run`` takes from the run's one ``run_checks`` pass, which alone
+    decides what that pass steps. ``payload`` turns the result into the JSON report
+    body and ``csv``, if set, into CSV columns.
     """
 
     payload: Callable
@@ -417,32 +420,21 @@ _COMMANDS = {
         },
     ),
     "fclt": _Command(check=fclt_profile, payload=_with_verdict),
-    "maximal": _Command(
-        check=maximal_inequality_check,
-        call=lambda config, chain, f, p: maximal_inequality_check(chain, f, **p),
-        payload=_with_verdict,
-    ),
+    "maximal": _Command(check=maximal_inequality_check, payload=_with_verdict),
     "ui-diagnostic": _Command(
         check=uniform_integrability_diagnostic, payload=lambda report: report.to_dict()
     ),
 }
 
 
-def _monte_carlo(name: str, params: dict) -> bool:
-    return _COMMANDS[name].check is not None and not params.get("exhaustive", False)
-
-
 def _shared_pass(config, chain, f, commands, first: int) -> dict[int, object]:
-    """Results of the Monte Carlo commands from index ``first`` on, from one replica pass.
+    """Results of the check commands from index ``first`` on, from one ``run_checks`` pass.
 
     A command whose check raised before the pass maps to that error; the
     commands after it are left out, since the run stops there.
     """
-    indices = [i for i in range(first, len(commands)) if _monte_carlo(*commands[i])]
-    checks = [
-        (_COMMANDS[name].check, {k: v for k, v in params.items() if k != "exhaustive"})
-        for name, params in (commands[i] for i in indices)
-    ]
+    indices = [i for i in range(first, len(commands)) if _COMMANDS[commands[i][0]].check]
+    checks = [(_COMMANDS[commands[i][0]].check, commands[i][1]) for i in indices]
     reports, error = run_checks(chain, f, config.master_seed, checks)
     shared: dict[int, object] = dict(zip(indices, reports))
     if error is not None:
@@ -484,9 +476,9 @@ def _output_stems(commands: list[tuple[str, dict]]) -> list[str]:
 def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     """Execute the config's commands (or a single one) and write a manifest.
 
-    The first Monte Carlo command steps the replicas once for itself and
-    every later Monte Carlo command; each report is still written at its
-    own command's turn, in config order. On a module error, files already
+    The first command with a check makes one ``run_checks`` pass for itself
+    and every later such command; each report is still written at its own
+    command's turn, in config order. On a module error, files already
     written by this invocation are removed before the error propagates;
     outputs of a statistical failure are complete reports and are kept.
     """
@@ -510,7 +502,7 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     try:
         for i, ((name, params), stem) in enumerate(zip(commands, _output_stems(commands))):
             start = time.perf_counter()
-            if not shared and _monte_carlo(name, params):
+            if not shared and _COMMANDS[name].check:
                 shared = _shared_pass(config, chain, f, commands, i)
             files = _RUNNERS[name](config, chain, f, params, config.output_dir, stem, shared.get(i))
             written.extend(files)

@@ -28,14 +28,20 @@ simulation agrees exactly with stacking single sampled trajectories.
 A step of m replicas on S states costs O(m log S): each replica bisects
 its own cumulative kernel row and compares the doubles ``bisect_right`` does.
 
-The Monte Carlo checks are readers of one replica pass. Building a
-check's reader validates its arguments and computes sigma^2; the reader
-then takes ``feed(t, states)`` for the states of its m replicas at
-t = 0..n and gives its ``report()``. ``run_checks`` is the one driver:
-it steps max m replicas to max n once and feeds every reader its prefix
-of replicas and steps. Streams are prefix consistent in both r and t, so
-each reader sees exactly the states a pass of its own would, and each
-public check is a one-request call of the driver.
+Every check is a reader of one replica pass, and ``run_checks`` is the
+one driver that decides what is stepped. It checks centering once, then
+builds each check's reader, which validates its arguments and computes
+what it needs before any replica moves: sigma^2, the limit martingale,
+or, for exhaustive ``maximal``, every path with its exact probability.
+A reader that samples sets its replica count ``m``; an exhaustive one
+sets ``m = None`` and is never stepped. The driver steps max m replicas
+to max n once, keeps one vector of running partial sums S_t, and calls
+``feed(t, states, sums)`` on each stepped reader with its prefix of
+replicas for t = 0..n; ``report()`` then gives the ``LimitReport``.
+Streams are prefix consistent in both r and t, and a prefix of the
+elementwise sum is the sum a reader would keep alone, so each reader sees
+exactly the numbers a pass of its own would. Each public check is a
+one-request call of the driver.
 """
 from __future__ import annotations
 
@@ -134,9 +140,13 @@ def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int, block:
             yield t, states
 
 
-def _check_mc_arguments(n: int, m: int | None, seed: int | None) -> None:
+def _check_length(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidLength(f"trajectory length must be a positive integer, got {n!r}")
+
+
+def _check_mc_arguments(n: int, m: int | None, seed: int | None) -> None:
+    _check_length(n)
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidReplicas(f"replica count must be a positive integer, got {m!r}")
     if seed is None:
@@ -144,11 +154,17 @@ def _check_mc_arguments(n: int, m: int | None, seed: int | None) -> None:
 
 
 def _numbers(kind: Callable, values, name: str) -> list:
-    """Each entry of ``values`` converted by ``kind`` (float or int), else InvalidArgument."""
+    """Each entry of ``values`` converted by ``kind`` (float or int), else InvalidArgument.
+
+    A float must be finite; an int must equal the entry it came from, so 10.7 is no count.
+    """
     try:
-        return [kind(v) for v in values]
+        pairs = [(kind(v), v) for v in values]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgument(f"{name} must be numeric: {exc}") from exc
+    if not all(x == v if kind is int else math.isfinite(x) for x, v in pairs):
+        raise InvalidArgument(f"{name} must hold finite {kind.__name__} values, got {values!r}")
+    return [x for x, _ in pairs]
 
 
 def _sigma2_or_raise(chain: ReversibleChain, f: Observable) -> float:
@@ -163,51 +179,40 @@ def _sigma2_or_raise(chain: ReversibleChain, f: Observable) -> float:
 # --- one pass, many readers ---------------------------------------------------
 
 
-class _PartialSums:
-    """Reader base: keeps S_t of each of m replicas and calls ``_at(t)`` for t >= 1."""
-
-    def __init__(self, f: Observable, n: int, m: int, seed: int):
-        self.n, self.m, self.seed = n, m, seed
-        self.values = f.values
-        self.sums = np.zeros(m)
-
-    def feed(self, t: int, states: np.ndarray) -> None:
-        if t >= 1:
-            self.sums += self.values[states]
-            self._at(t)
-
-    def _at(self, t: int) -> None:
-        pass
-
-
 def run_checks(
     chain: ReversibleChain, f: Observable, seed: int, checks: list[tuple[Callable, dict]]
 ) -> tuple[list[LimitReport], Exception | None]:
-    """Reports of several Monte Carlo checks from one pass over the replicas.
+    """Reports of several checks from one pass over the replicas.
 
     ``checks`` lists (check, params) pairs: ``check`` is ``clt_test``,
-    ``fclt_profile``, ``uniform_integrability_diagnostic`` or the Monte
-    Carlo ``maximal_inequality_check``, and ``params`` its arguments other
-    than chain, f, seed and ``exhaustive``. Each report equals what that
-    call gives alone.
+    ``fclt_profile``, ``uniform_integrability_diagnostic`` or
+    ``maximal_inequality_check`` in either mode, and ``params`` its
+    arguments other than chain, f and seed. Each report equals what that
+    call gives alone. Only the readers that sample are stepped, so a list
+    of exhaustive checks derives no seed and may pass ``seed=None``.
 
-    Readers are built in order. If building one raises, the checks after
-    it are not built and only those before it are simulated: the result
-    is their reports and that error, else every report and None.
+    The centering of f is checked first, then readers are built in order.
+    If either raises, the checks after that point are not built and only
+    those before it are simulated: the result is their reports and that
+    error, else every report and None.
     """
     readers, error = [], None
-    for check, params in checks:
-        try:
+    try:
+        require_centered(chain, f)
+        for check, params in checks:
             readers.append(_READERS[check](chain, f, seed=seed, **params))
-        except Exception as exc:  # the caller raises it at that check's turn
-            error = exc
-            break
-    if readers:
-        n, m = max(r.n for r in readers), max(r.m for r in readers)
+    except Exception as exc:  # the caller raises it at that check's turn
+        error = exc
+    stepped = [r for r in readers if r.m is not None]
+    if stepped:
+        n, m = max(r.n for r in stepped), max(r.m for r in stepped)
+        sums = np.zeros(m)
         for t, states in _iter_batch(chain, n, m, seed):
-            for reader in readers:
+            if t >= 1:
+                sums += f.values[states]
+            for reader in stepped:
                 if t <= reader.n:
-                    reader.feed(t, states[: reader.m])
+                    reader.feed(t, states[: reader.m], sums[: reader.m])
     return [reader.report() for reader in readers], error
 
 
@@ -242,17 +247,19 @@ def dkw_epsilon(m: int, alpha: float = 0.01) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * m))
 
 
-class _CltReader(_PartialSums):
+class _CltReader:
     def __init__(self, chain, f, n, m, seed, ks_threshold=0.02):
-        require_centered(chain, f)
         _check_mc_arguments(n, m, seed)
         self.sigma2 = _sigma2_or_raise(chain, f)
         self.ks_threshold = _numbers(float, [ks_threshold], "ks_threshold")[0]
-        super().__init__(f, n, m, seed)
+        self.n, self.m, self.seed = n, m, seed
+
+    def feed(self, t: int, states: np.ndarray, sums: np.ndarray) -> None:
+        if t == self.n:
+            self.z = sums / math.sqrt(self.sigma2 * self.n)
 
     def report(self) -> LimitReport:
-        z = self.sums / math.sqrt(self.sigma2 * self.n)
-        ks = ks_distance_to_normal(z)
+        ks = ks_distance_to_normal(self.z)
         miss = f"KS statistic {ks:.5f} exceeds threshold {self.ks_threshold:.5f}"
         return LimitReport(
             op="clt",
@@ -264,7 +271,7 @@ class _CltReader(_PartialSums):
             ks_threshold=self.ks_threshold,
             dkw_epsilon_99=dkw_epsilon(self.m),
             tolerances={"ks_threshold": self.ks_threshold},
-            normalized_sums=z,
+            normalized_sums=self.z,
             failures=() if ks <= self.ks_threshold else (miss,),
         )
 
@@ -290,22 +297,20 @@ def clt_test(
 # --- path-scaling profile -----------------------------------------------------
 
 
-class _FcltReader(_PartialSums):
+class _FcltReader:
     def __init__(self, chain, f, n, m, grid, seed):
-        require_centered(chain, f)
         _check_mc_arguments(n, m, seed)
         grid = sorted(_numbers(float, grid, "grid"))
         if not all(0.0 <= t <= 1.0 for t in grid):
             raise InvalidArgument(f"grid times must lie in [0, 1], got {grid}")
         self.sigma2 = _sigma2_or_raise(chain, f)
-        super().__init__(f, n, m, seed)
-        self.grid = grid
+        self.n, self.m, self.seed, self.grid = n, m, seed, grid
         self.indices = [int(math.floor(n * t)) for t in grid]
-        self.snapshots = np.zeros((len(grid), m))
+        self.snapshots = np.empty((len(grid), m))
 
-    def _at(self, t: int) -> None:
-        if t in self.indices:
-            self.snapshots[np.equal(self.indices, t)] = self.sums / math.sqrt(self.n)
+    def feed(self, t: int, states: np.ndarray, sums: np.ndarray) -> None:
+        if t in self.indices:  # S_0 = 0 fills the snapshots at grid time 0
+            self.snapshots[np.equal(self.indices, t)] = sums / math.sqrt(self.n)
 
     def report(self) -> LimitReport:
         grid, snapshots, sigma2, m = self.grid, self.snapshots, self.sigma2, self.m
@@ -457,21 +462,34 @@ def _maximal_report(increments, lambdas, mode, two_sided, prob=None, m=None, see
 
 
 class _MaximalReader:
-    def __init__(self, chain, f, n, lambdas, mode="forward", m=None, seed=None, two_sided=False):
-        require_centered(chain, f)
-        _check_mc_arguments(n, m, seed)
+    """Both sides of the maximal inequality, from replica paths or from every path.
+
+    Monte Carlo mode records the m replica paths as they are stepped.
+    Exhaustive mode enumerates every path with its exact probability when it
+    is built and sets ``m = None``, so ``run_checks`` never steps it.
+    """
+
+    def __init__(self, chain, f, n, lambdas, mode="forward", exhaustive=False, m=None, seed=None,
+                 two_sided=False):
+        if exhaustive:
+            _check_length(n)
+            self.paths, self.prob = _enumerate_paths(chain, n)
+            m = seed = None
+        else:
+            _check_mc_arguments(n, m, seed)
+            self.paths, self.prob = np.empty((m, n + 1), dtype=np.int64), None
+            m, seed = int(m), int(seed)
         self.value, self.w = _limit_martingale(chain, f, mode)
         self.lambdas = _numbers(float, lambdas, "lambdas")
         self.n, self.m, self.seed, self.mode, self.two_sided = n, m, seed, mode, two_sided
-        self.paths = np.empty((m, n + 1), dtype=np.int64)
 
-    def feed(self, t: int, states: np.ndarray) -> None:
+    def feed(self, t: int, states: np.ndarray, sums: np.ndarray) -> None:
         self.paths[:, t] = states
 
     def report(self) -> LimitReport:
         increments = _limit_increments(self.value, self.w, self.paths, self.mode)
         return _maximal_report(
-            increments, self.lambdas, self.mode, self.two_sided, m=int(self.m), seed=int(self.seed)
+            increments, self.lambdas, self.mode, self.two_sided, self.prob, self.m, self.seed
         )
 
 
@@ -494,37 +512,28 @@ def maximal_inequality_check(
     martingale increments, whose stationarity it requires; a level fails
     when its left side exceeds the right by more than the statistical slack.
     """
-    if not exhaustive:
-        return _one_check(
-            maximal_inequality_check, chain, f, seed,
-            n=n, lambdas=lambdas, mode=mode, m=m, two_sided=two_sided,
-        )
-    require_centered(chain, f)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidLength(f"trajectory length must be a positive integer, got {n!r}")
-    paths, prob = _enumerate_paths(chain, n)
-    increments = _limit_increments(*_limit_martingale(chain, f, mode), paths, mode)
-    return _maximal_report(increments, _numbers(float, lambdas, "lambdas"), mode, two_sided, prob)
+    return _one_check(
+        maximal_inequality_check, chain, f, seed,
+        n=n, lambdas=lambdas, mode=mode, exhaustive=exhaustive, m=m, two_sided=two_sided,
+    )
 
 
 # --- uniform integrability ------------------------------------------------------
 
 
-class _UiReader(_PartialSums):
+class _UiReader:
     def __init__(self, chain, f, n_list, epsilon_grid, seed, m=2000):
-        require_centered(chain, f)
         n_list = _numbers(int, n_list, "n_list")
         if not n_list or n_list != sorted(set(n_list)) or n_list[0] < 1:
             raise InvalidArgument(f"n_list must be strictly increasing positive integers: {n_list}")
         _check_mc_arguments(n_list[0], m, seed)
-        super().__init__(f, n_list[-1], m, seed)
-        self.n_list = n_list
+        self.n, self.m, self.seed, self.n_list = n_list[-1], m, seed, n_list
         self.cutoffs = _numbers(float, epsilon_grid, "epsilon_grid")
         self.peak_sq = np.zeros(m)
         self.peaks = {}
 
-    def _at(self, t: int) -> None:
-        np.maximum(self.peak_sq, self.sums * self.sums, out=self.peak_sq)
+    def feed(self, t: int, states: np.ndarray, sums: np.ndarray) -> None:
+        np.maximum(self.peak_sq, sums * sums, out=self.peak_sq)
         if t in self.n_list:
             self.peaks[t] = self.peak_sq.copy()
 

@@ -249,6 +249,9 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         (TWO_STATE, {"command": "fclt", "params": {"grid": [True]}}, {}, 2),
         (TWO_STATE, {"command": "fclt", "params": {"grid": [0.5, float("nan")]}}, {}, 2),
         (TWO_STATE, {"command": "maximal", "params": {"lambdas": ["x"]}}, {}, 2),
+        (TWO_STATE, {"command": "maximal", "params": {"lambdas": [float("nan")]}}, {}, 2),
+        (TWO_STATE, {"command": "ui-diagnostic", "params": {"epsilon_grid": [float("inf")]}}, {}, 2),
+        (TWO_STATE, {"command": "clt", "params": {"ks_threshold": float("inf")}}, {}, 2),
     ],
     ids=[
         "asymmetric-weights",
@@ -270,6 +273,9 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         "fclt-grid-bool",
         "fclt-grid-nan",
         "maximal-lambda-string",
+        "maximal-lambda-nan",
+        "ui-epsilon-infinity",
+        "clt-ks-threshold-infinity",
     ],
 )
 def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra, code) -> None:
@@ -285,8 +291,9 @@ def _reports(outdir: Path) -> dict[str, bytes]:
 
 
 def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
-    """Every Monte Carlo command of a run reads one replica pass; each report is its own."""
+    """Every check command of a run, exhaustive maximal too, reads one pass; each report is its own."""
     commands = [
+        {"command": "maximal", "params": {"n": 4, "mode": "reversed", "two_sided": True}},
         {"command": "clt", "params": {"n": 60, "m": 150, "ks_threshold": 0.5}},
         "spectrum",
         {"command": "fclt", "params": {"n": 300, "m": 120, "grid": [0.0, 0.3, 1.0]}},
@@ -300,15 +307,16 @@ def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
     shared.mkdir()
     run(load_config(_config(shared, commands, chain=chain)))
     together = _reports(shared / "out")
-    assert len(together) == 8
+    assert len(together) == 9
+    assert json.loads(together["maximal.json"])["exact"] is True
     for index, command in enumerate(commands):
         alone = tmp_path / f"alone_{index}"
         alone.mkdir()
         run(load_config(_config(alone, [command], chain=chain)))
         for name, data in _reports(alone / "out").items():
-            # the second clt entry writes clt_2.* in the shared run
+            # the second clt and maximal entries write clt_2.* and maximal_2.* in the shared run
             stem, suffix = name.split(".")
-            shared_name = f"{stem}_2.{suffix}" if index == 3 else name
+            shared_name = f"{stem}_2.{suffix}" if index in (4, 6) else name
             assert together[shared_name] == data, shared_name
 
 
@@ -355,7 +363,10 @@ def test_shared_pass_keeps_error_order(tmp_path, capsys, commands, code, err, ke
 
 
 def test_one_replica_pass_per_run(tmp_path, monkeypatch) -> None:
-    """Four Monte Carlo commands derive each replica's seed once: 200 seeds, not 550."""
+    """Four Monte Carlo commands derive each replica's seed once: 200 seeds, not 550.
+
+    An exhaustive maximal joins the pass but steps no replica, so it adds none.
+    """
     calls = []
     derive_seed = rclt.limits.derive_seed
     monkeypatch.setattr(rclt.limits, "derive_seed", lambda *a: calls.append(a) or derive_seed(*a))
@@ -364,8 +375,10 @@ def test_one_replica_pass_per_run(tmp_path, monkeypatch) -> None:
         {"command": "fclt", "params": {"n": 40, "m": 200, "grid": [0.5, 1.0]}},
         {"command": "ui-diagnostic", "params": {"n_list": [10, 20], "m": 50}},
         {"command": "maximal", "params": {"n": 4, "exhaustive": False, "m": 100}},
+        {"command": "maximal", "params": {"n": 5}},
     ]
     run(load_config(_config(tmp_path, commands)))
+    assert json.loads((tmp_path / "out" / "maximal_2.json").read_text())["exact"] is True
     assert len(calls) == 200
     assert len(set(calls)) == 200
 

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import rclt
-from rclt.limits import _enumerate_paths, _iter_batch, run_checks
+from rclt.limits import (
+    _enumerate_paths,
+    _iter_batch,
+    _limit_increments,
+    _limit_martingale,
+    _maximal_report,
+    run_checks,
+)
 
 from .fixture_chains import (
     cycle_metropolis,
@@ -331,3 +338,25 @@ def test_run_checks_simulates_only_the_checks_before_an_error(monkeypatch) -> No
     assert np.array_equal(reports[0].normalized_sums, alone.normalized_sums)
     assert reports[0].to_dict() == alone.to_dict()
     assert len(calls) == 30  # the ui check after the error is never built or stepped
+
+
+def test_exhaustive_maximal_joins_the_pass_without_stepping(monkeypatch) -> None:
+    """An exhaustive maximal alone derives no seed, and its report is the enumeration's."""
+    chain = cycle_metropolis()
+    f = observable(chain, [0.3, 1.7, -1.1])
+    params = {"n": 5, "lambdas": [0.0, 0.4], "mode": "reversed", "exhaustive": True, "two_sided": True}
+    calls = []
+    derive_seed = rclt.limits.derive_seed
+    monkeypatch.setattr(rclt.limits, "derive_seed", lambda *a: calls.append(a) or derive_seed(*a))
+    reports, error = run_checks(chain, f, None, [(rclt.maximal_inequality_check, params)])
+    assert error is None
+    assert calls == []
+    alone = rclt.maximal_inequality_check(chain, f, **params)
+    assert reports[0].to_dict() == alone.to_dict()
+    assert reports[0].failures == alone.failures
+    # the same numbers as enumerating the paths and weighting them directly
+    paths, prob = _enumerate_paths(chain, 5)
+    increments = _limit_increments(*_limit_martingale(chain, f, "reversed"), paths, "reversed")
+    direct = _maximal_report(increments, [0.0, 0.4], "reversed", True, prob)
+    assert alone.to_dict() == direct.to_dict()
+    assert alone.exact and alone.m is None and alone.master_seed is None

@@ -273,6 +273,13 @@ _TWO = (two_state(), observable(two_state(), [1, -1]))
         lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=1, ks_threshold="a"),
         lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[None], exhaustive=True),
         lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[None], m=5, seed=1),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[float("nan")], exhaustive=True),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[float("inf")], m=5, seed=1),
+        lambda: rclt.uniform_integrability_diagnostic(
+            *_TWO, [5], epsilon_grid=[float("nan")], seed=1, m=5
+        ),
+        lambda: rclt.uniform_integrability_diagnostic(*_TWO, [10.7], epsilon_grid=[1.0], seed=1, m=5),
+        lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=1, ks_threshold=float("inf")),
     ],
     ids=[
         "require-centered",
@@ -292,6 +299,11 @@ _TWO = (two_state(), observable(two_state(), [1, -1]))
         "clt-ks-threshold-text",
         "maximal-lambdas-none-exhaustive",
         "maximal-lambdas-none-monte-carlo",
+        "maximal-lambdas-nan-exhaustive",
+        "maximal-lambdas-inf-monte-carlo",
+        "ui-epsilon-grid-nan",
+        "ui-n-list-non-integral",
+        "clt-ks-threshold-inf",
     ],
 )
 def test_bad_library_arguments_raise_typed_errors(call) -> None:
