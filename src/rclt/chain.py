@@ -16,6 +16,8 @@ package turns second-moment identities into machine-precision assertions.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,9 +42,42 @@ ADMISSION_TOL = 1e-9
 CERTIFIED_TOL = 1e-12
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _array(values, name: str, error: type = MalformedMatrix) -> np.ndarray:
+    """``values`` as a new float array, else ``error`` naming ``name``.
+
+    The builders, ``project_mean_zero`` and the frozen value types convert their
+    input here, so a ragged or non-numeric one is a typed error: ``MalformedMatrix``
+    for what defines a chain, ``InvalidArgument`` for everything else.
+    """
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} is not a numeric array: {exc}") from exc
+
+
+def _frozen(a, name: str) -> np.ndarray:
+    out = _array(a, name, InvalidArgument)
     out.setflags(write=False)
+    return out
+
+
+def _numbers(kind: Callable, values, name: str, least: int | None = None) -> list:
+    """Each entry of ``values`` converted by ``kind`` (float or int), else InvalidArgument.
+
+    A float must be finite. Counts take integers only, as in a config file, so
+    neither 10.7 nor 10.0 is a count. With ``least`` set, every entry must also be
+    at least ``least``.
+    """
+    try:
+        pairs = [(kind(v), v) for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgument(f"{name} must be numeric: {exc}") from exc
+    if not all(isinstance(v, (int, np.integer)) if kind is int else math.isfinite(x)
+               for x, v in pairs):
+        raise InvalidArgument(f"{name} must hold finite {kind.__name__} values, got {values!r}")
+    out = [x for x, _ in pairs]
+    if least is not None and min(out, default=least) < least:
+        raise InvalidArgument(f"{name} must be >= {least}, got {min(out)}")
     return out
 
 
@@ -61,8 +96,8 @@ class ReversibleChain:
     stationary: np.ndarray
 
     def __post_init__(self):
-        q = _frozen(self.kernel)
-        pi = _frozen(self.stationary)
+        q = _frozen(self.kernel, "kernel")
+        pi = _frozen(self.stationary, "stationary law")
         object.__setattr__(self, "kernel", q)
         object.__setattr__(self, "stationary", pi)
         n = q.shape[0]
@@ -113,7 +148,7 @@ class Observable:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(self.values)
+        v = _frozen(self.values, "observable")
         if v.ndim != 1 or not np.all(np.isfinite(v)):
             raise InvalidArgument("observable must be a finite 1-d vector")
         object.__setattr__(self, "values", v)
@@ -138,8 +173,8 @@ class Trajectory:
         s = np.array(self.states, dtype=np.int64)
         s.setflags(write=False)
         object.__setattr__(self, "states", s)
-        object.__setattr__(self, "observables", _frozen(self.observables))
-        object.__setattr__(self, "partial_sums", _frozen(self.partial_sums))
+        object.__setattr__(self, "observables", _frozen(self.observables, "observables"))
+        object.__setattr__(self, "partial_sums", _frozen(self.partial_sums, "partial sums"))
 
     @property
     def length(self) -> int:
@@ -200,11 +235,12 @@ def _certify(q: np.ndarray, pi: np.ndarray) -> ReversibleChain:
 def build_chain(kernel) -> ReversibleChain:
     """Admit an explicit row-stochastic kernel as a reversible chain.
 
-    Raises NotStochastic / NotIrreducible / NotReversible when the matrix
-    is not a kernel, has a non-unique stationary law, or breaks detailed
-    balance beyond 1e-9.
+    Raises MalformedMatrix when ``kernel`` is ragged or not numeric, and
+    NotStochastic / NotIrreducible / NotReversible when the matrix is not a
+    kernel, has a non-unique stationary law, or breaks detailed balance
+    beyond 1e-9.
     """
-    q = np.array(kernel, dtype=float)
+    q = _array(kernel, "kernel")
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise NotStochastic(f"kernel must be square, got shape {q.shape}")
     if not np.all(np.isfinite(q)) or np.any(q < -ADMISSION_TOL):
@@ -229,9 +265,10 @@ def build_random_walk(weights) -> ReversibleChain:
 
     Q_ij is the weight of edge (i, j) normalized by the total weight at i,
     and the stationary law is proportional to vertex weight; detailed
-    balance holds by construction.
+    balance holds by construction. Raises MalformedMatrix when ``weights`` is
+    ragged, not numeric, not square or not symmetric.
     """
-    w = np.array(weights, dtype=float)
+    w = _array(weights, "weights")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise MalformedMatrix(f"weights must be square, got shape {w.shape}")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
@@ -253,13 +290,11 @@ def build_metropolis(target, proposal) -> ReversibleChain:
     """Metropolis kernel for a positive target law and symmetric proposal.
 
     Off-diagonal moves are accepted with probability min(1, target_j /
-    target_i); rejected mass sits on the diagonal.
+    target_i); rejected mass sits on the diagonal. Raises MalformedMatrix when
+    ``target`` or ``proposal`` is ragged or not numeric, or their shapes disagree.
     """
-    try:
-        p = np.array(target, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MalformedMatrix(f"target is not a numeric vector: {exc}") from exc
-    prop = np.array(proposal, dtype=float)
+    p = _array(target, "target")
+    prop = _array(proposal, "proposal")
     if p.ndim != 1:
         raise MalformedMatrix(f"target must be a vector, got shape {p.shape}")
     if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
@@ -284,10 +319,7 @@ def build_metropolis(target, proposal) -> ReversibleChain:
 
 def project_mean_zero(raw, chain: ReversibleChain) -> Observable:
     """Center a raw vector so its stationary mean vanishes."""
-    try:
-        v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgument(f"observable is not a numeric vector: {exc}") from exc
+    v = _array(raw, "observable", InvalidArgument)
     if v.shape != (chain.n_states,):
         raise InvalidArgument(f"observable shape {v.shape} does not fit {chain.n_states} states")
     return Observable(values=v - float(np.dot(chain.stationary, v)))

@@ -25,8 +25,18 @@ command list in order and writes a manifest last. Outputs are
 byte-identical across reruns of the same config and master seed; manifests
 differ only in their wall-clock timings.
 
-Exit codes: 0 success, 2 config or argument error, 3 numerical error, 4
-statistical acceptance failure.
+Each input reaches the run through one checking step. ``_read_json`` is the
+only place a file becomes a value: an unreadable path, bytes that are not
+UTF-8 JSON, nesting too deep to parse or a top-level value of the wrong JSON
+type is a config error. ``load_config`` checks the config's structure (string
+paths, a command list, a params object per command, typed params), and the
+``rclt.chain`` builders convert the chain file's matrix and target. A single
+subcommand run narrows the config to that subcommand before anything reads
+it, so its manifest hashes the commands it ran.
+
+Exit codes: 0 success, 2 config or argument error, 3 numerical error
+(including a ragged or non-numeric chain matrix), 4 statistical acceptance
+failure.
 """
 from __future__ import annotations
 
@@ -37,7 +47,7 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -55,7 +65,7 @@ from .chain import (
     sample_trajectory,
 )
 from .decomposition import decompose_trajectory
-from .errors import ConfigError, MalformedMatrix, NumericalError, RcltError, StatisticalFailure
+from .errors import ConfigError, NumericalError, RcltError, StatisticalFailure
 from .limits import (
     DEGENERATE_TOL,
     clt_test,
@@ -141,17 +151,33 @@ class RunManifest:
 # --- loading -----------------------------------------------------------------
 
 
-def _read_json(path: Path) -> tuple[object, str]:
-    """A JSON file's parsed content and the SHA-256 hex digest of its bytes."""
+def _read_json(path: Path, kind: type) -> tuple[object, str]:
+    """A JSON file's parsed content, a ``kind`` (dict or list), and the SHA-256 of its bytes.
+
+    This is the one place a file becomes a value. A path that cannot be read (missing,
+    a directory), bytes that are not UTF-8 JSON, nesting too deep to parse, and a
+    top-level value of another JSON type are all a ConfigError.
+    """
     try:
         data = path.read_bytes()
         digest = hashlib.sha256(data).hexdigest()
         data = data.decode()  # frees the bytes: one copy of the file is held while parsing
-        return json.loads(data), digest
-    except FileNotFoundError as exc:
-        raise ConfigError(f"file not found: {path}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        value = json.loads(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError, deep nesting
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path} must hold a JSON {kind.__name__}, got {type(value).__name__}")
+    return value, digest
+
+
+def _path(base: Path, value, key: str) -> Path:
+    """The resolved path that the config's ``key`` names relative to ``base``."""
+    try:
+        return (base / value).resolve()
+    except (TypeError, ValueError) as exc:  # not a string, or an embedded null byte
+        raise ConfigError(f"config {key!r} must be a path string, got {value!r}") from exc
 
 
 def _wrong_type(value, default) -> bool:
@@ -172,19 +198,20 @@ def _wrong_type(value, default) -> bool:
 
 
 def _normalize_commands(raw) -> list[tuple[str, dict]]:
-    if raw is None:
-        raise ConfigError("config is missing 'commands'")
+    if not isinstance(raw, list):
+        raise ConfigError(f"config 'commands' must be a list, got {raw!r}")
     commands = []
     for entry in raw:
         if isinstance(entry, str):
             name, params = entry, {}
         elif isinstance(entry, dict) and "command" in entry:
-            name = entry["command"]
-            params = dict(entry.get("params", {}))
+            name, params = entry["command"], entry.get("params", {})
         else:
             raise ConfigError(f"unusable command entry: {entry!r}")
         if name not in COMMANDS:
             raise ConfigError(f"unknown subcommand {name!r}; known: {', '.join(COMMANDS)}")
+        if not isinstance(params, dict):
+            raise ConfigError(f"{name} params must be an object, got {params!r}")
         defaults = DEFAULT_PARAMS[name]
         for key, value in params.items():
             if key not in defaults:
@@ -208,34 +235,27 @@ def _needs_seed(commands: list[tuple[str, dict]]) -> bool:
 def load_config(
     path, seed_override: int | None = None, out_override: str | None = None
 ) -> ExperimentConfig:
-    """Load, path-resolve and structurally validate an experiment config."""
+    """Load, path-resolve and structurally validate an experiment config.
+
+    Paths in the config are strings relative to the config file's directory.
+    """
     path = Path(path)
-    raw = _read_json(path)[0]
+    raw = _read_json(path, dict)[0]
     base = path.parent
 
-    chain_spec = raw.get("chain_spec")
-    if not chain_spec:
-        raise ConfigError("config is missing 'chain_spec'")
-    chain_path = (base / chain_spec).resolve()
-    if not chain_path.exists():
-        raise ConfigError(f"chain definition file does not exist: {chain_path}")
-    chain_definition, chain_sha256 = _read_json(chain_path)
+    chain_path = _path(base, raw.get("chain_spec"), "chain_spec")
+    chain_definition, chain_sha256 = _read_json(chain_path, dict)
 
     observable = raw.get("observable")
     if isinstance(observable, str):
-        obs_path = (base / observable).resolve()
-        if not obs_path.exists():
-            raise ConfigError(f"observable file does not exist: {obs_path}")
-        observable = _read_json(obs_path)[0]
+        observable = _read_json(_path(base, observable, "observable"), list)[0]
     if observable is not None:
         if _wrong_type(observable, [0.0]):
             raise ConfigError("observable must be a vector of numbers (or a path to one)")
         observable = [float(v) for v in observable]
 
     commands = _normalize_commands(raw.get("commands"))
-    master_seed = raw.get("master_seed")
-    if seed_override is not None:
-        master_seed = seed_override
+    master_seed = raw.get("master_seed") if seed_override is None else seed_override
     if master_seed is not None and (_wrong_type(master_seed, 0) or not 0 <= master_seed < 2**64):
         raise ConfigError(f"master_seed must be a nonnegative 64-bit integer, got {master_seed!r}")
     if master_seed is None and _needs_seed(commands):
@@ -249,26 +269,24 @@ def load_config(
         observable=observable,
         commands=commands,
         master_seed=master_seed,
-        output_dir=(base / output_dir).resolve(),
+        output_dir=_path(base, output_dir, "output_dir"),
     )
 
 
 def build_chain_from_definition(definition: dict) -> ReversibleChain:
-    """Instantiate a chain from the fixed-schema definition dictionary."""
+    """Instantiate a chain from the fixed-schema definition dictionary.
+
+    The builders convert ``matrix`` and ``target`` themselves, so a ragged or
+    non-numeric one raises MalformedMatrix, a numerical error.
+    """
     kind = definition.get("kind")
     matrix = definition.get("matrix")
     if kind not in ("kernel", "random_walk", "metropolis"):
         raise ConfigError(f"chain 'kind' must be kernel|random_walk|metropolis, got {kind!r}")
     if matrix is None:
         raise ConfigError("chain definition is missing 'matrix'")
-    try:
-        matrix = np.array(matrix, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MalformedMatrix(f"chain 'matrix' is not a numeric matrix: {exc}") from exc
-    if kind == "kernel":
-        return build_chain(matrix)
-    if kind == "random_walk":
-        return build_random_walk(matrix)
+    if kind != "metropolis":
+        return (build_chain if kind == "kernel" else build_random_walk)(matrix)
     target = definition.get("target")
     if target is None:
         raise ConfigError("metropolis chain definition is missing 'target'")
@@ -276,14 +294,15 @@ def build_chain_from_definition(definition: dict) -> ReversibleChain:
 
 
 def _centered_observable(config: ExperimentConfig, chain: ReversibleChain):
-    """(centered observable, raw stationary mean) of the config's observable, else the chain's."""
+    """(centered observable, auto-centering note or None), from the config or the chain file."""
     raw = config.observable
     if raw is None:
         raw = config.chain_definition.get("observable")
     if raw is None:
         raise ConfigError("no observable given in config or chain definition")
     f = project_mean_zero(raw, chain)
-    return f, float(np.dot(chain.stationary, np.asarray(raw, dtype=float)))
+    m = float(np.dot(chain.stationary, np.asarray(raw, dtype=float)))
+    return f, f"observable auto-centered (stationary mean {m:.6g})" if abs(m) > 1e-12 else None
 
 
 def resolve_observable(config: ExperimentConfig, chain: ReversibleChain) -> Observable:
@@ -309,13 +328,11 @@ def validate(config: ExperimentConfig) -> list[str]:
     except RcltError as exc:
         return [f"chain not admissible: {exc}"]
     try:
-        f, mean = _centered_observable(config, chain)
+        f, note = _centered_observable(config, chain)
     except ConfigError as exc:
         return [str(exc)]
 
-    diagnostics: list[str] = []
-    if abs(mean) > 1e-12:
-        diagnostics.append(f"observable auto-centered (stationary mean {mean:.6g})")
+    diagnostics = [note] if note else []
     if any(name in ("clt", "fclt") for name, _ in config.commands):
         sigma2 = asymptotic_variance_spectral(spectral_measure(chain, f))
         if sigma2 <= DEGENERATE_TOL:
@@ -330,18 +347,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    return repr(value)
-
-
 def _write_csv(path: Path, columns: dict) -> None:
-    """One CSV column per entry of ``columns`` (name -> equally long sequence)."""
-    lines = [f"# schema={SCHEMA_VERSION}", ",".join(columns)]
-    for row in zip(*columns.values()):
-        lines.append(",".join(_csv_cell(v) for v in row))
+    """One CSV column per entry of ``columns``: name -> a ``range`` of indices or floats."""
+    cells = [map(str, c) if isinstance(c, range) else map(repr, np.asarray(c, dtype=float).tolist())
+             for c in columns.values()]
+    lines = [f"# schema={SCHEMA_VERSION}", ",".join(columns), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -427,12 +437,13 @@ _COMMANDS = {
 }
 
 
-def _shared_pass(config, chain, f, commands, first: int) -> dict[int, object]:
-    """Results of the check commands from index ``first`` on, from one ``run_checks`` pass.
+def _shared_pass(config, chain, f, first: int) -> dict[int, object]:
+    """Results of the config's check commands from index ``first`` on, from one shared pass.
 
     A command whose check raised before the pass maps to that error; the
     commands after it are left out, since the run stops there.
     """
+    commands = config.commands
     indices = [i for i in range(first, len(commands)) if _COMMANDS[commands[i][0]].check]
     checks = [(_COMMANDS[commands[i][0]].check, commands[i][1]) for i in indices]
     reports, error = run_checks(chain, f, config.master_seed, checks)
@@ -476,34 +487,36 @@ def _output_stems(commands: list[tuple[str, dict]]) -> list[str]:
 def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     """Execute the config's commands (or a single one) and write a manifest.
 
+    With ``only`` the config is first narrowed to that subcommand's entries,
+    or to one entry with its default params if it lists none, so the manifest
+    hash, the command loop and the shared pass all read the commands that run.
     The first command with a check makes one ``run_checks`` pass for itself
     and every later such command; each report is still written at its own
     command's turn, in config order. On a module error, files already
     written by this invocation are removed before the error propagates;
     outputs of a statistical failure are complete reports and are kept.
     """
-    commands = config.commands
     if only is not None:
-        commands = [(n, p) for n, p in commands if n == only]
-        if not commands:
-            commands = [(only, dict(DEFAULT_PARAMS[only]))]
-            if config.master_seed is None and _needs_seed(commands):
-                raise ConfigError(f"subcommand {only!r} needs a master_seed")
+        commands = [(n, p) for n, p in config.commands if n == only] or _normalize_commands([only])
+        if config.master_seed is None and _needs_seed(commands):
+            raise ConfigError(f"subcommand {only!r} needs a master_seed")
+        config = replace(config, commands=commands)
 
     chain = build_chain_from_definition(config.chain_definition)
-    f, raw_mean = _centered_observable(config, chain)
-    if abs(raw_mean) > 1e-12:
-        print(f"warning: observable auto-centered (stationary mean {raw_mean:.6g})", file=sys.stderr)
+    f, note = _centered_observable(config, chain)
+    if note:
+        print(f"warning: {note}", file=sys.stderr)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_hash=config.config_hash(), version=__version__)
     written: list[Path] = []
     shared: dict[int, object] = {}
+    stems = _output_stems(config.commands)
     try:
-        for i, ((name, params), stem) in enumerate(zip(commands, _output_stems(commands))):
+        for i, ((name, params), stem) in enumerate(zip(config.commands, stems)):
             start = time.perf_counter()
             if not shared and _COMMANDS[name].check:
-                shared = _shared_pass(config, chain, f, commands, i)
+                shared = _shared_pass(config, chain, f, i)
             files = _RUNNERS[name](config, chain, f, params, config.output_dir, stem, shared.get(i))
             written.extend(files)
             manifest.outputs[stem] = [p.name for p in files]

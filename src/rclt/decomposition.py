@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import exact_cumsum, two_sum
-from .chain import Observable, ReversibleChain, Trajectory, require_centered
+from .chain import Observable, ReversibleChain, Trajectory, _numbers, require_centered
 from .errors import IndexOutOfRange, InvalidArgument, NumericalError
 from .spectral import SpectralMeasure, poisson_solve, spectral_measure
 
@@ -61,8 +61,7 @@ def _horizon_vectors(chain: ReversibleChain, f: Observable, n: int):
     place the package still leans on extended precision, so the stored
     doubles are accurate to ~1 ulp regardless of the horizon.
     """
-    if n < 1:
-        raise InvalidArgument(f"horizon must be >= 1, got {n}")
+    n = _numbers(int, [n], "horizon", least=1)[0]
     ld = np.longdouble
     q = chain.kernel.astype(ld)
     v = f.values.astype(ld)
@@ -95,6 +94,7 @@ def boundary_term(
     lookahead at every position, which is the same expression with n - k
     replaced by n and is the form that closes the identity exactly.)
     """
+    k, n = _numbers(int, [k, n], "k and n")
     if not 0 <= k <= n:
         raise IndexOutOfRange(f"need 0 <= k <= n, got k={k}, n={n}")
     if n > traj.length:
@@ -118,6 +118,7 @@ def boundary_l2_norm(
     measure; it is bounded by (2/n) times the finiteness integral, which
     is how the uniform-in-k decay is certified.
     """
+    n, k = _numbers(int, [n, k], "n and k")
     if not 0 <= k <= n:
         raise IndexOutOfRange(f"need 0 <= k <= n, got k={k}, n={n}")
     if rho is None:
@@ -171,12 +172,13 @@ def l2_convergence_table(
     zero whenever the kernel's spectrum on centered functions stays away
     from 1.
     """
-    if list(horizons) != sorted(set(int(h) for h in horizons)) or min(horizons, default=1) < 1:
+    horizons = _numbers(int, horizons, "horizons")
+    if horizons != sorted(set(horizons)) or min(horizons, default=1) < 1:
         raise InvalidArgument("horizons must be strictly increasing positive integers")
     g, _ = resolvent_pair(chain, f)
     out = np.empty(len(horizons))
     for i, n in enumerate(horizons):
-        phi, _, _ = _horizon_vectors(chain, f, int(n))
+        phi, _, _ = _horizon_vectors(chain, f, n)
         a = phi - g
         qa = chain.kernel @ a
         out[i] = chain.pi_dot(a, a) - chain.pi_dot(qa, qa)
@@ -235,7 +237,7 @@ def decompose_trajectory(
     n_len = traj.length
     if n_len < 2:
         raise InvalidArgument(f"trajectory must have length >= 2, got {n_len}")
-    n_hor = n_len if horizon is None else int(horizon)
+    n_hor = n_len if horizon is None else _numbers(int, [horizon], "horizon", least=1)[0]
 
     phi, pred, drift = _horizon_vectors(chain, f, n_hor)
     _, w = resolvent_pair(chain, f)

@@ -51,7 +51,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .chain import Observable, ReversibleChain, _cumulative_tables, derive_seed, require_centered
+from .chain import (
+    Observable, ReversibleChain, _cumulative_tables, _numbers, derive_seed, require_centered,
+)
 from .decomposition import resolvent_pair
 from .errors import (
     DegenerateVariance,
@@ -151,20 +153,6 @@ def _check_mc_arguments(n: int, m: int | None, seed: int | None) -> None:
         raise InvalidReplicas(f"replica count must be a positive integer, got {m!r}")
     if seed is None:
         raise InvalidReplicas("a master seed is required for Monte Carlo mode")
-
-
-def _numbers(kind: Callable, values, name: str) -> list:
-    """Each entry of ``values`` converted by ``kind`` (float or int), else InvalidArgument.
-
-    A float must be finite; an int must equal the entry it came from, so 10.7 is no count.
-    """
-    try:
-        pairs = [(kind(v), v) for v in values]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidArgument(f"{name} must be numeric: {exc}") from exc
-    if not all(x == v if kind is int else math.isfinite(x) for x, v in pairs):
-        raise InvalidArgument(f"{name} must hold finite {kind.__name__} values, got {values!r}")
-    return [x for x, _ in pairs]
 
 
 def _sigma2_or_raise(chain: ReversibleChain, f: Observable) -> float:

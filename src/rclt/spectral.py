@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Observable, ReversibleChain, require_centered
+from .chain import Observable, ReversibleChain, _frozen, _numbers, require_centered
 from .errors import EigenFailure, FiniteVarianceViolated, InvalidArgument, SingularPoisson
 
 #: eigenvalues may exceed [-1, 1] by at most this much before clamping fails
@@ -55,16 +55,14 @@ class SpectralMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        lam = np.array(self.lambdas, dtype=float)
-        w = np.array(self.weights, dtype=float)
+        lam = _frozen(self.lambdas, "lambdas")
+        w = _frozen(self.weights, "weights")
         if lam.shape != w.shape or lam.ndim != 1:
             raise InvalidArgument("lambdas and weights must be 1-d arrays of equal length")
         if np.any(lam < -1.0) or np.any(lam > 1.0):
             raise InvalidArgument("spectral atoms must lie in [-1, 1]")
         if np.any(w < 0.0):
             raise InvalidArgument("spectral weights must be nonnegative")
-        lam.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "weights", w)
 
@@ -110,8 +108,7 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
 
 def moment(rho: SpectralMeasure, k: int) -> float:
     """k-th moment of the spectral measure = lag-k stationary covariance."""
-    if k < 0:
-        raise InvalidArgument(f"moment order must be nonnegative, got {k}")
+    k = _numbers(int, [k], "moment order", least=0)[0]
     return float(np.dot(rho.weights, rho.lambdas**k))
 
 
@@ -163,8 +160,7 @@ def asymptotic_variance_poisson(chain: ReversibleChain, f: Observable) -> float:
 
 def asymptotic_variance_series(chain: ReversibleChain, f: Observable, n_max: int) -> np.ndarray:
     """Exact Var(S_n)/n for n = 1..n_max from the covariance sequence."""
-    if n_max < 1:
-        raise InvalidArgument(f"n_max must be >= 1, got {n_max}")
+    n_max = _numbers(int, [n_max], "n_max", least=1)[0]
     rho = spectral_measure(chain, f)
     gamma = np.empty(n_max)
     powers = rho.weights.copy()
@@ -201,8 +197,7 @@ def variance_integrand_check(rho: SpectralMeasure, n: int) -> float:
     atom by atom. The telescoping sum must start at k = 0 for the bracket
     to reproduce the covariance formula exactly.
     """
-    if n < 1:
-        raise InvalidArgument(f"n must be >= 1, got {n}")
+    n = _numbers(int, [n], "n", least=1)[0]
     lam = rho.lambdas
     one_minus_sq = 1.0 - lam * lam
     partial = np.ones_like(lam)  # 1 + t + ... + t^k, starting at k = 0
@@ -223,6 +218,7 @@ def cauchy_quantity(rho: SpectralMeasure, n: int, p: int) -> float:
     atomwise, written with the geometric quotient expanded so the
     expression stays polynomial (finite at t = 1 and t = -1).
     """
+    n, p = _numbers(int, [n, p], "n and p")
     if not (1 <= n < p):
         raise InvalidArgument(f"need 1 <= n < p, got n={n}, p={p}")
     lam = rho.lambdas
@@ -244,6 +240,7 @@ def cauchy_quantity_direct(chain: ReversibleChain, f: Observable, n: int, p: int
     E (u(xi_1) - (Q u)(xi_0))^2 as an exact double sum over states; this is
     the independent oracle for ``cauchy_quantity``.
     """
+    n, p = _numbers(int, [n, p], "n and p")
     if not (1 <= n < p):
         raise InvalidArgument(f"need 1 <= n < p, got n={n}, p={p}")
     require_centered(chain, f)

@@ -9,6 +9,7 @@ import pytest
 
 import rclt
 from rclt.cli import (
+    DEFAULT_PARAMS,
     build_chain_from_definition,
     load_config,
     main,
@@ -226,6 +227,14 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
             3,
         ),
         ({"kind": "kernel", "matrix": [[0.5, 0.5], [1.0]], "observable": [1, -1]}, "spectrum", {}, 3),
+        ({"kind": "kernel", "matrix": [["a", 1], [0, 1]], "observable": [1, -1]}, "spectrum", {}, 3),
+        (
+            {"kind": "metropolis", "matrix": [[0.5, 0.5], [1.0]], "target": [1, 1],
+             "observable": [1, -1]},
+            "spectrum",
+            {},
+            3,
+        ),
         (TWO_STATE, "spectrum", {"observable": [1.0, 0.0, -1.0]}, 2),
         (TWO_STATE, {"command": "fclt", "params": {"grid": [0.5, 2.0]}}, {}, 2),
         (TWO_STATE, {"command": "maximal", "params": {"mode": "sideways"}}, {}, 2),
@@ -256,6 +265,8 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
     ids=[
         "asymmetric-weights",
         "ragged-matrix",
+        "non-numeric-matrix",
+        "ragged-proposal",
         "observable-length",
         "fclt-grid",
         "maximal-mode",
@@ -284,6 +295,149 @@ def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+_BASE = {"chain_spec": "chain.json", "commands": ["spectrum"], "master_seed": 4242, "output_dir": "out"}
+#: a JSON array nested deeper than the parser's recursion limit
+_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+def _without(key: str) -> dict:
+    return {k: v for k, v in _BASE.items() if k != key}
+
+
+@pytest.mark.parametrize("subcommand", ["run", "validate"])
+@pytest.mark.parametrize(
+    ("config", "chain"),
+    [
+        ([1, 2], TWO_STATE),
+        (_BASE, [TWO_STATE]),
+        ({**_BASE, "commands": [{"command": "spectrum", "params": None}]}, TWO_STATE),
+        ({**_BASE, "commands": [{"command": "spectrum", "params": [1]}]}, TWO_STATE),
+        ({**_BASE, "commands": 5}, TWO_STATE),
+        ({**_BASE, "commands": "spectrum"}, TWO_STATE),
+        ({**_BASE, "commands": {"spectrum": 1}}, TWO_STATE),
+        ({**_BASE, "chain_spec": 5}, TWO_STATE),
+        ({**_BASE, "output_dir": ["out"]}, TWO_STATE),
+        ({**_BASE, "chain_spec": "."}, TWO_STATE),
+        ({**_BASE, "chain_spec": "chain\u0000.json"}, TWO_STATE),
+        ({**_BASE, "observable": "."}, TWO_STATE),
+        ({**_BASE, "observable": "absent.json"}, TWO_STATE),
+        (_DEEP, TWO_STATE),
+        (_BASE, _DEEP),
+        (_without("commands"), TWO_STATE),
+        (_without("chain_spec"), TWO_STATE),
+        ({**_BASE, "commands": [5]}, TWO_STATE),
+        ({**_BASE, "commands": [{"params": {}}]}, TWO_STATE),
+    ],
+    ids=[
+        "config-list",
+        "chain-list",
+        "params-null",
+        "params-list",
+        "commands-number",
+        "commands-string",
+        "commands-object",
+        "chain-spec-number",
+        "output-dir-list",
+        "chain-spec-directory",
+        "chain-spec-null-byte",
+        "observable-directory",
+        "observable-missing",
+        "config-deep-nesting",
+        "chain-deep-nesting",
+        "commands-missing",
+        "chain-spec-missing",
+        "command-entry-number",
+        "command-entry-without-name",
+    ],
+)
+def test_malformed_config_is_one_config_error(tmp_path, capsys, subcommand, config, chain) -> None:
+    for path, content in ((tmp_path / "config.json", config), (tmp_path / "chain.json", chain)):
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert main([subcommand, "--config", str(tmp_path / "config.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("chain", "message"),
+    [
+        (
+            {"matrix": TWO_STATE["matrix"], "observable": [1, -1]},
+            "chain 'kind' must be kernel|random_walk|metropolis, got None",
+        ),
+        ({"kind": "kernel", "observable": [1, -1]}, "chain definition is missing 'matrix'"),
+        (
+            {"kind": "metropolis", "matrix": TWO_STATE["matrix"], "observable": [1, -1]},
+            "metropolis chain definition is missing 'target'",
+        ),
+        ({"kind": "kernel", "matrix": TWO_STATE["matrix"]}, "no observable given in config or chain definition"),
+    ],
+    ids=["kind", "matrix", "metropolis-target", "observable"],
+)
+def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
+    cfg = _config(tmp_path, ["spectrum"], chain=chain)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    prefix = "" if "observable" in message else "chain not admissible: "
+    assert validate(load_config(cfg)) == [prefix + message]
+
+
+def test_observable_read_from_a_file(tmp_path) -> None:
+    for sub, observable in (("inline", [1.0, -0.5]), ("file", "obs.json")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "obs.json").write_text("[1.0, -0.5]\n")
+        config = load_config(_config(tmp_path / sub, ["spectrum"], observable=observable))
+        assert config.observable == [1.0, -0.5]
+        run(config)
+    inline, from_file = (load_config(tmp_path / sub / "config.json") for sub in ("inline", "file"))
+    assert inline.config_hash() == from_file.config_hash()
+    assert _reports(tmp_path / "inline" / "out") == _reports(tmp_path / "file" / "out")
+
+
+def test_validate_and_run_print_one_centering_note(tmp_path, capsys) -> None:
+    cfg = _config(tmp_path, ["spectrum"], observable=[1.0, 0.0])
+    assert main(["validate", "--config", str(cfg)]) == 0
+    note = "observable auto-centered (stationary mean 0.5)"
+    assert capsys.readouterr() == (f"{note}\n", "")
+    assert not (tmp_path / "out").exists()
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == f"warning: {note}\n"
+
+
+def test_unlisted_subcommand_runs_with_its_defaults(tmp_path, capsys) -> None:
+    cfg = _config(tmp_path, ["spectrum"], seed=None)
+    assert main(["clt", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: subcommand 'clt' needs a master_seed\n"
+    assert not (tmp_path / "out").exists()
+    assert main(["variance", "--config", str(cfg)]) == 0
+    payload = json.loads((tmp_path / "out" / "variance.json").read_text())
+    assert len(payload["var_over_n"]) == DEFAULT_PARAMS["variance"]["n_max"]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == {"variance": ["variance.json", "variance.csv"]}
+
+
+def test_single_subcommand_hashes_the_commands_it_ran(tmp_path) -> None:
+    """``rclt clt`` on a spectrum-only config hashes like a config that lists clt alone."""
+    for sub in ("spectrum_only", "clt_listed"):
+        (tmp_path / sub).mkdir()
+    spectrum_only = _config(tmp_path / "spectrum_only", ["spectrum"])
+    clt_default = {"command": "clt", "params": DEFAULT_PARAMS["clt"]}
+    clt_listed = load_config(_config(tmp_path / "clt_listed", [clt_default]))
+    manifest = tmp_path / "spectrum_only" / "out" / "manifest.json"
+    assert main(["clt", "--config", str(spectrum_only)]) == 0
+    clt_hash = json.loads(manifest.read_text())["config_hash"]
+    assert main(["run", "--config", str(spectrum_only)]) == 0
+    run_hash = json.loads(manifest.read_text())["config_hash"]
+    assert clt_hash == clt_listed.config_hash()
+    assert run_hash == load_config(spectrum_only).config_hash()
+    assert clt_hash != run_hash
 
 
 def _reports(outdir: Path) -> dict[str, bytes]:

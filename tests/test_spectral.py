@@ -251,6 +251,15 @@ def test_variance_report_three_way_agreement() -> None:
 
 _ATOM = rclt.SpectralMeasure(lambdas=np.array([0.5]), weights=np.array([1.0]))
 _TWO = (two_state(), observable(two_state(), [1, -1]))
+_PATH = rclt.sample_trajectory(*_TWO, 6, 1)
+#: ragged chain input is a MalformedMatrix, like every other malformed builder input
+_RAGGED = [
+    lambda: rclt.build_chain([[0.5, 0.5], [1.0]]),
+    lambda: rclt.build_random_walk([[0.5, 0.5], [1.0]]),
+    lambda: rclt.build_metropolis([1.0, 1.0], [[0.5, 0.5], [1.0]]),
+    lambda: rclt.build_metropolis([1.0, [2.0, 3.0]], [[0.5, 0.5], [0.5, 0.5]]),
+    lambda: rclt.build_chain([["a", "b"], [0.5, 0.5]]),
+]
 
 
 @pytest.mark.parametrize(
@@ -280,6 +289,18 @@ _TWO = (two_state(), observable(two_state(), [1, -1]))
         ),
         lambda: rclt.uniform_integrability_diagnostic(*_TWO, [10.7], epsilon_grid=[1.0], seed=1, m=5),
         lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=1, ks_threshold=float("inf")),
+        lambda: rclt.Observable(["a"]),
+        lambda: rclt.decompose_trajectory(*_TWO, _PATH, horizon=2.5),
+        lambda: rclt.boundary_l2_norm(*_TWO, 2.5, 1),
+        lambda: rclt.boundary_term(*_TWO, _PATH, k=1.0, n=3),
+        lambda: rclt.martingale_certificate(*_TWO, 2.5),
+        lambda: rclt.moment(_ATOM, 1.5),
+        lambda: rclt.moment(_ATOM, "a"),
+        lambda: rclt.asymptotic_variance_series(*_TWO, 3.0),
+        lambda: rclt.variance_report(*_TWO, n_max="a"),
+        lambda: rclt.l2_convergence_table(*_TWO, ["a"]),
+        lambda: rclt.cauchy_quantity(_ATOM, 1.5, 3),
+        *_RAGGED,
     ],
     ids=[
         "require-centered",
@@ -304,12 +325,28 @@ _TWO = (two_state(), observable(two_state(), [1, -1]))
         "ui-epsilon-grid-nan",
         "ui-n-list-non-integral",
         "clt-ks-threshold-inf",
+        "observable-text",
+        "decompose-horizon-float",
+        "boundary-l2-norm-n-float",
+        "boundary-term-k-float",
+        "certificate-horizon-float",
+        "moment-order-float",
+        "moment-order-text",
+        "series-n-max-float",
+        "variance-report-n-max-text",
+        "l2-table-horizon-text",
+        "cauchy-n-float",
+        "build-chain-ragged",
+        "build-random-walk-ragged",
+        "build-metropolis-ragged-proposal",
+        "build-metropolis-ragged-target",
+        "build-chain-text",
     ],
 )
 def test_bad_library_arguments_raise_typed_errors(call) -> None:
     with pytest.raises(rclt.RcltError) as info:
         call()
-    assert isinstance(info.value, rclt.InvalidArgument)
+    assert isinstance(info.value, rclt.MalformedMatrix if call in _RAGGED else rclt.InvalidArgument)
     assert isinstance(info.value, ValueError)
 
 
