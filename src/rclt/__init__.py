@@ -33,10 +33,7 @@ from .errors import (
     EigenFailure,
     ExhaustiveTooLarge,
     FiniteVarianceViolated,
-    IndexOutOfRange,
     InvalidArgument,
-    InvalidLength,
-    InvalidReplicas,
     MalformedMatrix,
     NegativeWeight,
     NotIrreducible,

@@ -27,7 +27,6 @@ from ._numeric import exact_cumsum
 from .errors import (
     Disconnected,
     InvalidArgument,
-    InvalidLength,
     MalformedMatrix,
     NegativeWeight,
     NotIrreducible,
@@ -64,16 +63,17 @@ def _frozen(a, name: str) -> np.ndarray:
 def _numbers(kind: Callable, values, name: str, least: int | None = None) -> list:
     """Each entry of ``values`` converted by ``kind`` (float or int), else InvalidArgument.
 
-    A float must be finite. Counts take integers only, as in a config file, so
-    neither 10.7 nor 10.0 is a count. With ``least`` set, every entry must also be
-    at least ``least``.
+    This is the one judge of every count, length, replica count and seed in the
+    package. A float must be finite. Counts take integers only, as in a config
+    file, so neither 10.7, 10.0 nor True is a count. With ``least`` set, every
+    entry must also be at least ``least``.
     """
     try:
         pairs = [(kind(v), v) for v in values]
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidArgument(f"{name} must be numeric: {exc}") from exc
-    if not all(isinstance(v, (int, np.integer)) if kind is int else math.isfinite(x)
-               for x, v in pairs):
+        raise InvalidArgument(f"{name} must be numeric, got {values!r}") from exc
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) if kind is int
+               else math.isfinite(x) for x, v in pairs):
         raise InvalidArgument(f"{name} must hold finite {kind.__name__} values, got {values!r}")
     out = [x for x, _ in pairs]
     if least is not None and min(out, default=least) < least:
@@ -358,10 +358,10 @@ def sample_trajectory(chain: ReversibleChain, f: Observable, length: int, seed: 
     last entry is 1.0 > u), so the count is the same as ``bisect_right``'s
     and always below the number of states.
     """
-    if not isinstance(length, (int, np.integer)) or length < 1:
-        raise InvalidLength(f"trajectory length must be a positive integer, got {length!r}")
+    length = _numbers(int, [length], "length", least=1)[0]
+    seed = _numbers(int, [seed], "seed", least=0)[0]
     require_centered(chain, f)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     u = rng.random(length + 1)
     cum_pi, cum_rows = _cumulative_tables(chain)
 
@@ -372,4 +372,4 @@ def sample_trajectory(chain: ReversibleChain, f: Observable, length: int, seed: 
 
     x = f.values[states]
     partial = np.concatenate(([0.0], exact_cumsum(x[1:])))
-    return Trajectory(states=states, observables=x, partial_sums=partial, seed=int(seed))
+    return Trajectory(states=states, observables=x, partial_sums=partial, seed=seed)

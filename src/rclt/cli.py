@@ -36,7 +36,8 @@ it, so its manifest hashes the commands it ran.
 
 Exit codes: 0 success, 2 config or argument error, 3 numerical error
 (including a ragged or non-numeric chain matrix), 4 statistical acceptance
-failure.
+failure. ``validate`` makes ``run``'s setup (chain, observable, the sigma^2 of
+``clt`` and ``fclt``) and exits with the code ``run`` would give for it.
 """
 from __future__ import annotations
 
@@ -67,14 +68,14 @@ from .chain import (
 from .decomposition import decompose_trajectory
 from .errors import ConfigError, NumericalError, RcltError, StatisticalFailure
 from .limits import (
-    DEGENERATE_TOL,
+    _sigma2_or_raise,
     clt_test,
     fclt_profile,
     maximal_inequality_check,
     run_checks,
     uniform_integrability_diagnostic,
 )
-from .spectral import asymptotic_variance_spectral, spectral_measure, variance_report
+from .spectral import spectral_measure, variance_report
 
 SCHEMA_VERSION = 1
 
@@ -322,22 +323,17 @@ def save_chain_definition(path, chain: ReversibleChain, observable=None) -> None
 
 
 def validate(config: ExperimentConfig) -> list[str]:
-    """Dry-run diagnostics: chain admissibility, centering, degeneracy."""
-    try:
-        chain = build_chain_from_definition(config.chain_definition)
-    except RcltError as exc:
-        return [f"chain not admissible: {exc}"]
-    try:
-        f, note = _centered_observable(config, chain)
-    except ConfigError as exc:
-        return [str(exc)]
+    """``run``'s setup without the run: the centering note, if any, else what ``run`` raises.
 
-    diagnostics = [note] if note else []
+    Builds the chain and centers the observable as ``run`` does and, when ``clt``
+    or ``fclt`` is listed, rejects a degenerate sigma^2 as those checks do. It
+    raises the error ``run`` would, so ``main`` gives both the same exit code.
+    """
+    chain = build_chain_from_definition(config.chain_definition)
+    f, note = _centered_observable(config, chain)
     if any(name in ("clt", "fclt") for name, _ in config.commands):
-        sigma2 = asymptotic_variance_spectral(spectral_measure(chain, f))
-        if sigma2 <= DEGENERATE_TOL:
-            diagnostics.append(f"degenerate variance: sigma2 = {sigma2:.6g}")
-    return diagnostics
+        _sigma2_or_raise(chain, f)
+    return [note] if note else []
 
 
 # --- persistence -----------------------------------------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 
 from ._numeric import exact_cumsum, two_sum
 from .chain import Observable, ReversibleChain, Trajectory, _numbers, require_centered
-from .errors import IndexOutOfRange, InvalidArgument, NumericalError
+from .errors import InvalidArgument, NumericalError
 from .spectral import SpectralMeasure, poisson_solve, spectral_measure
 
 #: residual level certified for both decomposition identities
@@ -96,9 +96,9 @@ def boundary_term(
     """
     k, n = _numbers(int, [k, n], "k and n")
     if not 0 <= k <= n:
-        raise IndexOutOfRange(f"need 0 <= k <= n, got k={k}, n={n}")
+        raise InvalidArgument(f"need 0 <= k <= n, got k={k}, n={n}")
     if n > traj.length:
-        raise IndexOutOfRange(f"horizon {n} exceeds trajectory length {traj.length}")
+        raise InvalidArgument(f"horizon {n} exceeds trajectory length {traj.length}")
     if k == n:
         return 0.0
     drift = _horizon_vectors(chain, f, n - k)[2]
@@ -120,7 +120,7 @@ def boundary_l2_norm(
     """
     n, k = _numbers(int, [n, k], "n and k")
     if not 0 <= k <= n:
-        raise IndexOutOfRange(f"need 0 <= k <= n, got k={k}, n={n}")
+        raise InvalidArgument(f"need 0 <= k <= n, got k={k}, n={n}")
     if rho is None:
         rho = spectral_measure(chain, f)
     steps = n - k

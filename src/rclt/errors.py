@@ -6,6 +6,11 @@ Three families matter to callers (and to the CLI exit-code mapping):
 - ``NumericalError``    -> chain admission, spectral or solver failures (exit 3)
 - ``StatisticalFailure``-> a seeded Monte Carlo check missed its declared
   threshold (exit 4); the computation itself succeeded.
+
+Every library argument outside its domain is an ``InvalidArgument``, a
+``ConfigError``: a count, length, replica count, seed or index as much as a
+grid time or a mode. ``rclt.chain._numbers`` alone judges numbers, counts
+included, so a bad count is exit 2 wherever it is passed.
 """
 from __future__ import annotations
 
@@ -19,7 +24,13 @@ class ConfigError(RcltError):
 
 
 class InvalidArgument(ConfigError, ValueError):
-    """A parameter or observable lies outside its domain (grid time, mode, length, ...)."""
+    """A parameter or observable lies outside its domain.
+
+    Raised for a count below its least value, a non-integral or boolean count, a
+    negative or non-integral seed, a missing Monte Carlo seed or replica count, an
+    index outside the sampled path, a grid time outside [0, 1], an unknown mode, a
+    non-finite number and an observable that is not centered or does not fit.
+    """
 
 
 class NumericalError(RcltError):
@@ -60,10 +71,6 @@ class MalformedMatrix(NumericalError, ValueError):
     """A weight or proposal matrix is not square, mis-sized or not symmetric."""
 
 
-class InvalidLength(NumericalError):
-    """Trajectory length must be a positive integer."""
-
-
 # --- spectral engine -------------------------------------------------------
 
 class EigenFailure(NumericalError):
@@ -78,20 +85,10 @@ class SingularPoisson(NumericalError):
     """The deflated resolvent solve left a residual above tolerance."""
 
 
-# --- decomposition ---------------------------------------------------------
-
-class IndexOutOfRange(NumericalError, IndexError):
-    """A decomposition term was requested outside the sampled path."""
-
-
 # --- limit laboratory ------------------------------------------------------
 
 class DegenerateVariance(NumericalError):
     """Asymptotic variance is (numerically) zero; the CLT scaling is void."""
-
-
-class InvalidReplicas(NumericalError):
-    """Replica count must be a positive integer."""
 
 
 class ExhaustiveTooLarge(NumericalError):

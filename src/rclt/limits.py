@@ -55,13 +55,7 @@ from .chain import (
     Observable, ReversibleChain, _cumulative_tables, _numbers, derive_seed, require_centered,
 )
 from .decomposition import resolvent_pair
-from .errors import (
-    DegenerateVariance,
-    ExhaustiveTooLarge,
-    InvalidArgument,
-    InvalidLength,
-    InvalidReplicas,
-)
+from .errors import DegenerateVariance, ExhaustiveTooLarge, InvalidArgument
 from .spectral import asymptotic_variance_spectral, spectral_measure
 
 #: sigma^2 below this is treated as the degenerate case
@@ -142,17 +136,9 @@ def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int, block:
             yield t, states
 
 
-def _check_length(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidLength(f"trajectory length must be a positive integer, got {n!r}")
-
-
-def _check_mc_arguments(n: int, m: int | None, seed: int | None) -> None:
-    _check_length(n)
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidReplicas(f"replica count must be a positive integer, got {m!r}")
-    if seed is None:
-        raise InvalidReplicas("a master seed is required for Monte Carlo mode")
+def _replicas(m, seed) -> tuple[int, int]:
+    """A sampling reader's replica count and master seed, checked in that order."""
+    return _numbers(int, [m], "m", least=1)[0], _numbers(int, [seed], "seed", least=0)[0]
 
 
 def _sigma2_or_raise(chain: ReversibleChain, f: Observable) -> float:
@@ -237,7 +223,8 @@ def dkw_epsilon(m: int, alpha: float = 0.01) -> float:
 
 class _CltReader:
     def __init__(self, chain, f, n, m, seed, ks_threshold=0.02):
-        _check_mc_arguments(n, m, seed)
+        n = _numbers(int, [n], "n", least=1)[0]
+        m, seed = _replicas(m, seed)
         self.sigma2 = _sigma2_or_raise(chain, f)
         self.ks_threshold = _numbers(float, [ks_threshold], "ks_threshold")[0]
         self.n, self.m, self.seed = n, m, seed
@@ -251,10 +238,10 @@ class _CltReader:
         miss = f"KS statistic {ks:.5f} exceeds threshold {self.ks_threshold:.5f}"
         return LimitReport(
             op="clt",
-            n=int(self.n),
-            m=int(self.m),
+            n=self.n,
+            m=self.m,
             sigma2_used=self.sigma2,
-            master_seed=int(self.seed),
+            master_seed=self.seed,
             ks_statistic=ks,
             ks_threshold=self.ks_threshold,
             dkw_epsilon_99=dkw_epsilon(self.m),
@@ -287,7 +274,8 @@ def clt_test(
 
 class _FcltReader:
     def __init__(self, chain, f, n, m, grid, seed):
-        _check_mc_arguments(n, m, seed)
+        n = _numbers(int, [n], "n", least=1)[0]
+        m, seed = _replicas(m, seed)
         grid = sorted(_numbers(float, grid, "grid"))
         if not all(0.0 <= t <= 1.0 for t in grid):
             raise InvalidArgument(f"grid times must lie in [0, 1], got {grid}")
@@ -328,10 +316,10 @@ class _FcltReader:
 
         return LimitReport(
             op="fclt",
-            n=int(self.n),
-            m=int(m),
+            n=self.n,
+            m=m,
             sigma2_used=sigma2,
-            master_seed=int(self.seed),
+            master_seed=self.seed,
             variance_profile=variance_profile,
             covariance_profile=covariance_profile,
             tolerances={"se_multiplier": SE_MULTIPLIER},
@@ -459,14 +447,13 @@ class _MaximalReader:
 
     def __init__(self, chain, f, n, lambdas, mode="forward", exhaustive=False, m=None, seed=None,
                  two_sided=False):
+        n = _numbers(int, [n], "n", least=1)[0]
         if exhaustive:
-            _check_length(n)
             self.paths, self.prob = _enumerate_paths(chain, n)
             m = seed = None
         else:
-            _check_mc_arguments(n, m, seed)
+            m, seed = _replicas(m, seed)
             self.paths, self.prob = np.empty((m, n + 1), dtype=np.int64), None
-            m, seed = int(m), int(seed)
         self.value, self.w = _limit_martingale(chain, f, mode)
         self.lambdas = _numbers(float, lambdas, "lambdas")
         self.n, self.m, self.seed, self.mode, self.two_sided = n, m, seed, mode, two_sided
@@ -514,7 +501,7 @@ class _UiReader:
         n_list = _numbers(int, n_list, "n_list")
         if not n_list or n_list != sorted(set(n_list)) or n_list[0] < 1:
             raise InvalidArgument(f"n_list must be strictly increasing positive integers: {n_list}")
-        _check_mc_arguments(n_list[0], m, seed)
+        m, seed = _replicas(m, seed)
         self.n, self.m, self.seed, self.n_list = n_list[-1], m, seed, n_list
         self.cutoffs = _numbers(float, epsilon_grid, "epsilon_grid")
         self.peak_sq = np.zeros(m)
@@ -542,8 +529,8 @@ class _UiReader:
         return LimitReport(
             op="ui-diagnostic",
             n=self.n,
-            m=int(self.m),
-            master_seed=int(self.seed),
+            m=self.m,
+            master_seed=self.seed,
             ui_table=table,
             tolerances={"se_multiplier": SE_MULTIPLIER},
         )

@@ -134,7 +134,7 @@ def test_admission_projects_noisy_reversible_kernel() -> None:
 def test_sample_trajectory_invalid_length() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])
-    with pytest.raises(rclt.InvalidLength):
+    with pytest.raises(rclt.InvalidArgument):
         rclt.sample_trajectory(chain, f, 0, seed=1)
 
 

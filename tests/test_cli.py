@@ -98,8 +98,8 @@ def test_exhaustive_maximal_needs_no_seed(tmp_path) -> None:
 
 def test_validate_degenerate_variance(tmp_path) -> None:
     cfg = _config(tmp_path, [{"command": "clt", "params": {"n": 10, "m": 10}}], chain=FLIP)
-    diagnostics = validate(load_config(cfg))
-    assert any(d.startswith("degenerate variance: sigma2 = 0") for d in diagnostics)
+    with pytest.raises(rclt.DegenerateVariance, match="asymptotic variance 0.000e"):
+        validate(load_config(cfg))
 
 
 def test_validate_flags_uncentered_observable(tmp_path) -> None:
@@ -116,11 +116,12 @@ def test_validate_clean_config(tmp_path) -> None:
 def test_validate_reports_inadmissible_chain(tmp_path) -> None:
     bad = {"kind": "kernel", "matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]}
     cfg = _config(tmp_path, ["spectrum"], chain=bad, observable=[1.0, 0.0, -1.0])
-    diagnostics = validate(load_config(cfg))
-    assert any(d.startswith("chain not admissible") for d in diagnostics)
+    with pytest.raises(rclt.NotReversible):
+        validate(load_config(cfg))
     ragged = {"kind": "kernel", "matrix": [[0.5, 0.5], [1.0]]}
     cfg = _config(tmp_path, ["spectrum"], chain=ragged, observable=[1.0, -1.0])
-    assert validate(load_config(cfg))[0].startswith("chain not admissible")
+    with pytest.raises(rclt.MalformedMatrix):
+        validate(load_config(cfg))
 
 
 def test_spectrum_report_content(tmp_path) -> None:
@@ -261,6 +262,11 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         (TWO_STATE, {"command": "maximal", "params": {"lambdas": [float("nan")]}}, {}, 2),
         (TWO_STATE, {"command": "ui-diagnostic", "params": {"epsilon_grid": [float("inf")]}}, {}, 2),
         (TWO_STATE, {"command": "clt", "params": {"ks_threshold": float("inf")}}, {}, 2),
+        (TWO_STATE, {"command": "clt", "params": {"n": 0}}, {}, 2),
+        (TWO_STATE, {"command": "clt", "params": {"m": -3}}, {}, 2),
+        (TWO_STATE, {"command": "ui-diagnostic", "params": {"m": 0}}, {}, 2),
+        (TWO_STATE, {"command": "decompose", "params": {"length": 0}}, {}, 2),
+        (TWO_STATE, {"command": "maximal", "params": {"exhaustive": False}}, {}, 2),
     ],
     ids=[
         "asymmetric-weights",
@@ -287,6 +293,11 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         "maximal-lambda-nan",
         "ui-epsilon-infinity",
         "clt-ks-threshold-infinity",
+        "clt-n-zero",
+        "clt-m-negative",
+        "ui-m-zero",
+        "decompose-length-zero",
+        "maximal-monte-carlo-without-m",
     ],
 )
 def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra, code) -> None:
@@ -385,8 +396,45 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
     assert main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
-    prefix = "" if "observable" in message else "chain not admissible: "
-    assert validate(load_config(cfg)) == [prefix + message]
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    ("chain", "command", "extra"),
+    [
+        (
+            {"kind": "kernel", "matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]},
+            "spectrum",
+            {"observable": [1.0, 0.0, -1.0]},
+        ),
+        ({"kind": "kernel", "matrix": [[0.5, 0.5], [1.0]], "observable": [1, -1]}, "spectrum", {}),
+        ({"matrix": TWO_STATE["matrix"], "observable": [1, -1]}, "spectrum", {}),
+        ({"kind": "kernel", "observable": [1, -1]}, "spectrum", {}),
+        ({"kind": "metropolis", "matrix": TWO_STATE["matrix"], "observable": [1, -1]}, "spectrum", {}),
+        ({"kind": "kernel", "matrix": TWO_STATE["matrix"]}, "spectrum", {}),
+        (FLIP, {"command": "clt", "params": {"n": 10, "m": 10}}, {}),
+    ],
+    ids=[
+        "non-reversible",
+        "ragged-matrix",
+        "missing-kind",
+        "missing-matrix",
+        "missing-target",
+        "no-observable",
+        "degenerate-clt",
+    ],
+)
+def test_validate_exits_like_run(tmp_path, capsys, chain, command, extra) -> None:
+    cfg = _config(tmp_path, [command], chain=chain, **extra)
+    code = main(["validate", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code != 0
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    assert main(["run", "--config", str(cfg)]) == code
+    assert capsys.readouterr() == ("", err)
 
 
 def test_observable_read_from_a_file(tmp_path) -> None:

@@ -85,9 +85,9 @@ def test_boundary_term_index_errors() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])
     traj = rclt.sample_trajectory(chain, f, 5, seed=2)
-    with pytest.raises(rclt.IndexOutOfRange):
+    with pytest.raises(rclt.InvalidArgument):
         rclt.boundary_term(chain, f, traj, 4, 3)
-    with pytest.raises(rclt.IndexOutOfRange):
+    with pytest.raises(rclt.InvalidArgument):
         rclt.boundary_term(chain, f, traj, 0, 6)
 
 

@@ -80,9 +80,9 @@ def test_ks_null_calibration_under_threshold() -> None:
 def test_clt_invalid_arguments() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])
-    with pytest.raises(rclt.InvalidReplicas):
+    with pytest.raises(rclt.InvalidArgument):
         rclt.clt_test(chain, f, n=100, m=0, seed=1)
-    with pytest.raises(rclt.InvalidLength):
+    with pytest.raises(rclt.InvalidArgument):
         rclt.clt_test(chain, f, n=0, m=10, seed=1)
 
 
@@ -233,7 +233,7 @@ def test_maximal_monte_carlo_mode() -> None:
 def test_maximal_requires_seed_in_mc_mode() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])
-    with pytest.raises(rclt.InvalidReplicas):
+    with pytest.raises(rclt.InvalidArgument):
         rclt.maximal_inequality_check(chain, f, n=10, lambdas=[0.0], m=100, seed=None)
 
 

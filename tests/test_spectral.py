@@ -300,6 +300,28 @@ _RAGGED = [
         lambda: rclt.variance_report(*_TWO, n_max="a"),
         lambda: rclt.l2_convergence_table(*_TWO, ["a"]),
         lambda: rclt.cauchy_quantity(_ATOM, 1.5, 3),
+        lambda: rclt.clt_test(*_TWO, n=10, m=True, seed=1),
+        lambda: rclt.clt_test(*_TWO, n=True, m=5, seed=1),
+        lambda: rclt.clt_test(*_TWO, n=0, m=5, seed=1),
+        lambda: rclt.clt_test(*_TWO, n=10, m=-3, seed=1),
+        lambda: rclt.sample_trajectory(*_TWO, True, 1),
+        lambda: rclt.moment(_ATOM, True),
+        lambda: rclt.decompose_trajectory(*_TWO, _PATH, horizon=True),
+        lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=-1),
+        lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=1.7),
+        lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=True),
+        lambda: rclt.clt_test(*_TWO, n=10, m=5, seed="3"),
+        lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=None),
+        lambda: rclt.sample_trajectory(*_TWO, 5, -1),
+        lambda: rclt.sample_trajectory(*_TWO, 5, 1.7),
+        lambda: rclt.sample_trajectory(*_TWO, 5, True),
+        lambda: rclt.sample_trajectory(*_TWO, 5, "3"),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=0, lambdas=[0.0], exhaustive=True),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[0.0], seed=1),
+        lambda: rclt.uniform_integrability_diagnostic(*_TWO, [5], epsilon_grid=[1.0], seed=1, m=0),
+        lambda: rclt.boundary_term(*_TWO, _PATH, k=4, n=3),
+        lambda: rclt.boundary_term(*_TWO, _PATH, k=0, n=7),
+        lambda: rclt.boundary_l2_norm(*_TWO, 3, 4),
         *_RAGGED,
     ],
     ids=[
@@ -336,6 +358,28 @@ _RAGGED = [
         "variance-report-n-max-text",
         "l2-table-horizon-text",
         "cauchy-n-float",
+        "clt-m-bool",
+        "clt-n-bool",
+        "clt-n-zero",
+        "clt-m-negative",
+        "sample-length-bool",
+        "moment-order-bool",
+        "decompose-horizon-bool",
+        "clt-seed-negative",
+        "clt-seed-float",
+        "clt-seed-bool",
+        "clt-seed-text",
+        "clt-seed-missing",
+        "sample-seed-negative",
+        "sample-seed-float",
+        "sample-seed-bool",
+        "sample-seed-text",
+        "maximal-exhaustive-n-zero",
+        "maximal-monte-carlo-without-m",
+        "ui-m-zero",
+        "boundary-term-k-above-n",
+        "boundary-term-n-above-length",
+        "boundary-l2-norm-k-above-n",
         "build-chain-ragged",
         "build-random-walk-ragged",
         "build-metropolis-ragged-proposal",
