@@ -13,6 +13,13 @@ Everything downstream works on three ingredients built here:
 Admission is forgiving (1e-9) because user matrices carry construction
 noise; the certified object is strict (1e-12) because the rest of the
 package turns second-moment identities into machine-precision assertions.
+
+Admission works in place: a builder converts its input into one private
+array and turns it into the certified kernel in that buffer, which the
+chain then keeps without a copy. Symmetric parts and asymmetry defects are
+taken by row stripes, so beyond its own kernel a build holds at most one
+more S×S array at a time, and every entry comes from the same float
+operations as the plain out-of-place formulas.
 """
 from __future__ import annotations
 
@@ -39,6 +46,8 @@ from .errors import (
 ADMISSION_TOL = 1e-9
 #: tolerance certified by a constructed ReversibleChain
 CERTIFIED_TOL = 1e-12
+#: row stripes of the in-place symmetric part and of the asymmetry defect
+_STRIPES = 8
 
 
 def _array(values, name: str, error: type = MalformedMatrix) -> np.ndarray:
@@ -55,9 +64,46 @@ def _array(values, name: str, error: type = MalformedMatrix) -> np.ndarray:
 
 
 def _frozen(a, name: str) -> np.ndarray:
+    """``a`` itself if it is a read-only float array, else a read-only float copy of it."""
+    if isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable:
+        return a
     out = _array(a, name, InvalidArgument)
     out.setflags(write=False)
     return out
+
+
+def _stripes(n: int):
+    """(first, end) rows of at most ``_STRIPES`` stripes covering n rows."""
+    rows = max(1, -(-n // _STRIPES))
+    return ((i, min(i + rows, n)) for i in range(0, n, rows))
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Overwrite the square ``a`` with ``0.5 * (a + a.T)``, a stripe of rows at a time.
+
+    Stripe I reads and writes only rows I and columns I from column (or row) I on,
+    which no earlier stripe wrote, so each entry is 0.5 * (a_ij + a_ji) of the input.
+    """
+    for i, j in _stripes(a.shape[0]):
+        half = a[i:j, i:] + a[i:, i:j].T
+        half *= 0.5
+        a[i:j, i:] = half
+        a[i:, i:j] = half.T
+    return a
+
+
+def _asymmetry(a: np.ndarray) -> float:
+    """max |a_ij - a_ji| over the square ``a``, a stripe of rows at a time (no S×S temporary)."""
+    defects = []
+    for i, j in _stripes(a.shape[0]):
+        d = a[i:j, i:] - a[i:, i:j].T
+        defects.append(np.max(np.abs(d, out=d)))
+    return float(np.max(defects))
+
+
+def _balance_defect(q: np.ndarray, pi: np.ndarray) -> float:
+    """Detailed-balance defect max |pi_i q_ij - pi_j q_ji|, with one S×S temporary (the flow)."""
+    return _asymmetry(pi[:, None] * q)
 
 
 def _numbers(kind: Callable, values, name: str, least: int | None = None) -> list:
@@ -65,15 +111,16 @@ def _numbers(kind: Callable, values, name: str, least: int | None = None) -> lis
 
     This is the one judge of every count, length, replica count and seed in the
     package. A float must be finite. Counts take integers only, as in a config
-    file, so neither 10.7, 10.0 nor True is a count. With ``least`` set, every
-    entry must also be at least ``least``.
+    file, so neither 10.7, 10.0 nor True is a count, and no boolean is a float.
+    With ``least`` set, every entry must also be at least ``least``.
     """
     try:
         pairs = [(kind(v), v) for v in values]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgument(f"{name} must be numeric, got {values!r}") from exc
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) if kind is int
-               else math.isfinite(x) for x, v in pairs):
+    if not all(not isinstance(v, (bool, np.bool_)) and
+               (isinstance(v, (int, np.integer)) if kind is int else math.isfinite(x))
+               for x, v in pairs):
         raise InvalidArgument(f"{name} must hold finite {kind.__name__} values, got {values!r}")
     out = [x for x, _ in pairs]
     if least is not None and min(out, default=least) < least:
@@ -110,8 +157,7 @@ class ReversibleChain:
             raise NotStochastic(f"certified row sums off by {row_err:.3e}")
         if np.any(pi <= 0.0) or abs(pi.sum() - 1.0) > CERTIFIED_TOL:
             raise NotIrreducible("stationary vector not strictly positive and normalized")
-        flow = pi[:, None] * q
-        db_err = np.max(np.abs(flow - flow.T))
+        db_err = _balance_defect(q, pi)
         if db_err > CERTIFIED_TOL:
             raise NotReversible(f"certified detailed balance off by {db_err:.3e}")
         inv_err = np.max(np.abs(pi @ q - pi))
@@ -130,15 +176,15 @@ class ReversibleChain:
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (eigenvalues, orthonormal eigenvectors) of D^{1/2} Q D^{-1/2}, solved once."""
         d_sqrt = np.sqrt(self.stationary)
-        sym = d_sqrt[:, None] * self.kernel / d_sqrt[None, :]
-        lam, phi = np.linalg.eigh(0.5 * (sym + sym.T))
+        sym = d_sqrt[:, None] * self.kernel
+        sym /= d_sqrt[None, :]
+        lam, phi = np.linalg.eigh(_symmetrize(sym))
         lam.setflags(write=False)
         phi.setflags(write=False)
         return lam, phi
 
     def detailed_balance_residual(self) -> float:
-        flow = self.stationary[:, None] * self.kernel
-        return float(np.max(np.abs(flow - flow.T)))
+        return _balance_defect(self.kernel, self.stationary)
 
 
 @dataclass(frozen=True)
@@ -205,7 +251,8 @@ def _solve_stationary(q: np.ndarray) -> np.ndarray:
     which is the standard well-conditioned route for irreducible kernels.
     """
     n = q.shape[0]
-    a = np.eye(n) - q.T
+    a = np.eye(n)
+    a -= q.T
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -223,13 +270,15 @@ def _certify(q: np.ndarray, pi: np.ndarray) -> ReversibleChain:
 
     Symmetrizing the flow matrix pi_i Q_ij moves the kernel by at most the
     admitted detailed-balance defect and makes the certified 1e-12
-    invariants hold by construction.
+    invariants hold by construction. The builder's private ``q`` becomes
+    the certified kernel in place, and the chain keeps it without a copy.
     """
-    flow = pi[:, None] * q
-    flow = 0.5 * (flow + flow.T)
-    q_rev = flow / pi[:, None]
-    q_rev /= q_rev.sum(axis=1, keepdims=True)
-    return ReversibleChain(kernel=q_rev, stationary=pi)
+    q *= pi[:, None]
+    _symmetrize(q)
+    q /= pi[:, None]
+    q /= q.sum(axis=1, keepdims=True)
+    q.setflags(write=False)
+    return ReversibleChain(kernel=q, stationary=pi)
 
 
 def build_chain(kernel) -> ReversibleChain:
@@ -248,13 +297,12 @@ def build_chain(kernel) -> ReversibleChain:
     row_err = np.max(np.abs(q.sum(axis=1) - 1.0))
     if row_err > ADMISSION_TOL:
         raise NotStochastic(f"row sums off by {row_err:.3e} (tolerance {ADMISSION_TOL})")
-    q = np.clip(q, 0.0, None)
+    np.clip(q, 0.0, None, out=q)
     q /= q.sum(axis=1, keepdims=True)
     if not _strongly_connected(q > 0.0):
         raise NotIrreducible("support graph of the kernel is not strongly connected")
     pi = _solve_stationary(q)
-    flow = pi[:, None] * q
-    db_err = np.max(np.abs(flow - flow.T))
+    db_err = _balance_defect(q, pi)
     if db_err > ADMISSION_TOL:
         raise NotReversible(f"detailed balance off by {db_err:.3e} (tolerance {ADMISSION_TOL})")
     return _certify(q, pi)
@@ -273,17 +321,17 @@ def build_random_walk(weights) -> ReversibleChain:
         raise MalformedMatrix(f"weights must be square, got shape {w.shape}")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise NegativeWeight("weights must be finite and nonnegative")
-    if np.max(np.abs(w - w.T)) > ADMISSION_TOL:
+    if _asymmetry(w) > ADMISSION_TOL:
         raise MalformedMatrix("weights must be symmetric")
-    w = 0.5 * (w + w.T)
+    _symmetrize(w)
     degree = w.sum(axis=1)
     if np.any(degree <= 0.0):
         raise Disconnected("a vertex has zero total weight")
     if not _strongly_connected(w > 0.0):
         raise Disconnected("support graph of the weights is not connected")
-    q = w / degree[:, None]
+    w /= degree[:, None]
     pi = degree / degree.sum()
-    return _certify(q, pi)
+    return _certify(w, pi)
 
 
 def build_metropolis(target, proposal) -> ReversibleChain:
@@ -303,12 +351,13 @@ def build_metropolis(target, proposal) -> ReversibleChain:
     n = p.shape[0]
     if prop.shape != (n, n):
         raise MalformedMatrix(f"proposal shape {prop.shape} does not match target size {n}")
-    if np.max(np.abs(prop - prop.T)) > ADMISSION_TOL:
+    if _asymmetry(prop) > ADMISSION_TOL:
         raise MalformedMatrix("proposal must be symmetric")
     if np.max(np.abs(prop.sum(axis=1) - 1.0)) > ADMISSION_TOL or np.any(prop < 0.0):
         raise NotStochastic("proposal must be row-stochastic")
-    accept = np.minimum(1.0, p[None, :] / p[:, None])
-    q = prop * accept
+    accept = p[None, :] / p[:, None]
+    q = np.multiply(prop, np.minimum(1.0, accept, out=accept), out=prop)
+    del accept
     np.fill_diagonal(q, 0.0)
     # proposal rows are admitted to 1e-9, so rounding may leave a full row a hair above 1
     np.fill_diagonal(q, np.maximum(1.0 - q.sum(axis=1), 0.0))

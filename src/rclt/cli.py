@@ -29,15 +29,18 @@ Each input reaches the run through one checking step. ``_read_json`` is the
 only place a file becomes a value: an unreadable path, bytes that are not
 UTF-8 JSON, nesting too deep to parse or a top-level value of the wrong JSON
 type is a config error. ``load_config`` checks the config's structure (string
-paths, a command list, a params object per command, typed params), and the
-``rclt.chain`` builders convert the chain file's matrix and target. A single
-subcommand run narrows the config to that subcommand before anything reads
-it, so its manifest hashes the commands it ran.
+paths, a command list, a params object per command, typed params), then the
+chain file's ``kind``, ``matrix`` and ``target`` keys, and last converts the
+matrix and target to float arrays (``MalformedMatrix`` for a ragged or
+non-numeric one), so the parsed lists are freed before the chain is admitted.
+A single subcommand run narrows the config to that subcommand before
+anything reads it, so its manifest hashes the commands it ran.
 
 Exit codes: 0 success, 2 config or argument error, 3 numerical error
 (including a ragged or non-numeric chain matrix), 4 statistical acceptance
-failure. ``validate`` makes ``run``'s setup (chain, observable, the sigma^2 of
-``clt`` and ``fclt``) and exits with the code ``run`` would give for it.
+failure. ``validate`` makes ``run``'s setup (chain, observable and the reader
+of each check command, unstepped) and exits with the code ``run`` would give
+for it.
 """
 from __future__ import annotations
 
@@ -58,6 +61,7 @@ from . import __version__
 from .chain import (
     Observable,
     ReversibleChain,
+    _array,
     build_chain,
     build_metropolis,
     build_random_walk,
@@ -68,7 +72,7 @@ from .chain import (
 from .decomposition import decompose_trajectory
 from .errors import ConfigError, NumericalError, RcltError, StatisticalFailure
 from .limits import (
-    _sigma2_or_raise,
+    build_readers,
     clt_test,
     fclt_profile,
     maximal_inequality_check,
@@ -110,6 +114,7 @@ class ExperimentConfig:
     """Loaded and validated experiment description."""
 
     chain_spec: Path
+    #: the chain file's content, its ``matrix`` (and ``target``) as float arrays
     chain_definition: dict
     chain_sha256: str
     observable: list[float] | None
@@ -263,6 +268,9 @@ def load_config(
         raise ConfigError("master_seed is required when a Monte Carlo subcommand is requested")
 
     output_dir = out_override if out_override is not None else raw.get("output_dir", "out")
+    output_dir = _path(base, output_dir, "output_dir")
+    for key in _definition_inputs(chain_definition)[1]:  # frees each parsed list for its array
+        chain_definition[key] = _array(chain_definition[key], f"chain {key!r}")
     return ExperimentConfig(
         chain_spec=chain_path,
         chain_definition=chain_definition,
@@ -270,28 +278,37 @@ def load_config(
         observable=observable,
         commands=commands,
         master_seed=master_seed,
-        output_dir=_path(base, output_dir, "output_dir"),
+        output_dir=output_dir,
     )
+
+
+def _definition_inputs(definition: dict) -> tuple[Callable, list[str]]:
+    """The builder of a chain definition and the keys of its arguments, in order.
+
+    A missing or unknown ``kind``, a missing ``matrix`` and a Metropolis chain
+    without ``target`` are config errors.
+    """
+    kind = definition.get("kind")
+    if kind not in ("kernel", "random_walk", "metropolis"):
+        raise ConfigError(f"chain 'kind' must be kernel|random_walk|metropolis, got {kind!r}")
+    if definition.get("matrix") is None:
+        raise ConfigError("chain definition is missing 'matrix'")
+    if kind != "metropolis":
+        return (build_chain if kind == "kernel" else build_random_walk), ["matrix"]
+    if definition.get("target") is None:
+        raise ConfigError("metropolis chain definition is missing 'target'")
+    return build_metropolis, ["target", "matrix"]
 
 
 def build_chain_from_definition(definition: dict) -> ReversibleChain:
     """Instantiate a chain from the fixed-schema definition dictionary.
 
-    The builders convert ``matrix`` and ``target`` themselves, so a ragged or
-    non-numeric one raises MalformedMatrix, a numerical error.
+    ``matrix`` and ``target`` may be lists or arrays (``load_config`` leaves
+    arrays); the builders convert them, so a ragged or non-numeric one raises
+    MalformedMatrix, a numerical error.
     """
-    kind = definition.get("kind")
-    matrix = definition.get("matrix")
-    if kind not in ("kernel", "random_walk", "metropolis"):
-        raise ConfigError(f"chain 'kind' must be kernel|random_walk|metropolis, got {kind!r}")
-    if matrix is None:
-        raise ConfigError("chain definition is missing 'matrix'")
-    if kind != "metropolis":
-        return (build_chain if kind == "kernel" else build_random_walk)(matrix)
-    target = definition.get("target")
-    if target is None:
-        raise ConfigError("metropolis chain definition is missing 'target'")
-    return build_metropolis(target, matrix)
+    builder, keys = _definition_inputs(definition)
+    return builder(*(definition[key] for key in keys))
 
 
 def _centered_observable(config: ExperimentConfig, chain: ReversibleChain):
@@ -325,14 +342,18 @@ def save_chain_definition(path, chain: ReversibleChain, observable=None) -> None
 def validate(config: ExperimentConfig) -> list[str]:
     """``run``'s setup without the run: the centering note, if any, else what ``run`` raises.
 
-    Builds the chain and centers the observable as ``run`` does and, when ``clt``
-    or ``fclt`` is listed, rejects a degenerate sigma^2 as those checks do. It
-    raises the error ``run`` would, so ``main`` gives both the same exit code.
+    Builds the chain and centers the observable as ``run`` does, then builds the
+    reader of every check command (``clt``, ``fclt``, ``maximal``,
+    ``ui-diagnostic``) without stepping it, so their parameters and sigma^2 are
+    judged as in ``run``. It raises the error ``run`` would, so ``main`` gives
+    both the same exit code.
     """
     chain = build_chain_from_definition(config.chain_definition)
     f, note = _centered_observable(config, chain)
-    if any(name in ("clt", "fclt") for name, _ in config.commands):
-        _sigma2_or_raise(chain, f)
+    checks = [(_COMMANDS[name].check, p) for name, p in config.commands if _COMMANDS[name].check]
+    error = build_readers(chain, f, config.master_seed, checks)[1]
+    if error is not None:
+        raise error
     return [note] if note else []
 
 

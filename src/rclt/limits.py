@@ -153,6 +153,24 @@ def _sigma2_or_raise(chain: ReversibleChain, f: Observable) -> float:
 # --- one pass, many readers ---------------------------------------------------
 
 
+def build_readers(
+    chain: ReversibleChain, f: Observable, seed: int, checks: list[tuple[Callable, dict]]
+) -> tuple[list, Exception | None]:
+    """The readers of ``checks``, unstepped, and the error that stopped building them, or None.
+
+    The centering of f is checked first, then each reader is built in order,
+    which validates its check's arguments; the first error ends the list.
+    """
+    readers, error = [], None
+    try:
+        require_centered(chain, f)
+        for check, params in checks:
+            readers.append(_READERS[check](chain, f, seed=seed, **params))
+    except Exception as exc:  # the caller raises it at that check's turn
+        error = exc
+    return readers, error
+
+
 def run_checks(
     chain: ReversibleChain, f: Observable, seed: int, checks: list[tuple[Callable, dict]]
 ) -> tuple[list[LimitReport], Exception | None]:
@@ -170,13 +188,7 @@ def run_checks(
     those before it are simulated: the result is their reports and that
     error, else every report and None.
     """
-    readers, error = [], None
-    try:
-        require_centered(chain, f)
-        for check, params in checks:
-            readers.append(_READERS[check](chain, f, seed=seed, **params))
-    except Exception as exc:  # the caller raises it at that check's turn
-        error = exc
+    readers, error = build_readers(chain, f, seed, checks)
     stepped = [r for r in readers if r.m is not None]
     if stepped:
         n, m = max(r.n for r in stepped), max(r.m for r in stepped)

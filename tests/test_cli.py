@@ -414,6 +414,8 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         ({"kind": "metropolis", "matrix": TWO_STATE["matrix"], "observable": [1, -1]}, "spectrum", {}),
         ({"kind": "kernel", "matrix": TWO_STATE["matrix"]}, "spectrum", {}),
         (FLIP, {"command": "clt", "params": {"n": 10, "m": 10}}, {}),
+        (TWO_STATE, {"command": "clt", "params": {"n": 0, "m": 10}}, {}),
+        (TWO_STATE, {"command": "ui-diagnostic", "params": {"m": 0}}, {}),
     ],
     ids=[
         "non-reversible",
@@ -423,6 +425,8 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         "missing-target",
         "no-observable",
         "degenerate-clt",
+        "clt-n-zero",
+        "ui-diagnostic-m-zero",
     ],
 )
 def test_validate_exits_like_run(tmp_path, capsys, chain, command, extra) -> None:

@@ -322,6 +322,9 @@ _RAGGED = [
         lambda: rclt.boundary_term(*_TWO, _PATH, k=4, n=3),
         lambda: rclt.boundary_term(*_TWO, _PATH, k=0, n=7),
         lambda: rclt.boundary_l2_norm(*_TWO, 3, 4),
+        lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=1, ks_threshold=True),
+        lambda: rclt.fclt_profile(*_TWO, n=10, m=5, grid=[True], seed=1),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[False], exhaustive=True),
         *_RAGGED,
     ],
     ids=[
@@ -380,6 +383,9 @@ _RAGGED = [
         "boundary-term-k-above-n",
         "boundary-term-n-above-length",
         "boundary-l2-norm-k-above-n",
+        "clt-ks-threshold-bool",
+        "fclt-grid-bool",
+        "maximal-lambdas-bool-exhaustive",
         "build-chain-ragged",
         "build-random-walk-ragged",
         "build-metropolis-ragged-proposal",
