@@ -150,12 +150,14 @@ class ReversibleChain:
         n = q.shape[0]
         if q.shape != (n, n) or pi.shape != (n,):
             raise NotStochastic(f"kernel/stationary shapes mismatch: {q.shape}, {pi.shape}")
-        if np.any(q < 0.0):
-            raise NotStochastic("kernel has negative entries")
+        if n == 0:
+            raise MalformedMatrix("kernel has no states")
+        if not np.all(np.isfinite(q)) or np.any(q < 0.0):
+            raise NotStochastic("kernel entries must be finite and nonnegative")
         row_err = np.max(np.abs(q.sum(axis=1) - 1.0))
         if row_err > CERTIFIED_TOL:
             raise NotStochastic(f"certified row sums off by {row_err:.3e}")
-        if np.any(pi <= 0.0) or abs(pi.sum() - 1.0) > CERTIFIED_TOL:
+        if not (np.all(pi > 0.0) and abs(pi.sum() - 1.0) <= CERTIFIED_TOL):
             raise NotIrreducible("stationary vector not strictly positive and normalized")
         db_err = _balance_defect(q, pi)
         if db_err > CERTIFIED_TOL:
@@ -284,7 +286,7 @@ def _certify(q: np.ndarray, pi: np.ndarray) -> ReversibleChain:
 def build_chain(kernel) -> ReversibleChain:
     """Admit an explicit row-stochastic kernel as a reversible chain.
 
-    Raises MalformedMatrix when ``kernel`` is ragged or not numeric, and
+    Raises MalformedMatrix when ``kernel`` is ragged, not numeric or empty, and
     NotStochastic / NotIrreducible / NotReversible when the matrix is not a
     kernel, has a non-unique stationary law, or breaks detailed balance
     beyond 1e-9.
@@ -292,6 +294,8 @@ def build_chain(kernel) -> ReversibleChain:
     q = _array(kernel, "kernel")
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise NotStochastic(f"kernel must be square, got shape {q.shape}")
+    if q.size == 0:
+        raise MalformedMatrix("kernel has no states")
     if not np.all(np.isfinite(q)) or np.any(q < -ADMISSION_TOL):
         raise NotStochastic("kernel entries must be finite and nonnegative")
     row_err = np.max(np.abs(q.sum(axis=1) - 1.0))
@@ -314,11 +318,11 @@ def build_random_walk(weights) -> ReversibleChain:
     Q_ij is the weight of edge (i, j) normalized by the total weight at i,
     and the stationary law is proportional to vertex weight; detailed
     balance holds by construction. Raises MalformedMatrix when ``weights`` is
-    ragged, not numeric, not square or not symmetric.
+    ragged, not numeric, not square, empty or not symmetric.
     """
     w = _array(weights, "weights")
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise MalformedMatrix(f"weights must be square, got shape {w.shape}")
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
+        raise MalformedMatrix(f"weights must be square with a state, got shape {w.shape}")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise NegativeWeight("weights must be finite and nonnegative")
     if _asymmetry(w) > ADMISSION_TOL:
@@ -339,12 +343,13 @@ def build_metropolis(target, proposal) -> ReversibleChain:
 
     Off-diagonal moves are accepted with probability min(1, target_j /
     target_i); rejected mass sits on the diagonal. Raises MalformedMatrix when
-    ``target`` or ``proposal`` is ragged or not numeric, or their shapes disagree.
+    ``target`` or ``proposal`` is ragged or not numeric, ``target`` is empty, or
+    their shapes disagree.
     """
     p = _array(target, "target")
     prop = _array(proposal, "proposal")
-    if p.ndim != 1:
-        raise MalformedMatrix(f"target must be a vector, got shape {p.shape}")
+    if p.ndim != 1 or p.size == 0:
+        raise MalformedMatrix(f"target must be a vector with a state, got shape {p.shape}")
     if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
         raise ZeroTargetMass("target must be strictly positive on every state")
     p = p / p.sum()

@@ -38,9 +38,9 @@ anything reads it, so its manifest hashes the commands it ran.
 
 Exit codes: 0 success, 2 config or argument error, 3 numerical error
 (including a ragged or non-numeric chain matrix), 4 statistical acceptance
-failure. ``validate`` makes ``run``'s setup (chain, observable and the reader
-of each check command, unstepped) and exits with the code ``run`` would give
-for it.
+failure. ``validate`` makes ``run``'s setup (chain, observable, the reader
+of each check command, unstepped, and the checked arguments of every other
+command) and exits with the code ``run`` would give for it.
 """
 from __future__ import annotations
 
@@ -62,6 +62,7 @@ from .chain import (
     Observable,
     ReversibleChain,
     _array,
+    _numbers,
     build_chain,
     build_metropolis,
     build_random_walk,
@@ -69,7 +70,7 @@ from .chain import (
     project_mean_zero,
     sample_trajectory,
 )
-from .decomposition import decompose_trajectory
+from .decomposition import _decompose_horizon, decompose_trajectory
 from .errors import ConfigError, NumericalError, RcltError, StatisticalFailure
 from .limits import (
     build_readers,
@@ -344,14 +345,21 @@ def validate(config: ExperimentConfig) -> list[str]:
 
     Builds the chain and centers the observable as ``run`` does, then builds the
     reader of every check command (``clt``, ``fclt``, ``maximal``,
-    ``ui-diagnostic``) without stepping it, so their parameters and sigma^2 are
-    judged as in ``run``. It raises the error ``run`` would, so ``main`` gives
-    both the same exit code.
+    ``ui-diagnostic``) without stepping it and checks the arguments of every
+    other command (``variance``, ``decompose``) without computing it, so every
+    command's parameters, and sigma^2, are judged as in ``run``. It raises the
+    error ``run`` would meet first, so ``main`` gives both the same exit code.
     """
     chain = build_chain_from_definition(config.chain_definition)
     f, note = _centered_observable(config, chain)
-    checks = [(_COMMANDS[name].check, p) for name, p in config.commands if _COMMANDS[name].check]
-    error = build_readers(chain, f, config.master_seed, checks)[1]
+    commands = config.commands
+    indices = [i for i, (name, _) in enumerate(commands) if _COMMANDS[name].check]
+    checks = [(_COMMANDS[commands[i][0]].check, commands[i][1]) for i in indices]
+    readers, error = build_readers(chain, f, config.master_seed, checks)
+    first_error = len(commands) if error is None else indices[len(readers)]
+    for name, params in commands[:first_error]:
+        if _COMMANDS[name].arguments:
+            _COMMANDS[name].arguments(params)
     if error is not None:
         raise error
     return [note] if note else []
@@ -381,7 +389,9 @@ class _Command:
 
     A command has either a ``call`` or a ``check``, never both.
     ``call(config, chain, f, params)`` gives the result, looking library functions
-    up in this module's globals at run time. ``check`` is the ``rclt.limits`` check
+    up in this module's globals at run time. ``arguments(params)``, if set, raises
+    the library's error for params the call would reject, before the call and
+    under ``validate``. ``check`` is the ``rclt.limits`` check
     whose report ``run`` takes from the run's one ``run_checks`` pass, which alone
     decides what that pass steps. ``payload`` turns the result into the JSON report
     body and ``csv``, if set, into CSV columns.
@@ -389,6 +399,7 @@ class _Command:
 
     payload: Callable
     call: Callable | None = None
+    arguments: Callable | None = None
     csv: Callable | None = None
     check: Callable | None = None
 
@@ -398,6 +409,11 @@ def _decompose(config, chain, f, params):
     seed = derive_seed(config.master_seed, params["seed_index"])
     traj = sample_trajectory(chain, f, params["length"], seed)
     return traj, decompose_trajectory(chain, f, traj, params["horizon"])
+
+
+def _decompose_arguments(params) -> None:
+    _numbers(int, [params["seed_index"]], "seed_index", least=0)
+    _decompose_horizon(params["length"], params["horizon"])
 
 
 def _with_verdict(report) -> dict:
@@ -411,6 +427,7 @@ _COMMANDS = {
     ),
     "variance": _Command(
         call=lambda _, chain, f, p: (spectral_measure(chain, f), variance_report(chain, f, **p)),
+        arguments=lambda p: _numbers(int, [p["n_max"]], "n_max", least=1),
         payload=lambda result: {"atoms": result[0].atoms(), **result[1].to_dict()},
         csv=lambda result: {
             "n": range(1, len(result[1].var_over_n) + 1),
@@ -419,6 +436,7 @@ _COMMANDS = {
     ),
     "decompose": _Command(
         call=_decompose,
+        arguments=_decompose_arguments,
         payload=lambda result: {
             "length": result[0].length,
             "horizon": result[1].horizon,
@@ -474,6 +492,8 @@ def _run_command(name, config, chain, f, params, outdir, stem, result=None) -> l
     """Run one subcommand, or take its shared-pass ``result``, write its reports and judge them."""
     command = _COMMANDS[name]
     if result is None:
+        if command.arguments:
+            command.arguments(params)
         result = command.call(config, chain, f, params)
     elif isinstance(result, Exception):
         raise result

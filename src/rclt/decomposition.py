@@ -29,7 +29,11 @@ Two layers of objects are computed for a trajectory xi_0..xi_N:
 
 ``decompose_trajectory`` returns every per-position term as an array indexed
 by time (the forward increment at k is ``terms.forward_finite[k]``, and so on)
-and builds the O(horizon * S^2) per-state vectors once per path.
+and builds the per-state vectors once per path. Those vectors are spectral
+functions of the kernel applied to f, so they are read off the chain's
+cached eigensystem in O(S^2) float64 work whatever the horizon; because of
+that, the kernel itself checks them (``Q phi`` against the eigenbasis
+prediction) before a path is decomposed.
 ``boundary_term``, the absolute-horizon drift, is the one per-position function.
 
 Every expectation exposed here (martingale certificates, second moments,
@@ -45,10 +49,51 @@ import numpy as np
 from ._numeric import exact_cumsum, two_sum
 from .chain import Observable, ReversibleChain, Trajectory, _numbers, require_centered
 from .errors import InvalidArgument, NumericalError
-from .spectral import SpectralMeasure, poisson_solve, spectral_measure
+from .spectral import SpectralMeasure, _checked_eigensystem, poisson_solve, spectral_measure
 
 #: residual level certified for both decomposition identities
 IDENTITY_TOL = 1e-12
+
+
+def _horizon_weights(lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral weights (c, b) of the Cesaro vector and the drift at horizon n.
+
+    c(t) = sum_{j<n} (1 - j/n) t^j and b(t) = (1/n) sum_{j=1}^{n} t^j, so that
+    (1 - t) c(t) = 1 - b(t). With x = 1 - t, far from t = 1 (n x >= 1)
+    b = t (1 - t^n) / (n x), with 1 - t^n taken through expm1 and log1p
+    where t^n may be near 1, and c = (1 - b) / x. Near t = 1 that quotient
+    cancels, so c is summed from its exact expansion
+    (1/n) sum_k C(n+1, k+2) (t - 1)^k, whose terms shrink by a factor
+    n x / 3 < 1/3 or better, until they fall below rounding; there
+    b = 1 - x c. The split at n x = 1 balances the rounding of the two
+    forms, which stay within 5e-16 relative of the exact values, and
+    c(1) = (n + 1) / 2, b(1) = 1.
+    """
+    x = 1.0 - lam
+    c = np.empty_like(lam)
+    b = np.empty_like(lam)
+    far = n * x >= 1.0
+    t, xf = lam[far], x[far]
+    rest = 1.0 - t**n
+    # where |t| > 1/2, |t|^n - 1 = expm1(n log1p(-(1 - |t|))) keeps 1 - t^n accurate
+    big = np.abs(t) > 0.5
+    pw = np.expm1(n * np.log1p(np.abs(t[big]) - 1.0))
+    rest[big] = -pw if n % 2 == 0 else np.where(t[big] > 0.0, -pw, 2.0 + pw)
+    b[far] = t * rest / (n * xf)
+    c[far] = (1.0 - b[far]) / xf
+
+    near = ~far
+    y = -x[near]
+    term = np.full(y.shape, (n + 1) / 2.0)
+    total = term.copy()
+    for k in range(n - 1):
+        term *= (n - k - 1) / (k + 3) * y
+        total += term
+        if np.all(np.abs(term) <= np.finfo(float).eps * np.abs(total)):
+            break
+    c[near] = total
+    b[near] = 1.0 - x[near] * total
+    return c, b
 
 
 def _horizon_vectors(chain: ReversibleChain, f: Observable, n: int):
@@ -57,23 +102,36 @@ def _horizon_vectors(chain: ReversibleChain, f: Observable, n: int):
     phi  = f + sum_{j=1}^{n-1} (1 - j/n) Q^j f   (Cesaro prediction vector)
     beta = (1/n) sum_{j=1}^{n} Q^j f             (averaged n-step drift)
 
-    Accumulated in 80-bit long double where the platform has it, the one
-    place the package still leans on extended precision, so the stored
-    doubles are accurate to ~1 ulp regardless of the horizon.
+    Both are functions of Q applied to f, so they are evaluated in the
+    chain's cached eigenbasis: with d = sqrt(pi) and a = U^T (d f),
+    phi = U (c a) / d and beta = U (b a) / d for the weights of
+    ``_horizon_weights``, and Q phi = phi - U ((1 - b) a) / d, since
+    (1 - t) c = 1 - b. Taking Q phi as phi minus that O(|f|) step, rather
+    than as U (t c a) / d, leaves the pair identity one rounding of phi
+    away from exact even when phi is large (it grows like min(n, 1 / gap)).
+    After the one cached eigensolve this is O(S^2) in plain float64,
+    whatever the horizon. The coefficient at eigenvalue 1 is kept: it only
+    adds a constant to phi and Q phi, which cancels in every increment.
     """
     n = _numbers(int, [n], "horizon", least=1)[0]
-    ld = np.longdouble
-    q = chain.kernel.astype(ld)
-    v = f.values.astype(ld)
-    phi = v.copy()
-    drift = np.zeros_like(v)
-    for j in range(1, n + 1):
-        v = q @ v
-        if j <= n - 1:
-            phi += (1.0 - ld(j) / ld(n)) * v
-        drift += v
-    pred = q @ phi
-    return phi.astype(float), pred.astype(float), (drift / ld(n)).astype(float)
+    lam, u = _checked_eigensystem(chain)
+    d = np.sqrt(chain.stationary)
+    a = (d * f.values) @ u
+    c, b = _horizon_weights(lam, n)
+    phi, step, drift = (u @ np.stack([c * a, (1.0 - b) * a, b * a], axis=1) / d[:, None]).T
+    return phi, phi - step, drift
+
+
+def _decompose_horizon(length: int, horizon: int | None) -> int:
+    """The lookahead horizon of a decomposed path of ``length`` steps, checked.
+
+    The path needs at least two steps, and the horizon, a positive count,
+    defaults to the length. ``decompose_trajectory`` and the command line
+    judge their arguments here.
+    """
+    if length < 2:
+        raise InvalidArgument(f"trajectory must have length >= 2, got {length}")
+    return length if horizon is None else _numbers(int, [horizon], "horizon", least=1)[0]
 
 
 def resolvent_pair(chain: ReversibleChain, f: Observable):
@@ -142,7 +200,9 @@ def martingale_certificate(
     pair (x, y). The same number certifies the forward increments
     (conditioning on the previous state) and the reversed ones
     (conditioning on the next state), because reversibility routes both
-    conditionals through the same kernel.
+    conditionals through the same kernel. With a horizon, the prediction
+    comes from the eigenbasis, so this is the kernel-versus-eigensystem
+    defect that ``decompose_trajectory`` gates.
     """
     if horizon is None:
         _, w = resolvent_pair(chain, f)
@@ -230,16 +290,23 @@ def decompose_trajectory(
     """Fill every decomposition sequence and certify both identities.
 
     The lookahead horizon of the finite-horizon terms defaults to the
-    trajectory length. Raises if either identity residual exceeds 1e-12,
-    which would mean the arithmetic (not the statistics) went wrong.
+    trajectory length. Raises NumericalError if the kernel applied to phi
+    misses the eigenbasis prediction by more than 1e-12 * max(1, max|phi|)
+    (phi grows like min(n, 1 / gap)), or if either identity residual
+    exceeds 1e-12, which would mean the arithmetic (not the statistics)
+    went wrong.
     """
     require_centered(chain, f)
     n_len = traj.length
-    if n_len < 2:
-        raise InvalidArgument(f"trajectory must have length >= 2, got {n_len}")
-    n_hor = n_len if horizon is None else _numbers(int, [horizon], "horizon", least=1)[0]
+    n_hor = _decompose_horizon(n_len, horizon)
 
     phi, pred, drift = _horizon_vectors(chain, f, n_hor)
+    defect = float(np.max(np.abs(chain.kernel @ phi - pred)))
+    scale = max(1.0, float(np.max(np.abs(phi))))
+    if not defect <= IDENTITY_TOL * scale:
+        raise NumericalError(
+            f"horizon vectors miss the kernel by {defect:.3e}, above {IDENTITY_TOL} * {scale:.3g}"
+        )
     _, w = resolvent_pair(chain, f)
     s = traj.states
     x = traj.observables

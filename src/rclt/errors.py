@@ -68,7 +68,7 @@ class ZeroTargetMass(NumericalError):
 
 
 class MalformedMatrix(NumericalError, ValueError):
-    """A weight or proposal matrix is not square, mis-sized or not symmetric."""
+    """A chain's matrix is ragged, not numeric, not square, mis-sized, empty or not symmetric."""
 
 
 # --- spectral engine -------------------------------------------------------

@@ -74,9 +74,12 @@ class SpectralMeasure:
         return [(float(l), float(w)) for l, w in zip(self.lambdas, self.weights)]
 
 
-def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
-    """Project f onto the chain's eigenbasis of the symmetrized kernel."""
-    require_centered(chain, f)
+def _checked_eigensystem(chain: ReversibleChain) -> tuple[np.ndarray, np.ndarray]:
+    """The chain's cached (eigenvalues clipped to [-1, 1], orthonormal eigenvectors).
+
+    Raises EigenFailure when the eigensolver fails or an eigenvalue escapes
+    [-1, 1] by more than ``CLAMP_TOL``.
+    """
     try:
         lam, phi = chain._eigensystem
     except np.linalg.LinAlgError as exc:
@@ -84,8 +87,13 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
     excess = max(0.0, float(lam.max()) - 1.0, -1.0 - float(lam.min()))
     if excess > CLAMP_TOL:
         raise EigenFailure(f"eigenvalue escaped [-1, 1] by {excess:.3e}")
-    lam = np.clip(lam, -1.0, 1.0)
+    return np.clip(lam, -1.0, 1.0), phi
 
+
+def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
+    """Project f onto the chain's eigenbasis of the symmetrized kernel."""
+    require_centered(chain, f)
+    lam, phi = _checked_eigensystem(chain)
     coef = (np.sqrt(chain.stationary) * f.values) @ phi
     weights = coef * coef
 

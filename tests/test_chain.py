@@ -40,6 +40,28 @@ def test_build_chain_bad_rows() -> None:
         rclt.build_chain([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
 
 
+def test_direct_construction_rejects_a_nan_kernel() -> None:
+    # every certified check is a comparison, which NaN would pass
+    with pytest.raises(rclt.NotStochastic):
+        rclt.ReversibleChain(kernel=np.full((2, 2), np.nan), stationary=[0.5, 0.5])
+    with pytest.raises(rclt.NotIrreducible):
+        rclt.ReversibleChain(kernel=[[0.5, 0.5], [0.5, 0.5]], stationary=[np.nan, np.nan])
+
+
+@pytest.mark.parametrize(
+    ("builder", "args"),
+    [
+        (rclt.build_chain, (np.zeros((0, 0)),)),
+        (rclt.build_random_walk, (np.zeros((0, 0)),)),
+        (rclt.build_metropolis, (np.zeros(0), np.zeros((0, 0)))),
+    ],
+    ids=["kernel", "random_walk", "metropolis"],
+)
+def test_builders_reject_a_chain_without_states(builder, args) -> None:
+    with pytest.raises(rclt.MalformedMatrix):
+        builder(*args)
+
+
 def test_random_walk_complete_graph() -> None:
     chain = rclt.build_random_walk(1.0 - np.eye(3))
     np.testing.assert_allclose(chain.kernel, [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]], atol=1e-15)

@@ -148,8 +148,8 @@ def test_chain_definition_round_trip(tmp_path) -> None:
 REPORT_DIGESTS = {
     "clt.csv": "8c1e166bc81c2783bd545637076d28f6ccb37cd782c737585ee85dc088035bcb",
     "clt.json": "3d467a0c51e52dae496fe7ade2ecbee1eb61146a5e068535299fe87fdf3f9868",
-    "decompose.csv": "040428437b184bbaec9d81540bc4c204867423dbb0289172fe0fb11fdb5ccccd",
-    "decompose.json": "20569dde3f2d54dbad000b004284162f1502b39fac32f609be234029d5b46495",
+    "decompose.csv": "756c567907f58442473b0008fe51a22932f555309d93c992fbcf681274cd84b9",
+    "decompose.json": "cd3e08caddd6471aa1e01ad4d0c446e7bc8cedf26b8dab0f12bda3d2c4d0b45c",
     "fclt.json": "946a16d0a4e9f9938e83d2c0e44e68055352d8f5cea4b056d9c49cee854d0045",
     "maximal.json": "8897aa399055836f3088dbb48924c915c00362278f0da938429c84801405fe55",
     "spectrum.json": "2a9b492dd83eb823e273651e1563a8c7c93b4e0a7eaa42760e0068c15f0ca6b5",
@@ -416,6 +416,10 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         (FLIP, {"command": "clt", "params": {"n": 10, "m": 10}}, {}),
         (TWO_STATE, {"command": "clt", "params": {"n": 0, "m": 10}}, {}),
         (TWO_STATE, {"command": "ui-diagnostic", "params": {"m": 0}}, {}),
+        (TWO_STATE, {"command": "variance", "params": {"n_max": 0}}, {}),
+        (TWO_STATE, {"command": "decompose", "params": {"length": 1}}, {}),
+        (TWO_STATE, {"command": "decompose", "params": {"horizon": 0}}, {}),
+        (TWO_STATE, {"command": "decompose", "params": {"seed_index": -1}}, {}),
     ],
     ids=[
         "non-reversible",
@@ -427,6 +431,10 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         "degenerate-clt",
         "clt-n-zero",
         "ui-diagnostic-m-zero",
+        "variance-n-max-zero",
+        "decompose-length-one",
+        "decompose-horizon-zero",
+        "decompose-negative-seed-index",
     ],
 )
 def test_validate_exits_like_run(tmp_path, capsys, chain, command, extra) -> None:

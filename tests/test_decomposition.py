@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import rclt
-from rclt.decomposition import _horizon_vectors
+from rclt.decomposition import _horizon_vectors, _horizon_weights
 
 from .fixture_chains import (
     flip_chain,
@@ -263,3 +265,93 @@ def test_cesaro_prediction_definition() -> None:
         # averaged predicted corrections one step out
         predicted = traj.partial_sums[k - 1] + pred[s[k - 1]]
         assert theta_k - predicted == pytest.approx(terms.forward_finite[k], abs=1e-12)
+
+
+def _exact_weights(t: float, n: int) -> tuple[Fraction, Fraction]:
+    """c(t) = sum_{j<n} (1 - j/n) t^j and b(t) = (1/n) sum_{j=1}^{n} t^j, exactly."""
+    t = Fraction(t)
+    if t == 1:
+        return Fraction(n + 1, 2), Fraction(1)
+    b = t * (1 - t**n) / (n * (1 - t))
+    return (1 - b) / (1 - t), b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 2000])
+def test_horizon_weights_match_exact_sums(n) -> None:
+    # n (1 - t) = 1 splits the series form from the quotient form; probe both
+    # sides of it, the top and bottom of the spectrum, and t^n near 1 at t < 0
+    near_split = [1.0 - s / n for s in (0.3, 0.5, 0.9, 0.999999, 1.0, 1.000001, 1.1, 2.0, 5.0)]
+    lam = np.array(
+        near_split
+        + [1.0, 1.0 - 1e-9, 1.0 - 1e-6, 0.999, 0.9, 0.5, 0.0, -0.5, -0.9999, -1.0 + 1e-9, -1.0]
+    )
+    c, b = _horizon_weights(lam, n)
+    for t, ci, bi in zip(lam, c, b):
+        ce, be = _exact_weights(t, n)
+        assert abs(Fraction(ci) - ce) <= 1e-15 * abs(ce), (t, "c")
+        assert abs(Fraction(bi) - be) <= 1e-15 * abs(be), (t, "b")
+
+
+def test_horizon_vectors_match_their_definition() -> None:
+    for chain, f in identity_fixture_pairs():
+        for n in (1, 2, 5, 40):
+            powers = [f.values]
+            for _ in range(n):
+                powers.append(chain.kernel @ powers[-1])
+            phi = sum((1.0 - j / n) * v for j, v in enumerate(powers[:n]))
+            drift = sum(powers[1:]) / n
+            got_phi, got_pred, got_drift = _horizon_vectors(chain, f, n)
+            np.testing.assert_allclose(got_phi, phi, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got_pred, chain.kernel @ phi, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got_drift, drift, rtol=0, atol=1e-13)
+
+
+def test_pair_identity_holds_at_long_horizons() -> None:
+    # a float64 power loop loses ~1e-16 per step and breaks 1e-12 by n = 2e4
+    for index, (chain, f) in enumerate(identity_fixture_pairs()):
+        traj = rclt.sample_trajectory(chain, f, 300, seed=rclt.derive_seed(4077, index))
+        terms = rclt.decompose_trajectory(chain, f, traj, horizon=2 * 10**5)
+        assert terms.max_pair_residual <= 1e-12
+        assert rclt.martingale_certificate(chain, f, horizon=2 * 10**5) <= 1e-12
+
+
+def _two_blocks(coupling: float) -> rclt.ReversibleChain:
+    """Two dense 20-state blocks joined by weak edges: the gap is ~0.8 * coupling."""
+    rng = np.random.default_rng(5)
+    w = np.full((40, 40), coupling)
+    for lo in (0, 20):
+        block = rng.uniform(0.5, 2.0, (20, 20))
+        w[lo : lo + 20, lo : lo + 20] = block + block.T
+    return rclt.build_random_walk(w)
+
+
+def test_decompose_a_chain_with_a_tiny_gap() -> None:
+    # phi reaches ~1e3 here: the kernel check scales with it, the pair identity does not
+    chain = _two_blocks(1.2e-6)
+    assert 5e-7 < rclt.spectral_gap(chain) < 2e-6
+    raw = np.r_[np.ones(20), -np.ones(20)] + np.random.default_rng(1).normal(size=40)
+    f = rclt.project_mean_zero(raw, chain)
+    traj = rclt.sample_trajectory(chain, f, 2000, seed=3)
+    terms = rclt.decompose_trajectory(chain, f, traj, horizon=2000)
+    assert terms.max_pair_residual <= 1e-12
+    assert terms.max_decomposition_residual <= 1e-12
+    assert np.max(np.abs(_horizon_vectors(chain, f, 2000)[0])) > 500
+
+
+def test_decompose_checks_the_eigensystem_against_the_kernel() -> None:
+    chain, f = identity_fixture_pairs()[-1]
+    lam, u = chain._eigensystem
+    # turn one eigenvector towards another: still orthonormal, so the pair
+    # identity holds, but no longer an eigenvector of the kernel
+    turned = u.copy()
+    angle = 1e-3
+    i, j = 0, 1
+    turned[:, i] = np.cos(angle) * u[:, i] + np.sin(angle) * u[:, j]
+    turned[:, j] = -np.sin(angle) * u[:, i] + np.cos(angle) * u[:, j]
+    broken = rclt.ReversibleChain(kernel=chain.kernel, stationary=chain.stationary)
+    broken.__dict__["_eigensystem"] = (lam, turned)
+    traj = rclt.sample_trajectory(chain, f, 50, seed=9)
+    with pytest.raises(rclt.NumericalError, match="horizon vectors miss the kernel"):
+        rclt.decompose_trajectory(broken, f, traj, horizon=20)
+    assert rclt.martingale_certificate(broken, f, horizon=20) > 1e-6
+    rclt.decompose_trajectory(chain, f, traj, horizon=20)

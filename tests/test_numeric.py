@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rclt
 from rclt._numeric import exact_cumsum, two_sum
 
 EPS = Fraction(1, 2**53)
@@ -53,3 +55,12 @@ def test_exact_cumsum_matches_exact_prefixes(with_lo: bool) -> None:
 def test_exact_cumsum_of_nothing_is_empty() -> None:
     for out in (exact_cumsum([]), exact_cumsum(np.array([]), np.array([]))):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def test_no_module_leans_on_long_double() -> None:
+    # long double is plain double on arm64 macOS and MSVC, so no certified
+    # result may depend on it
+    modules = sorted(Path(rclt.__file__).parent.glob("*.py"))
+    assert modules
+    for module in modules:
+        assert "longdouble" not in module.read_text(), module.name
