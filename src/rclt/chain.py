@@ -396,8 +396,16 @@ def _cumulative_tables(chain: ReversibleChain):
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Deterministic per-trajectory 64-bit seed from (master seed, index)."""
-    ss = np.random.SeedSequence([int(master_seed), int(index)])
+    """Deterministic per-trajectory 64-bit seed from (master seed, index).
+
+    A negative or non-numeric entry is an InvalidArgument.
+    """
+    try:
+        ss = np.random.SeedSequence([int(master_seed), int(index)])
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(
+            f"master seed and index must be nonnegative integers, got {master_seed!r} and {index!r}"
+        ) from exc
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -38,9 +38,12 @@ anything reads it, so its manifest hashes the commands it ran.
 
 Exit codes: 0 success, 2 config or argument error, 3 numerical error
 (including a ragged or non-numeric chain matrix), 4 statistical acceptance
-failure. ``validate`` makes ``run``'s setup (chain, observable, the reader
-of each check command, unstepped, and the checked arguments of every other
-command) and exits with the code ``run`` would give for it.
+failure. ``run`` and ``validate`` share one setup, ``_prepare``: it builds
+the chain, centers the observable and judges every command in config order
+(a check command by building its reader, unstepped, any other by its
+arguments), stopping at the first error. ``validate`` raises that error, so
+it exits with the code ``run`` would give; ``run`` raises it at that
+command's turn, after the reports of the commands before it.
 """
 from __future__ import annotations
 
@@ -73,11 +76,11 @@ from .chain import (
 from .decomposition import _decompose_horizon, decompose_trajectory
 from .errors import ConfigError, NumericalError, RcltError, StatisticalFailure
 from .limits import (
-    build_readers,
+    _build_reader,
+    _one_pass,
     clt_test,
     fclt_profile,
     maximal_inequality_check,
-    run_checks,
     uniform_integrability_diagnostic,
 )
 from .spectral import spectral_measure, variance_report
@@ -337,34 +340,6 @@ def save_chain_definition(path, chain: ReversibleChain, observable=None) -> None
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# --- validation ----------------------------------------------------------------
-
-
-def validate(config: ExperimentConfig) -> list[str]:
-    """``run``'s setup without the run: the centering note, if any, else what ``run`` raises.
-
-    Builds the chain and centers the observable as ``run`` does, then builds the
-    reader of every check command (``clt``, ``fclt``, ``maximal``,
-    ``ui-diagnostic``) without stepping it and checks the arguments of every
-    other command (``variance``, ``decompose``) without computing it, so every
-    command's parameters, and sigma^2, are judged as in ``run``. It raises the
-    error ``run`` would meet first, so ``main`` gives both the same exit code.
-    """
-    chain = build_chain_from_definition(config.chain_definition)
-    f, note = _centered_observable(config, chain)
-    commands = config.commands
-    indices = [i for i, (name, _) in enumerate(commands) if _COMMANDS[name].check]
-    checks = [(_COMMANDS[commands[i][0]].check, commands[i][1]) for i in indices]
-    readers, error = build_readers(chain, f, config.master_seed, checks)
-    first_error = len(commands) if error is None else indices[len(readers)]
-    for name, params in commands[:first_error]:
-        if _COMMANDS[name].arguments:
-            _COMMANDS[name].arguments(params)
-    if error is not None:
-        raise error
-    return [note] if note else []
-
-
 # --- persistence -----------------------------------------------------------------
 
 
@@ -390,11 +365,11 @@ class _Command:
     A command has either a ``call`` or a ``check``, never both.
     ``call(config, chain, f, params)`` gives the result, looking library functions
     up in this module's globals at run time. ``arguments(params)``, if set, raises
-    the library's error for params the call would reject, before the call and
-    under ``validate``. ``check`` is the ``rclt.limits`` check
-    whose report ``run`` takes from the run's one ``run_checks`` pass, which alone
-    decides what that pass steps. ``payload`` turns the result into the JSON report
-    body and ``csv``, if set, into CSV columns.
+    the library's error for params the call would reject; ``_prepare`` calls it
+    before any command runs. ``check`` is the ``rclt.limits`` check whose reader
+    ``_prepare`` builds and whose report ``run`` takes from the run's one pass.
+    ``payload`` turns the result into the JSON report body and ``csv``, if set,
+    into CSV columns.
     """
 
     payload: Callable
@@ -472,31 +447,51 @@ _COMMANDS = {
 }
 
 
-def _shared_pass(config, chain, f, first: int) -> dict[int, object]:
-    """Results of the config's check commands from index ``first`` on, from one shared pass.
+def _prepare(config: ExperimentConfig):
+    """``run``'s setup: (chain, centered f, centering note, readers, stop, error).
 
-    A command whose check raised before the pass maps to that error; the
-    commands after it are left out, since the run stops there.
+    Builds the chain and centers the observable, then judges the commands in
+    config order: a check command by building its reader, unstepped, which
+    computes sigma^2 and, for exhaustive ``maximal``, every path; any other
+    command by its ``arguments``. The first error ends the walk: ``stop`` is
+    its command's index and ``error`` the error, else ``stop`` is the number
+    of commands and ``error`` None. ``readers`` maps the index of each check
+    command before ``stop`` to its reader. This is the one walk that judges
+    commands, so ``validate`` and ``run`` meet the same error.
     """
-    commands = config.commands
-    indices = [i for i in range(first, len(commands)) if _COMMANDS[commands[i][0]].check]
-    checks = [(_COMMANDS[commands[i][0]].check, commands[i][1]) for i in indices]
-    reports, error = run_checks(chain, f, config.master_seed, checks)
-    shared: dict[int, object] = dict(zip(indices, reports))
+    chain = build_chain_from_definition(config.chain_definition)
+    f, note = _centered_observable(config, chain)
+    readers = {}
+    for i, (name, params) in enumerate(config.commands):
+        command = _COMMANDS[name]
+        try:
+            if command.check:
+                readers[i] = _build_reader(chain, f, config.master_seed, command.check, params)
+            elif command.arguments:
+                command.arguments(params)
+        except Exception as exc:  # run raises it at this command's turn
+            return chain, f, note, readers, i, exc
+    return chain, f, note, readers, len(config.commands), None
+
+
+def validate(config: ExperimentConfig) -> list[str]:
+    """``run``'s setup without the run: the centering note, if any, else what ``run`` raises.
+
+    Every command's parameters, and sigma^2, are judged by ``_prepare`` as in
+    ``run``, and the error ``run`` would meet first is raised, so ``main``
+    gives both the same exit code.
+    """
+    _, _, note, _, _, error = _prepare(config)
     if error is not None:
-        shared[indices[len(reports)]] = error
-    return shared
+        raise error
+    return [note] if note else []
 
 
 def _run_command(name, config, chain, f, params, outdir, stem, result=None) -> list[Path]:
-    """Run one subcommand, or take its shared-pass ``result``, write its reports and judge them."""
+    """Run one subcommand, or take its check's ``result``, write its reports and judge them."""
     command = _COMMANDS[name]
     if result is None:
-        if command.arguments:
-            command.arguments(params)
         result = command.call(config, chain, f, params)
-    elif isinstance(result, Exception):
-        raise result
     files = [outdir / f"{stem}.json"]
     _write_json(files[0], {"schema": SCHEMA_VERSION, "command": name, **command.payload(result)})
     if command.csv:
@@ -526,12 +521,14 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
 
     With ``only`` the config is first narrowed to that subcommand's entries,
     or to one entry with its default params if it lists none, so the manifest
-    hash, the command loop and the shared pass all read the commands that run.
-    The first command with a check makes one ``run_checks`` pass for itself
-    and every later such command; each report is still written at its own
-    command's turn, in config order. On a module error, files already
-    written by this invocation are removed before the error propagates;
-    outputs of a statistical failure are complete reports and are kept.
+    hash, the setup and the command loop all read the commands that run.
+    ``_prepare`` judges every command and builds the readers of the check
+    commands; the first check command steps them all in one pass, and each
+    report is still written at its own command's turn, in config order. The
+    setup's error is raised at its command's turn. On a module error, files
+    already written by this invocation are removed before the error
+    propagates; outputs of a statistical failure are complete reports and
+    are kept.
     """
     if only is not None:
         commands = [(n, p) for n, p in config.commands if n == only] or _normalize_commands([only])
@@ -539,22 +536,24 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
             raise ConfigError(f"subcommand {only!r} needs a master_seed")
         config = replace(config, commands=commands)
 
-    chain = build_chain_from_definition(config.chain_definition)
-    f, note = _centered_observable(config, chain)
+    chain, f, note, readers, stop, error = _prepare(config)
     if note:
         print(f"warning: {note}", file=sys.stderr)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_hash=config.config_hash(), version=__version__)
     written: list[Path] = []
-    shared: dict[int, object] = {}
+    reports: dict[int, object] = {}
     stems = _output_stems(config.commands)
     try:
         for i, ((name, params), stem) in enumerate(zip(config.commands, stems)):
             start = time.perf_counter()
-            if not shared and _COMMANDS[name].check:
-                shared = _shared_pass(config, chain, f, i)
-            files = _RUNNERS[name](config, chain, f, params, config.output_dir, stem, shared.get(i))
+            if i == stop:
+                raise error
+            if not reports and i in readers:
+                checked = _one_pass(chain, f, config.master_seed, list(readers.values()))
+                reports = dict(zip(readers, checked))
+            files = _RUNNERS[name](config, chain, f, params, config.output_dir, stem, reports.get(i))
             written.extend(files)
             manifest.outputs[stem] = [p.name for p in files]
             manifest.timings[stem] = time.perf_counter() - start

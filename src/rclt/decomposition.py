@@ -174,7 +174,9 @@ def boundary_l2_norm(
 
     Var = (1/n^2) * integral of (t + ... + t^{n-k})^2 against the spectral
     measure; it is bounded by (2/n) times the finiteness integral, which
-    is how the uniform-in-k decay is certified.
+    is how the uniform-in-k decay is certified. The power sum over s = n - k
+    steps is s b_s(t) for the drift weight of ``_horizon_weights``, which
+    stays accurate for atoms near 1.
     """
     n, k = _numbers(int, [n, k], "n and k")
     if not 0 <= k <= n:
@@ -184,10 +186,7 @@ def boundary_l2_norm(
     steps = n - k
     if steps == 0:
         return 0.0
-    lam = rho.lambdas
-    denom = 1.0 - lam
-    # no atom sits at 1 (spectral_measure guarantees it), so the quotient is safe
-    geom = lam * (1.0 - lam**steps) / np.where(denom == 0.0, 1.0, denom)
+    geom = steps * _horizon_weights(rho.lambdas, steps)[1]
     return float(np.dot(rho.weights, geom * geom)) / (n * n)
 
 

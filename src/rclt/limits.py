@@ -28,20 +28,22 @@ simulation agrees exactly with stacking single sampled trajectories.
 A step of m replicas on S states costs O(m log S): each replica bisects
 its own cumulative kernel row and compares the doubles ``bisect_right`` does.
 
-Every check is a reader of one replica pass, and ``run_checks`` is the
-one driver that decides what is stepped. It checks centering once, then
-builds each check's reader, which validates its arguments and computes
-what it needs before any replica moves: sigma^2, the limit martingale,
-or, for exhaustive ``maximal``, every path with its exact probability.
-A reader that samples sets its replica count ``m``; an exhaustive one
-sets ``m = None`` and is never stepped. The driver steps max m replicas
-to max n once, keeps one vector of running partial sums S_t, and calls
+Every check is a reader of one replica pass, in two steps. The build
+step, ``_build_reader``, checks the centering of f and builds the check's
+reader, which validates its arguments and computes what it needs before
+any replica moves: sigma^2, the limit martingale, or, for exhaustive
+``maximal``, every path with its exact probability. A reader that samples
+sets its replica count ``m``; an exhaustive one sets ``m = None`` and is
+never stepped. The stepping step, ``_one_pass``, steps max m replicas to
+max n once, keeps one vector of running partial sums S_t, and calls
 ``feed(t, states, sums)`` on each stepped reader with its prefix of
 replicas for t = 0..n; ``report()`` then gives the ``LimitReport``.
 Streams are prefix consistent in both r and t, and a prefix of the
 elementwise sum is the sum a reader would keep alone, so each reader sees
-exactly the numbers a pass of its own would. Each public check is a
-one-request call of the driver.
+exactly the numbers a pass of its own would. Each public check is the two
+steps for one reader, ``run_checks`` the two steps for a list of them,
+and the command line builds the readers of a run while it judges the
+config and steps them at its first check command.
 """
 from __future__ import annotations
 
@@ -153,22 +155,33 @@ def _sigma2_or_raise(chain: ReversibleChain, f: Observable) -> float:
 # --- one pass, many readers ---------------------------------------------------
 
 
-def build_readers(
-    chain: ReversibleChain, f: Observable, seed: int, checks: list[tuple[Callable, dict]]
-) -> tuple[list, Exception | None]:
-    """The readers of ``checks``, unstepped, and the error that stopped building them, or None.
+def _build_reader(chain: ReversibleChain, f: Observable, seed, check: Callable, params: dict):
+    """The reader of one check, unstepped: the centering of f is checked, then the reader built.
 
-    The centering of f is checked first, then each reader is built in order,
-    which validates its check's arguments; the first error ends the list.
+    Building validates the check's arguments and computes all it needs before
+    any replica moves, so a check that raises does so here.
     """
-    readers, error = [], None
-    try:
-        require_centered(chain, f)
-        for check, params in checks:
-            readers.append(_READERS[check](chain, f, seed=seed, **params))
-    except Exception as exc:  # the caller raises it at that check's turn
-        error = exc
-    return readers, error
+    require_centered(chain, f)
+    return _READERS[check](chain, f, seed=seed, **params)
+
+
+def _one_pass(chain: ReversibleChain, f: Observable, seed, readers: list) -> list[LimitReport]:
+    """Step the sampling readers in one pass over the replicas, then every reader's report.
+
+    Only readers with a replica count are stepped, to the largest n over the
+    largest m among them, so a list of exhaustive readers derives no seed.
+    """
+    stepped = [r for r in readers if r.m is not None]
+    if stepped:
+        n, m = max(r.n for r in stepped), max(r.m for r in stepped)
+        sums = np.zeros(m)
+        for t, states in _iter_batch(chain, n, m, seed):
+            if t >= 1:
+                sums += f.values[states]
+            for reader in stepped:
+                if t <= reader.n:
+                    reader.feed(t, states[: reader.m], sums[: reader.m])
+    return [reader.report() for reader in readers]
 
 
 def run_checks(
@@ -183,30 +196,22 @@ def run_checks(
     call gives alone. Only the readers that sample are stepped, so a list
     of exhaustive checks derives no seed and may pass ``seed=None``.
 
-    The centering of f is checked first, then readers are built in order.
-    If either raises, the checks after that point are not built and only
+    The readers are built in order, each after checking the centering of f.
+    If a build raises, the checks from that point on are not built and only
     those before it are simulated: the result is their reports and that
     error, else every report and None.
     """
-    readers, error = build_readers(chain, f, seed, checks)
-    stepped = [r for r in readers if r.m is not None]
-    if stepped:
-        n, m = max(r.n for r in stepped), max(r.m for r in stepped)
-        sums = np.zeros(m)
-        for t, states in _iter_batch(chain, n, m, seed):
-            if t >= 1:
-                sums += f.values[states]
-            for reader in stepped:
-                if t <= reader.n:
-                    reader.feed(t, states[: reader.m], sums[: reader.m])
-    return [reader.report() for reader in readers], error
+    readers, error = [], None
+    try:
+        for check, params in checks:
+            readers.append(_build_reader(chain, f, seed, check, params))
+    except Exception as exc:  # the caller raises it at that check's turn
+        error = exc
+    return _one_pass(chain, f, seed, readers), error
 
 
 def _one_check(check: Callable, chain: ReversibleChain, f: Observable, seed, **params):
-    reports, error = run_checks(chain, f, seed, [(check, params)])
-    if error is not None:
-        raise error
-    return reports[0]
+    return _one_pass(chain, f, seed, [_build_reader(chain, f, seed, check, params)])[0]
 
 
 # --- normal limit ------------------------------------------------------------
@@ -454,7 +459,7 @@ class _MaximalReader:
 
     Monte Carlo mode records the m replica paths as they are stepped.
     Exhaustive mode enumerates every path with its exact probability when it
-    is built and sets ``m = None``, so ``run_checks`` never steps it.
+    is built and sets ``m = None``, so the pass never steps it.
     """
 
     def __init__(self, chain, f, n, lambdas, mode="forward", exhaustive=False, m=None, seed=None,

@@ -265,7 +265,7 @@ def cauchy_quantity_direct(chain: ReversibleChain, f: Observable, n: int, p: int
 
 def spectral_gap(chain: ReversibleChain, absolute: bool = False) -> float:
     """1 minus the second-largest eigenvalue (or largest modulus below 1)."""
-    rest = chain._eigensystem[0][:-1]  # ascending, without the top eigenvalue 1
+    rest = _checked_eigensystem(chain)[0][:-1]  # ascending, without the top eigenvalue 1
     if rest.size == 0:
         return 0.0
     top = float(np.max(np.abs(rest))) if absolute else float(rest[-1])

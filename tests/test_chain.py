@@ -225,6 +225,12 @@ def test_derive_seed_is_deterministic_and_spread() -> None:
     assert len({a, c, d}) == 3
 
 
+@pytest.mark.parametrize("args", [(1, -1), (-1, 0), (None, 0)])
+def test_derive_seed_rejects_negative_or_missing_entries(args) -> None:
+    with pytest.raises(rclt.InvalidArgument):
+        rclt.derive_seed(*args)
+
+
 def test_stationary_start_uses_first_uniform() -> None:
     chain = iid_chain((0.9, 0.1))
     f = observable(chain, [1.0, -1.0])

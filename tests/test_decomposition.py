@@ -108,6 +108,17 @@ def test_boundary_l2_norm_examples_and_decay() -> None:
         assert rclt.boundary_l2_norm(chain, f, n, 0, rho=rho) <= bound_constant / n + 1e-15
 
 
+def test_boundary_l2_norm_is_accurate_near_one() -> None:
+    """An atom 1e-9 below 1, which spectral_measure keeps, loses nothing to cancellation."""
+    chain = two_state()
+    f = observable(chain, [1, -1])
+    t = 1.0 - 1e-9
+    rho = rclt.SpectralMeasure(lambdas=np.array([t]), weights=np.array([0.75]))
+    exact = Fraction(0.75) * sum(Fraction(t) ** j for j in range(1, 11)) ** 2 / 100
+    value = rclt.boundary_l2_norm(chain, f, 10, 0, rho=rho)
+    assert abs(Fraction(value) - exact) <= 1e-15 * exact
+
+
 def test_limit_difference_examples() -> None:
     iid = iid_chain((0.4, 0.6))
     fi = observable(iid, [1.0, -0.5])

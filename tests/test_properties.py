@@ -1,10 +1,18 @@
-"""Property tests: one shared pass gives every check the report it gives alone."""
+"""Property tests: one shared pass gives every check the report it gives alone, and
+``validate`` judges a config as ``run`` does."""
 from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rclt
+from rclt.cli import main
 from rclt.limits import run_checks
 
 from .fixture_chains import mixing_fixture_pairs
@@ -56,3 +64,74 @@ def test_run_checks_reports_equal_one_request_calls(data) -> None:
             assert report.normalized_sums is None
         else:
             assert np.array_equal(report.normalized_sums, alone.normalized_sums)
+
+
+#: chains whose file observable is centered, so neither command prints a centering note
+_CHAINS = [
+    {"kind": "kernel", "matrix": [[0.75, 0.25], [0.25, 0.75]], "observable": [1.0, -1.0]},
+    {"kind": "random_walk", "matrix": [[2, 1, 1], [1, 1, 3], [1, 3, 4]], "observable": [5.0, -4.0, 0.0]},
+    {"kind": "kernel", "matrix": [[0.0, 1.0], [1.0, 0.0]], "observable": [1.0, -1.0]},
+]
+_SMALL = {"n": st.integers(1, 8), "m": st.integers(1, 12)}
+_COMMAND_PARAMS = {
+    "spectrum": st.just({}),
+    "variance": st.fixed_dictionaries({"n_max": st.integers(1, 20)}),
+    "decompose": st.fixed_dictionaries(
+        {"length": st.integers(2, 20), "horizon": st.none() | st.integers(1, 20),
+         "seed_index": st.integers(0, 3)}
+    ),
+    "clt": st.fixed_dictionaries({**_SMALL, "ks_threshold": st.just(1.0)}),
+    "maximal": st.fixed_dictionaries({"n": st.integers(1, 3), "lambdas": _LEVELS}),
+    "ui-diagnostic": st.fixed_dictionaries(
+        {"n_list": st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True).map(sorted),
+         "epsilon_grid": _LEVELS, "m": _SMALL["m"]}
+    ),
+    "fclt": st.fixed_dictionaries({**_SMALL, "grid": st.just([0.5, 1.0])}),
+}
+#: a few replicas can miss fclt's 3-SE comparisons (exit 4, which validate cannot see),
+#: so fclt only enters with a bad grid
+_DRAWN = [name for name in _COMMAND_PARAMS if name != "fclt"]
+#: one parameter each that the config loader admits and the command rejects
+_BAD = [
+    ("variance", {"n_max": 0}),
+    ("decompose", {"horizon": 0}),
+    ("decompose", {"length": 1}),
+    ("decompose", {"seed_index": -1}),
+    ("clt", {"n": 0}),
+    ("clt", {"m": 0}),
+    ("maximal", {"n": 0}),
+    ("maximal", {"mode": "sideways"}),
+    ("ui-diagnostic", {"n_list": [3, 2]}),
+    ("ui-diagnostic", {"m": 0}),
+    ("fclt", {"grid": [0.5, 2.0]}),
+]
+
+
+def _main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_validate_judges_a_config_as_run_does(data) -> None:
+    """Both commands give one exit code and stderr line, and a failed run keeps no report."""
+    names = data.draw(st.lists(st.sampled_from(_DRAWN), min_size=1, max_size=4))
+    commands = [{"command": name, "params": data.draw(_COMMAND_PARAMS[name])} for name in names]
+    bad = data.draw(st.none() | st.sampled_from(_BAD), label="bad")
+    if bad is not None:
+        name, wrong = bad
+        at = data.draw(st.integers(0, len(commands) - 1), label="at")
+        commands[at] = {"command": name, "params": {**data.draw(_COMMAND_PARAMS[name]), **wrong}}
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        (base / "chain.json").write_text(json.dumps(data.draw(st.sampled_from(_CHAINS), label="chain")))
+        config = {"chain_spec": "chain.json", "commands": commands, "master_seed": 7, "output_dir": "out"}
+        (base / "config.json").write_text(json.dumps(config))
+        argv = ["--config", str(base / "config.json")]
+        validated, ran = _main(["validate", *argv]), _main(["run", *argv])
+        assert validated == ran
+        if ran[0] != 0:
+            assert not any((base / "out").glob("*"))

@@ -238,6 +238,18 @@ def test_spectral_gap_values() -> None:
     assert rclt.spectral_gap(flip_chain(), absolute=True) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_spectral_gap_checks_the_eigensystem() -> None:
+    """An eigenvalue escaped above 1 is an EigenFailure here as in spectral_measure."""
+    chain = two_state()
+    lam, u = chain._eigensystem
+    broken = rclt.ReversibleChain(kernel=chain.kernel, stationary=chain.stationary)
+    broken.__dict__["_eigensystem"] = (np.array([lam[0], 1.0 + 1e-9]), u)
+    with pytest.raises(rclt.EigenFailure):
+        rclt.spectral_gap(broken)
+    with pytest.raises(rclt.EigenFailure):
+        rclt.spectral_measure(broken, observable(broken, [1, -1]))
+
+
 def test_variance_report_three_way_agreement() -> None:
     for chain, f in identity_fixture_pairs():
         report = rclt.variance_report(chain, f, n_max=600)
