@@ -20,6 +20,11 @@ chain then keeps without a copy. Symmetric parts and asymmetry defects are
 taken by row stripes, so beyond its own kernel a build holds at most one
 more S×S array at a time, and every entry comes from the same float
 operations as the plain out-of-place formulas.
+
+Seeds are numpy's: ``derive_seed`` is ``SeedSequence([master, index])``, and
+``_generators`` builds what ``default_rng`` builds from a seed. Both run a
+port of ``SeedSequence``'s hash on numpy lane arrays, so a replica pass
+seeds all its generators in one pass instead of one Python hash each.
 """
 from __future__ import annotations
 
@@ -395,18 +400,127 @@ def _cumulative_tables(chain: ReversibleChain):
     return cum_pi, cum_rows
 
 
-def derive_seed(master_seed: int, index: int) -> int:
+# numpy's SeedSequence: its entropy pool size, hash constants and 32-bit mask
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int) -> Callable:
+    """SeedSequence's hashmix on uint32 lane arrays, with its running constant kept here."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value *= np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return result ^ result >> 16
+
+
+def _seed_words(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words)`` for every lane at once.
+
+    ``entropy`` lists the sequence's uint32 entropy words, each an array with
+    one entry per lane; the result is a (lanes, n_words) uint32 array. This is
+    numpy's ``mix_entropy`` and ``generate_state`` on arrays, where uint32
+    arithmetic wraps as it does in numpy's C code.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    return np.stack([hashmix(pool[i % _POOL]) for i in range(n_words)], axis=1)
+
+
+def _int_words(n: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence reads from an integer n >= 0 ([0] for 0)."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _lane_words(prefix: list[int], values: np.ndarray, n_words: int) -> np.ndarray:
+    """``_seed_words`` of the entropy ``prefix`` followed by the words of each value.
+
+    ``values`` are nonnegative integers below 2^64, one lane each. SeedSequence
+    reads a value below 2^32 as one word and a larger one as two, so the two
+    kinds of lane are hashed apart.
+    """
+    values = values.astype(np.uint64)
+    out = np.empty((values.size, n_words), np.uint32)
+    wide = values > _MASK32
+    for lanes, n_value_words in ((~wide, 1), (wide, 2)):
+        v = values[lanes]
+        words = [np.full(v.size, w, np.uint32) for w in prefix]
+        words += [(v >> np.uint64(32 * j) & np.uint64(_MASK32)).astype(np.uint32)
+                  for j in range(n_value_words)]
+        out[lanes] = _seed_words(words, n_words)
+    return out
+
+
+def _as_u64(words: np.ndarray) -> np.ndarray:
+    """uint32 words read pairwise as little-endian uint64, as ``generate_state`` does."""
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def derive_seed(master_seed: int, index: int | np.ndarray) -> int | np.ndarray:
     """Deterministic per-trajectory 64-bit seed from (master seed, index).
 
-    A negative or non-numeric entry is an InvalidArgument.
+    The seed is ``SeedSequence([master_seed, index]).generate_state(1, uint64)``.
+    ``index`` is an integer, which gives an int, or a 1-D integer array, which
+    gives a uint64 array with one seed per entry. Every entry must be a
+    nonnegative integer (no boolean, no float, however integral); anything
+    else is an InvalidArgument.
     """
-    try:
-        ss = np.random.SeedSequence([int(master_seed), int(index)])
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgument(
-            f"master seed and index must be nonnegative integers, got {master_seed!r} and {index!r}"
-        ) from exc
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    master = _int_words(_numbers(int, [master_seed], "master seed", least=0)[0])
+    if not isinstance(index, np.ndarray):
+        index = _int_words(_numbers(int, [index], "index", least=0)[0])
+        words = _seed_words([np.array([w], np.uint32) for w in master + index], 2)
+        return int(_as_u64(words)[0, 0])
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise InvalidArgument(f"index must be an integer or a 1-d integer array, got {index!r}")
+    if index.size and index.min() < 0:
+        raise InvalidArgument(f"index must be >= 0, got {index.min()}")
+    return _as_u64(_lane_words(master, index, 2))[:, 0]
+
+
+def _generators(seeds: np.ndarray) -> list:
+    """``[np.random.default_rng(s) for s in seeds]``, with every seed hashed in one pass.
+
+    PCG64 seeds itself from four uint64 words of its seed sequence; they are
+    computed here for all seeds at once and handed over unchanged. numpy.random
+    is imported here, not with the module: it costs ~10 ms, and only a pass needs it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, np.dtype(dtype)) != (4, np.dtype(np.uint64)):
+                raise ValueError(f"only PCG64's 4 uint64 words are held, not {n_words} {dtype}")
+            return self.words
+
+    words = _as_u64(_lane_words([], seeds, 8))
+    return [np.random.Generator(np.random.PCG64(Words(row))) for row in words]
 
 
 def sample_trajectory(chain: ReversibleChain, f: Observable, length: int, seed: int) -> Trajectory:

@@ -25,6 +25,9 @@ every comparison that missed, and ``passed`` is true when none did.
 Replica r always consumes its own generator stream seeded from
 (master seed, r), so every number is bit-reproducible and batch
 simulation agrees exactly with stacking single sampled trajectories.
+The m seeds of a pass and their generators are hashed in bulk by a numpy
+port of numpy's ``SeedSequence``, which gives the same streams as m calls
+of ``default_rng(derive_seed(master_seed, r))``.
 A step of m replicas on S states costs O(m log S): each replica bisects
 its own cumulative kernel row and compares the doubles ``bisect_right`` does.
 
@@ -54,7 +57,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .chain import (
-    Observable, ReversibleChain, _cumulative_tables, _numbers, derive_seed, require_centered,
+    Observable, ReversibleChain, _cumulative_tables, _generators, _numbers, derive_seed,
+    require_centered,
 )
 from .decomposition import resolvent_pair
 from .errors import DegenerateVariance, ExhaustiveTooLarge, InvalidArgument
@@ -110,7 +114,10 @@ def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int, block:
     Replica r draws from the stream seeded with derive_seed(master_seed, r)
     and consumes one uniform for the stationary start plus one per step,
     exactly like ``sample_trajectory``; chunked draws leave the streams
-    unchanged, so batch and single-path simulation agree bit for bit.
+    unchanged, so batch and single-path simulation agree bit for bit. The m
+    seeds, and the generator states built from them, are hashed in one numpy
+    pass each: one ``derive_seed`` call over ``arange(m)``, then
+    ``_generators``, which builds the generators ``default_rng`` would.
 
     Each replica bisects its own cumulative row, padded with 1.0 to 2^k >= S
     entries, in k rounds of one comparison each, so a step costs O(m log S);
@@ -119,7 +126,7 @@ def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int, block:
     are 1.0 > u, so ``entry <= u`` holds on a prefix of the row: the rounds
     count exactly the entries ``bisect_right`` counts.
     """
-    rngs = [np.random.default_rng(derive_seed(master_seed, r)) for r in range(m)]
+    rngs = _generators(derive_seed(master_seed, np.arange(m)))
     cum_pi, cum_rows = _cumulative_tables(chain)
     k = (chain.n_states - 1).bit_length()
     rows = np.vstack([cum_rows, cum_pi])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rclt
+from rclt.chain import _generators
 from rclt.limits import _enumerate_paths
 
 from .fixture_chains import (
@@ -225,10 +226,36 @@ def test_derive_seed_is_deterministic_and_spread() -> None:
     assert len({a, c, d}) == 3
 
 
-@pytest.mark.parametrize("args", [(1, -1), (-1, 0), (None, 0)])
+@pytest.mark.parametrize(
+    "args",
+    [(1, -1), (-1, 0), (None, 0), (1.5, 2), (True, 0), (1, 2.0), (1, np.array([0.0, 1.5]))],
+)
 def test_derive_seed_rejects_negative_or_missing_entries(args) -> None:
     with pytest.raises(rclt.InvalidArgument):
         rclt.derive_seed(*args)
+
+
+# each side of 2^32, where SeedSequence reads an entry as one word or two, and past 2^64
+_WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@pytest.mark.parametrize("master", _WORD_EDGES + [2**100])
+def test_derive_seed_is_numpys_seed_sequence(master) -> None:
+    """Both forms give SeedSequence([master, index])'s first uint64, past the 4-word pool too."""
+    indices = [0, 1, 2**32 - 1, 2**32]
+    expected = [
+        int(np.random.SeedSequence([master, r]).generate_state(1, np.uint64)[0]) for r in indices
+    ]
+    seeds = rclt.derive_seed(master, np.array(indices))
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == expected
+    assert [rclt.derive_seed(master, r) for r in indices] == expected
+
+
+def test_bulk_generators_draw_default_rng_streams() -> None:
+    seeds = np.array(_WORD_EDGES, dtype=np.uint64)
+    for rng, seed in zip(_generators(seeds), _WORD_EDGES):
+        assert np.array_equal(rng.random(300), np.random.default_rng(seed).random(300))
 
 
 def test_stationary_start_uses_first_uniform() -> None:

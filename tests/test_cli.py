@@ -583,7 +583,9 @@ def test_one_replica_pass_per_run(tmp_path, monkeypatch) -> None:
     """
     calls = []
     derive_seed = rclt.limits.derive_seed
-    monkeypatch.setattr(rclt.limits, "derive_seed", lambda *a: calls.append(a) or derive_seed(*a))
+    monkeypatch.setattr(
+        rclt.limits, "derive_seed", lambda s, i: calls.extend(np.ravel(i)) or derive_seed(s, i)
+    )
     commands = [
         {"command": "clt", "params": {"n": 30, "m": 200, "ks_threshold": 0.5}},
         {"command": "fclt", "params": {"n": 40, "m": 200, "grid": [0.5, 1.0]}},

@@ -326,7 +326,9 @@ def test_run_checks_simulates_only_the_checks_before_an_error(monkeypatch) -> No
     alone = rclt.clt_test(chain, f, seed=8, **clt)
     calls = []
     derive_seed = rclt.limits.derive_seed
-    monkeypatch.setattr(rclt.limits, "derive_seed", lambda *a: calls.append(a) or derive_seed(*a))
+    monkeypatch.setattr(
+        rclt.limits, "derive_seed", lambda s, i: calls.extend(np.ravel(i)) or derive_seed(s, i)
+    )
     checks = [
         (rclt.clt_test, clt),
         (rclt.fclt_profile, {"n": 20, "m": 10, "grid": [2.0]}),
@@ -347,7 +349,9 @@ def test_exhaustive_maximal_joins_the_pass_without_stepping(monkeypatch) -> None
     params = {"n": 5, "lambdas": [0.0, 0.4], "mode": "reversed", "exhaustive": True, "two_sided": True}
     calls = []
     derive_seed = rclt.limits.derive_seed
-    monkeypatch.setattr(rclt.limits, "derive_seed", lambda *a: calls.append(a) or derive_seed(*a))
+    monkeypatch.setattr(
+        rclt.limits, "derive_seed", lambda s, i: calls.extend(np.ravel(i)) or derive_seed(s, i)
+    )
     reports, error = run_checks(chain, f, None, [(rclt.maximal_inequality_check, params)])
     assert error is None
     assert calls == []

@@ -1,5 +1,5 @@
-"""Property tests: one shared pass gives every check the report it gives alone, and
-``validate`` judges a config as ``run`` does."""
+"""Property tests: one shared pass gives every check the report it gives alone,
+``validate`` judges a config as ``run`` does, and bulk seeds are numpy's."""
 from __future__ import annotations
 
 import contextlib
@@ -135,3 +135,16 @@ def test_validate_judges_a_config_as_run_does(data) -> None:
         assert validated == ran
         if ran[0] != 0:
             assert not any((base / "out").glob("*"))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    master=st.integers(0, 2**130),
+    indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+)
+def test_derive_seed_matches_seed_sequence(master, indices) -> None:
+    expected = [
+        int(np.random.SeedSequence([master, r]).generate_state(1, np.uint64)[0]) for r in indices
+    ]
+    assert rclt.derive_seed(master, np.array(indices, dtype=np.uint64)).tolist() == expected
+    assert rclt.derive_seed(master, indices[0]) == expected[0]
