@@ -152,7 +152,7 @@ class ReversibleChain:
         pi = _frozen(self.stationary, "stationary law")
         object.__setattr__(self, "kernel", q)
         object.__setattr__(self, "stationary", pi)
-        n = q.shape[0]
+        n = pi.size
         if q.shape != (n, n) or pi.shape != (n,):
             raise NotStochastic(f"kernel/stationary shapes mismatch: {q.shape}, {pi.shape}")
         if n == 0:

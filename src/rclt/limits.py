@@ -44,9 +44,13 @@ replicas for t = 0..n; ``report()`` then gives the ``LimitReport``.
 Streams are prefix consistent in both r and t, and a prefix of the
 elementwise sum is the sum a reader would keep alone, so each reader sees
 exactly the numbers a pass of its own would. Each public check is the two
-steps for one reader, ``run_checks`` the two steps for a list of them,
-and the command line builds the readers of a run while it judges the
-config and steps them at its first check command.
+steps for one reader. A run of several is the same two steps: the
+command line's ``_prepare`` builds the readers of a run while it judges
+the config, in config order and stopping at the first error, and ``run``
+steps them all with one ``_one_pass`` at its first check command.
+
+Every Monte Carlo estimate in a report is a sample mean with its standard
+error, std / sqrt(size), from ``_mean_se``.
 """
 from __future__ import annotations
 
@@ -57,7 +61,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .chain import (
-    Observable, ReversibleChain, _cumulative_tables, _generators, _numbers, derive_seed,
+    Observable, ReversibleChain, _array, _cumulative_tables, _generators, _numbers, derive_seed,
     require_centered,
 )
 from .decomposition import resolvent_pair
@@ -159,6 +163,11 @@ def _sigma2_or_raise(chain: ReversibleChain, f: Observable) -> float:
     return sigma2
 
 
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """The sample mean of ``values`` and its standard error, std / sqrt(size)."""
+    return float(values.mean()), float(values.std() / math.sqrt(values.size))
+
+
 # --- one pass, many readers ---------------------------------------------------
 
 
@@ -191,32 +200,6 @@ def _one_pass(chain: ReversibleChain, f: Observable, seed, readers: list) -> lis
     return [reader.report() for reader in readers]
 
 
-def run_checks(
-    chain: ReversibleChain, f: Observable, seed: int, checks: list[tuple[Callable, dict]]
-) -> tuple[list[LimitReport], Exception | None]:
-    """Reports of several checks from one pass over the replicas.
-
-    ``checks`` lists (check, params) pairs: ``check`` is ``clt_test``,
-    ``fclt_profile``, ``uniform_integrability_diagnostic`` or
-    ``maximal_inequality_check`` in either mode, and ``params`` its
-    arguments other than chain, f and seed. Each report equals what that
-    call gives alone. Only the readers that sample are stepped, so a list
-    of exhaustive checks derives no seed and may pass ``seed=None``.
-
-    The readers are built in order, each after checking the centering of f.
-    If a build raises, the checks from that point on are not built and only
-    those before it are simulated: the result is their reports and that
-    error, else every report and None.
-    """
-    readers, error = [], None
-    try:
-        for check, params in checks:
-            readers.append(_build_reader(chain, f, seed, check, params))
-    except Exception as exc:  # the caller raises it at that check's turn
-        error = exc
-    return _one_pass(chain, f, seed, readers), error
-
-
 def _one_check(check: Callable, chain: ReversibleChain, f: Observable, seed, **params):
     return _one_pass(chain, f, seed, [_build_reader(chain, f, seed, check, params)])[0]
 
@@ -232,16 +215,24 @@ def standard_normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def ks_distance_to_normal(sample: np.ndarray) -> float:
-    """One-sample Kolmogorov-Smirnov distance to the standard normal."""
-    z = np.sort(np.asarray(sample, dtype=float))
-    m = z.shape[0]
+    """One-sample Kolmogorov-Smirnov distance to the standard normal.
+
+    The sample must be nonempty and finite: sorted, a NaN or an infinity
+    is at one end, so the two ends are checked.
+    """
+    z = np.sort(_array(sample, "sample", InvalidArgument))
+    m = _numbers(int, [z.shape[0]], "sample size", least=1)[0]
+    _numbers(float, [z[0], z[-1]], "sample")
     cdf = standard_normal_cdf(z)
     grid = np.arange(1, m + 1) / m
     return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / m))))
 
 
 def dkw_epsilon(m: int, alpha: float = 0.01) -> float:
-    """Empirical-CDF deviation not exceeded with probability 1 - alpha."""
+    """Empirical-CDF deviation not exceeded with probability 1 - alpha, 0 < alpha < 1."""
+    m, alpha = _numbers(int, [m], "m", least=1)[0], _numbers(float, [alpha], "alpha")[0]
+    if not 0.0 < alpha < 1.0:
+        raise InvalidArgument(f"alpha must lie in (0, 1), got {alpha}")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * m))
 
 
@@ -313,41 +304,36 @@ class _FcltReader:
             self.snapshots[np.equal(self.indices, t)] = sums / math.sqrt(self.n)
 
     def report(self) -> LimitReport:
-        grid, snapshots, sigma2, m = self.grid, self.snapshots, self.sigma2, self.m
-        variance_profile = []
-        failures = []
-        for j, t in enumerate(grid):
-            w = snapshots[j]
-            centered = w - w.mean()
-            sq = centered * centered
-            var = float(sq.mean())
-            se = float(sq.std() / math.sqrt(m))
-            variance_profile.append((t, var, se))
-            if abs(var - sigma2 * t) > SE_MULTIPLIER * se + 1e-12:
-                failures.append(f"Var at t={t}: {var:.5g} vs {sigma2 * t:.5g} (se {se:.3g})")
+        """Cov(W(s), W(t)) for grid times s <= t; s == t is the variance profile.
 
-        covariance_profile = []
-        for a in range(len(grid)):
-            for b in range(a + 1, len(grid)):
-                wa = snapshots[a] - snapshots[a].mean()
-                wb = snapshots[b] - snapshots[b].mean()
-                prod = wa * wb
-                s, t = grid[a], grid[b]
-                cov, se = float(prod.mean()), float(prod.std() / math.sqrt(m))
-                covariance_profile.append((s, t, cov, se))
-                if abs(cov - sigma2 * min(s, t)) > SE_MULTIPLIER * se + 1e-12:
-                    failures.append(f"Cov at ({s},{t}): {cov:.5g} vs {sigma2 * min(s, t):.5g}")
-
+        Every variance miss is listed before every covariance miss.
+        """
+        grid, sigma2 = self.grid, self.sigma2
+        centered = self.snapshots - self.snapshots.mean(axis=1, keepdims=True)
+        variance_profile, covariance_profile, var_misses, cov_misses = [], [], [], []
+        for a, s in enumerate(grid):  # the grid is sorted, so min(s, t) = s
+            for b, t in enumerate(grid[a:], a):
+                cov, se = _mean_se(centered[a] * centered[b])
+                target = sigma2 * s
+                missed = abs(cov - target) > SE_MULTIPLIER * se + 1e-12
+                if a == b:
+                    variance_profile.append((t, cov, se))
+                    if missed:
+                        var_misses.append(f"Var at t={t}: {cov:.5g} vs {target:.5g} (se {se:.3g})")
+                else:
+                    covariance_profile.append((s, t, cov, se))
+                    if missed:
+                        cov_misses.append(f"Cov at ({s},{t}): {cov:.5g} vs {target:.5g}")
         return LimitReport(
             op="fclt",
             n=self.n,
-            m=m,
+            m=self.m,
             sigma2_used=sigma2,
             master_seed=self.seed,
             variance_profile=variance_profile,
             covariance_profile=covariance_profile,
             tolerances={"se_multiplier": SE_MULTIPLIER},
-            failures=tuple(failures),
+            failures=tuple(var_misses + cov_misses),
         )
 
 
@@ -437,9 +423,7 @@ def _maximal_report(increments, lambdas, mode, two_sided, prob=None, m=None, see
             lhs, rhs = float(np.dot(prob, lhs_vals)), float(np.dot(prob, rhs_vals))
             se_lhs = se_rhs = 0.0
         else:
-            root_m = math.sqrt(m)
-            lhs, rhs = float(lhs_vals.mean()), float(rhs_vals.mean())
-            se_lhs, se_rhs = float(lhs_vals.std() / root_m), float(rhs_vals.std() / root_m)
+            (lhs, se_lhs), (rhs, se_rhs) = _mean_se(lhs_vals), _mean_se(rhs_vals)
         slack = SE_MULTIPLIER * (se_lhs + se_rhs)
         margins.append(
             {"lambda": lam, "lhs": lhs, "rhs": rhs, "slack": slack,
@@ -541,15 +525,8 @@ class _UiReader:
         for n in self.n_list:
             scaled = self.peaks[n] / n
             for c in self.cutoffs:
-                tail_vals = scaled * (scaled > c)
-                table.append(
-                    {
-                        "n": n,
-                        "cutoff": c,
-                        "tail_expectation": float(tail_vals.mean()),
-                        "se": float(tail_vals.std() / math.sqrt(self.m)),
-                    }
-                )
+                tail, se = _mean_se(scaled * (scaled > c))
+                table.append({"n": n, "cutoff": c, "tail_expectation": tail, "se": se})
         return LimitReport(
             op="ui-diagnostic",
             n=self.n,

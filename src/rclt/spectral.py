@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Observable, ReversibleChain, _frozen, _numbers, require_centered
+from .chain import Observable, ReversibleChain, _array, _frozen, _numbers, require_centered
 from .errors import EigenFailure, FiniteVarianceViolated, InvalidArgument, SingularPoisson
 
 #: eigenvalues may exceed [-1, 1] by at most this much before clamping fails
@@ -59,10 +59,10 @@ class SpectralMeasure:
         w = _frozen(self.weights, "weights")
         if lam.shape != w.shape or lam.ndim != 1:
             raise InvalidArgument("lambdas and weights must be 1-d arrays of equal length")
-        if np.any(lam < -1.0) or np.any(lam > 1.0):
+        if not np.all((lam >= -1.0) & (lam <= 1.0)):  # a NaN atom fails both comparisons
             raise InvalidArgument("spectral atoms must lie in [-1, 1]")
-        if np.any(w < 0.0):
-            raise InvalidArgument("spectral weights must be nonnegative")
+        if not np.all(np.isfinite(w) & (w >= 0.0)):
+            raise InvalidArgument("spectral weights must be finite and nonnegative")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "weights", w)
 
@@ -120,22 +120,29 @@ def moment(rho: SpectralMeasure, k: int) -> float:
     return float(np.dot(rho.weights, rho.lambdas**k))
 
 
-def _require_no_mass_at_one(rho: SpectralMeasure) -> None:
-    near = np.abs(1.0 - rho.lambdas) <= ATOM_AT_ONE_TOL
-    if np.any(near & (rho.weights > 0.0)):
+def _atoms_off_one(rho: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, atoms) of the positive-weight atoms, none of them within 1e-10 of 1.
+
+    An atom of weight zero adds nothing to an integral, so it is left out
+    rather than multiplied by 1/(1-t), which is infinite at t = 1.
+    """
+    positive = rho.weights > 0.0
+    w, lam = rho.weights[positive], rho.lambdas[positive]
+    if np.any(np.abs(1.0 - lam) <= ATOM_AT_ONE_TOL):
         raise FiniteVarianceViolated("spectral mass within 1e-10 of eigenvalue 1")
+    return w, lam
 
 
 def finiteness_integral(rho: SpectralMeasure) -> float:
     """Integral of 1/(1-t): finite exactly when Var(S_n) grows linearly."""
-    _require_no_mass_at_one(rho)
-    return float(np.dot(rho.weights, 1.0 / (1.0 - rho.lambdas)))
+    w, lam = _atoms_off_one(rho)
+    return float(np.dot(w, 1.0 / (1.0 - lam)))
 
 
 def asymptotic_variance_spectral(rho: SpectralMeasure) -> float:
     """Integral of (1+t)/(1-t) against the spectral measure."""
-    _require_no_mass_at_one(rho)
-    return float(np.dot(rho.weights, (1.0 + rho.lambdas) / (1.0 - rho.lambdas)))
+    w, lam = _atoms_off_one(rho)
+    return float(np.dot(w, (1.0 + lam) / (1.0 - lam)))
 
 
 def poisson_solve(chain: ReversibleChain, f: Observable) -> np.ndarray:
@@ -189,8 +196,8 @@ def extrapolate_series_limit(var_over_n: np.ndarray) -> float:
     so eliminating the 1/n term between n_max and n_max/2 recovers the
     limit to near machine precision for chains with a spectral gap.
     """
-    v = np.asarray(var_over_n, dtype=float)
-    n = v.shape[0]
+    v = _array(var_over_n, "var_over_n", InvalidArgument)
+    n = _numbers(int, [v.shape[0]], "length of var_over_n", least=1)[0]
     if n < 2:
         return float(v[-1])
     h = n // 2

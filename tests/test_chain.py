@@ -49,6 +49,12 @@ def test_direct_construction_rejects_a_nan_kernel() -> None:
         rclt.ReversibleChain(kernel=[[0.5, 0.5], [0.5, 0.5]], stationary=[np.nan, np.nan])
 
 
+def test_direct_construction_rejects_a_scalar_kernel() -> None:
+    # a 0-d kernel is one more shape mismatch, not an IndexError
+    with pytest.raises(rclt.NotStochastic):
+        rclt.ReversibleChain(kernel=1.0, stationary=[1.0])
+
+
 @pytest.mark.parametrize(
     ("builder", "args"),
     [

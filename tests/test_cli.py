@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -535,7 +538,7 @@ def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
 
 
 @pytest.mark.parametrize(
-    ("commands", "code", "err", "kept"),
+    ("commands", "code", "err", "kept", "seeds"),
     [
         (
             [
@@ -545,6 +548,7 @@ def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
             4,
             "statistical failure: clt: KS statistic 0.07641 exceeds threshold 0.00000\n",
             ["clt.csv", "clt.json"],
+            100,
         ),
         (
             [
@@ -554,6 +558,7 @@ def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
             2,
             "config error: grid times must lie in [0, 1], got [0.5, 2.0]\n",
             [],
+            0,
         ),
         (
             [
@@ -564,16 +569,45 @@ def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
             2,
             "config error: horizon must be >= 1, got 0\n",
             [],
+            100,
+        ),
+        (
+            [
+                {"command": "clt", "params": {"n": 20, "m": 30, "ks_threshold": 0.5}},
+                {"command": "fclt", "params": {"n": 20, "m": 10, "grid": [2.0]}},
+                {"command": "ui-diagnostic", "params": {"n_list": [5], "m": 500}},
+            ],
+            2,
+            "config error: grid times must lie in [0, 1], got [2.0]\n",
+            [],
+            30,
         ),
     ],
-    ids=["failed-clt-before-bad-fclt", "bad-fclt-first", "decompose-error-before-bad-fclt"],
+    ids=[
+        "failed-clt-before-bad-fclt",
+        "bad-fclt-first",
+        "decompose-error-before-bad-fclt",
+        "bad-fclt-between-checks",
+    ],
 )
-def test_shared_pass_keeps_error_order(tmp_path, capsys, commands, code, err, kept) -> None:
-    """A check that raises before the pass does so at its own turn, as a run without sharing did."""
+def test_shared_pass_keeps_error_order(
+    tmp_path, capsys, monkeypatch, commands, code, err, kept, seeds
+) -> None:
+    """A check that raises before the pass does so at its own turn, as a run without sharing did.
+
+    Only the checks before it are stepped: a check after it is neither built
+    nor stepped, so the run derives the earlier checks' seeds alone.
+    """
+    calls = []
+    derive_seed = rclt.limits.derive_seed
+    monkeypatch.setattr(
+        rclt.limits, "derive_seed", lambda s, i: calls.extend(np.ravel(i)) or derive_seed(s, i)
+    )
     cfg = _config(tmp_path, commands)
     assert main(["run", "--config", str(cfg)]) == code
     assert capsys.readouterr().err == err
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == kept
+    assert sorted(calls) == list(range(seeds))
 
 
 def test_one_replica_pass_per_run(tmp_path, monkeypatch) -> None:
@@ -597,6 +631,24 @@ def test_one_replica_pass_per_run(tmp_path, monkeypatch) -> None:
     assert json.loads((tmp_path / "out" / "maximal_2.json").read_text())["exact"] is True
     assert len(calls) == 200
     assert len(set(calls)) == 200
+
+
+def test_import_needs_numpy_alone() -> None:
+    """After numpy, importing rclt and its command line loads only rclt and the standard library.
+
+    In particular neither numpy.random (loaded when a pass builds its
+    generators), scipy nor hypothesis is imported.
+    """
+    probe = (
+        "import sys, numpy; before = set(sys.modules); import rclt, rclt.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(rclt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert "rclt.cli" in out
+    assert [m for m in out if m.split(".")[0] not in sys.stdlib_module_names | {"rclt"}] == []
 
 
 def test_chain_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys) -> None:

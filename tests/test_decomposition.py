@@ -349,6 +349,20 @@ def test_decompose_a_chain_with_a_tiny_gap() -> None:
     assert np.max(np.abs(_horizon_vectors(chain, f, 2000)[0])) > 500
 
 
+def test_small_gap_at_a_long_horizon_is_a_numerical_error() -> None:
+    """A known limit: past |phi| ~ 1e4 one rounding of phi is ~1e-12, so the absolute gate fails.
+
+    Horizon 2e4 on a gap of ~8e-7 gives a pair residual of ~1.7e-12, which the
+    command line turns into exit 3, not into a silently uncertified report.
+    """
+    chain = _two_blocks(1e-6)
+    f = rclt.project_mean_zero(np.r_[np.ones(20), -np.ones(20)], chain)
+    traj = rclt.sample_trajectory(chain, f, 2000, seed=3)
+    with pytest.raises(rclt.NumericalError, match="pair identity residual"):
+        rclt.decompose_trajectory(chain, f, traj, horizon=2 * 10**4)
+    assert np.max(np.abs(_horizon_vectors(chain, f, 2 * 10**4)[0])) > 5e3
+
+
 def test_decompose_checks_the_eigensystem_against_the_kernel() -> None:
     chain, f = identity_fixture_pairs()[-1]
     lam, u = chain._eigensystem

@@ -11,8 +11,9 @@ from rclt.limits import (
     _iter_batch,
     _limit_increments,
     _limit_martingale,
+    _build_reader,
     _maximal_report,
-    run_checks,
+    _one_pass,
 )
 
 from .fixture_chains import (
@@ -140,6 +141,13 @@ def test_fclt_grid_validation_and_zero_time() -> None:
     small = rclt.fclt_profile(chain, f, n=8, m=6, grid=[0.25, 0.5, 0.75, 1.0], seed=0)
     assert not small.passed
     assert small.failures == ("Var at t=0.25: 0.40278 vs 0.75 (se 0.0935)",)
+    # variance misses come before covariance misses, even one at an earlier grid time
+    both = rclt.fclt_profile(chain, f, n=8, m=6, grid=[0.25, 0.5, 0.75, 1.0], seed=37)
+    assert both.failures == (
+        "Var at t=0.75: 0.77778 vs 2.25 (se 0.225)",
+        "Cov at (0.5,0.75): 0.63889 vs 1.5",
+        "Cov at (0.75,1.0): 1 vs 2.25",
+    )
 
 
 def test_fclt_profile_matches_brownian_scaling() -> None:
@@ -319,29 +327,6 @@ def test_ui_diagnostic_rejects_empty_n_list() -> None:
         rclt.uniform_integrability_diagnostic(chain, f, [], [1.0], seed=1, m=10)
 
 
-def test_run_checks_simulates_only_the_checks_before_an_error(monkeypatch) -> None:
-    chain = cycle_metropolis()
-    f = observable(chain, [0.3, 1.7, -1.1])
-    clt = {"n": 20, "m": 30, "ks_threshold": 0.5}
-    alone = rclt.clt_test(chain, f, seed=8, **clt)
-    calls = []
-    derive_seed = rclt.limits.derive_seed
-    monkeypatch.setattr(
-        rclt.limits, "derive_seed", lambda s, i: calls.extend(np.ravel(i)) or derive_seed(s, i)
-    )
-    checks = [
-        (rclt.clt_test, clt),
-        (rclt.fclt_profile, {"n": 20, "m": 10, "grid": [2.0]}),
-        (rclt.uniform_integrability_diagnostic, {"n_list": [5], "epsilon_grid": [1.0], "m": 500}),
-    ]
-    reports, error = run_checks(chain, f, 8, checks)
-    assert isinstance(error, rclt.InvalidArgument)
-    assert len(reports) == 1
-    assert np.array_equal(reports[0].normalized_sums, alone.normalized_sums)
-    assert reports[0].to_dict() == alone.to_dict()
-    assert len(calls) == 30  # the ui check after the error is never built or stepped
-
-
 def test_exhaustive_maximal_joins_the_pass_without_stepping(monkeypatch) -> None:
     """An exhaustive maximal alone derives no seed, and its report is the enumeration's."""
     chain = cycle_metropolis()
@@ -352,8 +337,8 @@ def test_exhaustive_maximal_joins_the_pass_without_stepping(monkeypatch) -> None
     monkeypatch.setattr(
         rclt.limits, "derive_seed", lambda s, i: calls.extend(np.ravel(i)) or derive_seed(s, i)
     )
-    reports, error = run_checks(chain, f, None, [(rclt.maximal_inequality_check, params)])
-    assert error is None
+    reader = _build_reader(chain, f, None, rclt.maximal_inequality_check, params)
+    reports = _one_pass(chain, f, None, [reader])
     assert calls == []
     alone = rclt.maximal_inequality_check(chain, f, **params)
     assert reports[0].to_dict() == alone.to_dict()

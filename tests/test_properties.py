@@ -1,5 +1,6 @@
 """Property tests: one shared pass gives every check the report it gives alone,
-``validate`` judges a config as ``run`` does, and bulk seeds are numpy's."""
+``validate`` judges a config as ``run`` does, bulk seeds are numpy's, and random
+chains are admitted with their certificates or rejected with their documented error."""
 from __future__ import annotations
 
 import contextlib
@@ -13,7 +14,7 @@ import pytest
 
 import rclt
 from rclt.cli import main
-from rclt.limits import run_checks
+from rclt.limits import _build_reader, _one_pass
 
 from .fixture_chains import mixing_fixture_pairs
 
@@ -48,13 +49,13 @@ _PARAMS = {
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @hypothesis.given(data=st.data())
-def test_run_checks_reports_equal_one_request_calls(data) -> None:
+def test_one_pass_reports_equal_one_request_calls(data) -> None:
     chain, f = data.draw(st.sampled_from(_PAIRS), label="chain")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     order = data.draw(st.lists(st.sampled_from(list(_PARAMS)), min_size=1, max_size=5), label="checks")
     checks = [(check, data.draw(_PARAMS[check], label=check.__name__)) for check in order]
-    reports, error = run_checks(chain, f, seed, checks)
-    assert error is None
+    readers = [_build_reader(chain, f, seed, check, params) for check, params in checks]
+    reports = _one_pass(chain, f, seed, readers)
     assert len(reports) == len(checks)
     for (check, params), report in zip(checks, reports):
         alone = check(chain, f, seed=seed, **params)
@@ -148,3 +149,85 @@ def test_derive_seed_matches_seed_sequence(master, indices) -> None:
     ]
     assert rclt.derive_seed(master, np.array(indices, dtype=np.uint64)).tolist() == expected
     assert rclt.derive_seed(master, indices[0]) == expected[0]
+
+
+def _graph_weights(rng, size: int) -> np.ndarray:
+    """Symmetric random weights with loops, kept connected by a ring of positive weights."""
+    w = rng.uniform(0.0, 2.0, (size, size)) * (rng.random((size, size)) < rng.uniform(0.1, 1.0))
+    w += np.roll(np.eye(size), 1, axis=1) * rng.uniform(0.1, 1.0, size)
+    return w + w.T
+
+
+def _metropolis_inputs(rng, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A positive target and a symmetric stochastic proposal: a ring move mixed with a uniform one."""
+    shift = np.roll(np.eye(size), 1, axis=1)
+    mix = rng.uniform(0.0, 1.0)
+    return rng.uniform(0.05, 5.0, size), 0.5 * mix * (shift + shift.T) + (1.0 - mix) / size
+
+
+def _two_block_weights(rng, size: int, coupling: float) -> np.ndarray:
+    """Two dense blocks of the states joined only by edges of weight ``coupling``."""
+    side = np.arange(size) < size // 2
+    a = rng.uniform(0.5, 2.0, (size, size))
+    return np.where(side[:, None] == side[None, :], a + a.T, coupling)
+
+
+def _random_chain(family: str, rng, size: int, coupling: float) -> rclt.ReversibleChain:
+    if family == "graph":
+        return rclt.build_random_walk(_graph_weights(rng, size))
+    if family == "metropolis":
+        return rclt.build_metropolis(*_metropolis_inputs(rng, size))
+    return rclt.build_random_walk(_two_block_weights(rng, size, coupling))
+
+
+_RANDOM_CHAINS = {
+    "family": st.sampled_from(["graph", "metropolis", "two-block"]),
+    "size": st.integers(2, 50),
+    "seed": st.integers(0, 2**32 - 1),
+    "coupling": st.floats(-6.0, -1.0).map(lambda e: 10.0**e),
+}
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(**_RANDOM_CHAINS)
+def test_random_chains_are_admitted_with_their_certificates(family, size, seed, coupling) -> None:
+    """Certified invariants always; with an absolute gap >= 0.1 also the three sigma^2 routes
+    and both identities along a path."""
+    rng = np.random.default_rng(seed)
+    chain = _random_chain(family, rng, size, coupling)
+    assert np.max(np.abs(chain.kernel.sum(axis=1) - 1.0)) <= 1e-12
+    assert chain.detailed_balance_residual() <= 1e-12
+    assert np.all(chain.stationary > 0.0)
+    if rclt.spectral_gap(chain, absolute=True) < 0.1:
+        return
+    f = rclt.project_mean_zero(rng.normal(size=size), chain)
+    report = rclt.variance_report(chain, f, n_max=600)
+    sigma2 = report.sigma2_spectral
+    assert abs(report.sigma2_poisson - sigma2) <= 1e-8 * sigma2
+    assert abs(report.sigma2_series - sigma2) <= 1e-8 * sigma2
+    terms = rclt.decompose_trajectory(chain, f, rclt.sample_trajectory(chain, f, 200, seed))
+    assert terms.max_pair_residual <= 1e-12
+    assert terms.max_decomposition_residual <= 1e-12
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(**{**_RANDOM_CHAINS, "size": st.integers(3, 50)})
+def test_perturbed_random_inputs_raise_their_documented_errors(family, size, seed, coupling) -> None:
+    rng = np.random.default_rng(seed)
+    i, j = rng.choice(size, 2, replace=False)
+    w = _graph_weights(rng, size)
+    skewed = w.copy()
+    skewed[i, j] += 1e-6
+    with pytest.raises(rclt.MalformedMatrix, match="symmetric"):
+        rclt.build_random_walk(skewed)
+    w[i, j] = w[j, i] = -rng.uniform(1e-6, 1.0)
+    with pytest.raises(rclt.NegativeWeight):
+        rclt.build_random_walk(w)
+    target, proposal = _metropolis_inputs(rng, size)
+    target[i] = 0.0
+    with pytest.raises(rclt.ZeroTargetMass):
+        rclt.build_metropolis(target, proposal)
+    # a drift around the ring: every ring cycle is likelier forwards than backwards
+    shift = np.roll(np.eye(size), 1, axis=1)
+    with pytest.raises(rclt.NotReversible):
+        rclt.build_chain(0.5 * _random_chain(family, rng, size, coupling).kernel + 0.5 * shift)

@@ -337,6 +337,16 @@ _RAGGED = [
         lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=1, ks_threshold=True),
         lambda: rclt.fclt_profile(*_TWO, n=10, m=5, grid=[True], seed=1),
         lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[False], exhaustive=True),
+        lambda: rclt.SpectralMeasure(lambdas=np.array([np.nan]), weights=np.array([1.0])),
+        lambda: rclt.SpectralMeasure(lambdas=np.array([0.5]), weights=np.array([np.inf])),
+        lambda: rclt.extrapolate_series_limit([]),
+        lambda: rclt.extrapolate_series_limit(["a", "b"]),
+        lambda: rclt.ks_distance_to_normal([]),
+        lambda: rclt.ks_distance_to_normal(["a"]),
+        lambda: rclt.ks_distance_to_normal([0.1, np.nan, -0.3]),
+        lambda: rclt.dkw_epsilon(0),
+        lambda: rclt.dkw_epsilon(-1),
+        lambda: rclt.dkw_epsilon(100, alpha=0),
         *_RAGGED,
     ],
     ids=[
@@ -398,6 +408,16 @@ _RAGGED = [
         "clt-ks-threshold-bool",
         "fclt-grid-bool",
         "maximal-lambdas-bool-exhaustive",
+        "measure-atom-nan",
+        "measure-weight-inf",
+        "series-limit-empty",
+        "series-limit-text",
+        "ks-empty-sample",
+        "ks-text-sample",
+        "ks-nan-sample",
+        "dkw-m-zero",
+        "dkw-m-negative",
+        "dkw-alpha-zero",
         "build-chain-ragged",
         "build-random-walk-ragged",
         "build-metropolis-ragged-proposal",
@@ -410,6 +430,13 @@ def test_bad_library_arguments_raise_typed_errors(call) -> None:
         call()
     assert isinstance(info.value, rclt.MalformedMatrix if call in _RAGGED else rclt.InvalidArgument)
     assert isinstance(info.value, ValueError)
+
+
+def test_zero_weight_atom_at_one_adds_nothing() -> None:
+    """An atom of weight 0 at exactly 1 is left out of the integrals, not weighted by 0 * inf."""
+    rho = rclt.SpectralMeasure(lambdas=np.array([0.5, 1.0]), weights=np.array([1.0, 0.0]))
+    assert rclt.finiteness_integral(rho) == 2.0
+    assert rclt.asymptotic_variance_spectral(rho) == 3.0
 
 
 @pytest.mark.parametrize("scale", [1e3, 1e5])
