@@ -29,6 +29,7 @@ seeds all its generators in one pass instead of one Python hash each.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -529,22 +530,23 @@ def sample_trajectory(chain: ReversibleChain, f: Observable, length: int, seed: 
     The generator consumes exactly ``length + 1`` uniforms in order: one
     inverse-CDF draw from the stationary law for the start, then one per
     transition. Batch simulators elsewhere reproduce single paths by
-    honoring the same protocol. Each draw bisects only the row it needs:
-    ``entry <= u`` holds on a prefix of every cumulative row (its pinned
-    last entry is 1.0 > u), so the count is the same as ``bisect_right``'s
-    and always below the number of states.
+    honoring the same protocol. Each draw is one ``bisect_right`` over only
+    the row it needs: ``entry <= u`` holds on a prefix of every cumulative
+    row (its pinned last entry is 1.0 > u), so the bisection counts that
+    prefix, which is always shorter than the number of states.
     """
     length = _numbers(int, [length], "length", least=1)[0]
     seed = _numbers(int, [seed], "seed", least=0)[0]
     require_centered(chain, f)
     rng = np.random.default_rng(seed)
-    u = rng.random(length + 1)
+    u = rng.random(length + 1).tolist()
     cum_pi, cum_rows = _cumulative_tables(chain)
+    rows = list(cum_rows)
 
     states = np.empty(length + 1, dtype=np.int64)
-    s = states[0] = cum_pi.searchsorted(u[0], side="right")
+    s = states[0] = bisect_right(cum_pi, u[0])
     for t in range(1, length + 1):
-        s = states[t] = cum_rows[s].searchsorted(u[t], side="right")
+        s = states[t] = bisect_right(rows[s], u[t])
 
     x = f.values[states]
     partial = np.concatenate(([0.0], exact_cumsum(x[1:])))

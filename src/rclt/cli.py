@@ -347,10 +347,20 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _float_cells(values) -> list[str]:
+    """``repr`` of each float in ``values``, computed once per distinct bit pattern.
+
+    Bit patterns, not values, are compared, so -0.0 keeps its sign apart from 0.0.
+    """
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(x) for x in distinct.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def _write_csv(path: Path, columns: dict) -> None:
     """One CSV column per entry of ``columns``: name -> a ``range`` of indices or floats."""
-    cells = [map(str, c) if isinstance(c, range) else map(repr, np.asarray(c, dtype=float).tolist())
-             for c in columns.values()]
+    cells = [map(str, c) if isinstance(c, range) else _float_cells(c) for c in columns.values()]
     lines = [f"# schema={SCHEMA_VERSION}", ",".join(columns), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
 

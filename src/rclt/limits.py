@@ -112,7 +112,9 @@ class LimitReport:
 # --- batched simulation -----------------------------------------------------
 
 
-def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int, block: int = 256):
+def _iter_batch(
+    chain: ReversibleChain, n: int, m: int, master_seed: int, block: int = 512, group: int = 256
+):
     """Yield (t, states) for t = 0..n across m replicas.
 
     Replica r draws from the stream seeded with derive_seed(master_seed, r)
@@ -122,6 +124,12 @@ def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int, block:
     seeds, and the generator states built from them, are hashed in one numpy
     pass each: one ``derive_seed`` call over ``arange(m)``, then
     ``_generators``, which builds the generators ``default_rng`` would.
+
+    The uniforms of up to ``block`` times are held time-major in one buffer of
+    min(block, n + 1) x m doubles, reused for every block, so memory does not
+    grow with n. It is filled ``group`` replicas at a time: each replica draws
+    into its own contiguous row of a small row-major tile, and the tile is
+    copied into the buffer transposed, so no draw writes a strided column.
 
     Each replica bisects its own cumulative row, padded with 1.0 to 2^k >= S
     entries, in k rounds of one comparison each, so a step costs O(m log S);
@@ -137,11 +145,16 @@ def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int, block:
     flat = np.pad(rows, [(0, 0), (0, (1 << k) - chain.n_states)], constant_values=1.0).ravel()
     rounds = [1 << j for j in range(k - 1, -1, -1)]
     states = np.full(m, chain.n_states)  # row S of the table: the start draw
+    uniforms = np.empty((min(block, n + 1), m))
+    tile = np.empty((min(group, m), uniforms.shape[0]))
     for first in range(0, n + 1, block):
-        uniforms = np.empty((min(block, n + 1 - first), m))
-        for r, rng in enumerate(rngs):
-            uniforms[:, r] = rng.random(uniforms.shape[0])
-        for t, u in enumerate(uniforms, first):
+        b = min(block, n + 1 - first)
+        for r0 in range(0, m, group):
+            drawn = tile[: min(group, m - r0), :b]
+            for row, rng in zip(drawn, rngs[r0 : r0 + group]):
+                rng.random(out=row)
+            uniforms[:b, r0 : r0 + drawn.shape[0]] = drawn.T
+        for t, u in enumerate(uniforms[:b], first):
             cursor = states << k
             for step in rounds:
                 cursor += (flat.take(cursor + (step - 1)) <= u) * step
@@ -217,10 +230,13 @@ def standard_normal_cdf(x: np.ndarray) -> np.ndarray:
 def ks_distance_to_normal(sample: np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov distance to the standard normal.
 
-    The sample must be nonempty and finite: sorted, a NaN or an infinity
-    is at one end, so the two ends are checked.
+    The sample must be a nonempty finite 1-d vector: sorted, a NaN or an
+    infinity is at one end, so the two ends are checked.
     """
-    z = np.sort(_array(sample, "sample", InvalidArgument))
+    z = _array(sample, "sample", InvalidArgument)
+    if z.ndim != 1:
+        raise InvalidArgument(f"sample must be a 1-d vector, got shape {z.shape}")
+    z.sort()
     m = _numbers(int, [z.shape[0]], "sample size", least=1)[0]
     _numbers(float, [z[0], z[-1]], "sample")
     cdf = standard_normal_cdf(z)

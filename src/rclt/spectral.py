@@ -197,6 +197,8 @@ def extrapolate_series_limit(var_over_n: np.ndarray) -> float:
     limit to near machine precision for chains with a spectral gap.
     """
     v = _array(var_over_n, "var_over_n", InvalidArgument)
+    if v.ndim != 1:
+        raise InvalidArgument(f"var_over_n must be a 1-d vector, got shape {v.shape}")
     n = _numbers(int, [v.shape[0]], "length of var_over_n", least=1)[0]
     if n < 2:
         return float(v[-1])

@@ -13,6 +13,8 @@ import pytest
 import rclt
 from rclt.cli import (
     DEFAULT_PARAMS,
+    SCHEMA_VERSION,
+    _write_csv,
     build_chain_from_definition,
     load_config,
     main,
@@ -192,6 +194,30 @@ def test_run_is_byte_reproducible(tmp_path) -> None:
             data = (tmp_path / "out_a" / name).read_bytes()
             assert data == (tmp_path / "out_b" / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[name], name
+
+
+_SPECIAL = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 0.1 + 0.2]
+_SPECIAL += [-float("nan"), 0.1 + 0.2, -0.0, 0.0, 5e-324, float("nan"), 1e16, -0.0]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"k": range(16), "x": _SPECIAL, "y": np.array(_SPECIAL[::-1])},
+        {"k": range(1), "x": np.array([2.5])},
+        {"replica": range(500), "z": np.random.default_rng(5).normal(size=500)},
+        {"k": range(4), "x": np.arange(8.0)[::2]},  # a strided view
+        {"n": range(1, 4)},
+    ],
+    ids=["special-values", "one-row", "all-distinct", "strided", "range-only"],
+)
+def test_csv_floats_are_their_repr(tmp_path, columns) -> None:
+    """The CSV equals the plain formula: ``str`` of each index, ``repr`` of each float."""
+    cells = [map(str, c) if isinstance(c, range) else map(repr, np.asarray(c, dtype=float).tolist())
+             for c in columns.values()]
+    lines = [f"# schema={SCHEMA_VERSION}", ",".join(columns), *map(",".join, zip(*cells))]
+    _write_csv(tmp_path / "out.csv", columns)
+    assert (tmp_path / "out.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_numerical_failure_removes_partial_outputs(tmp_path) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,39 +28,48 @@ from .fixture_chains import (
 )
 
 
-def test_batch_simulation_equals_stacked_single_paths() -> None:
-    chain = cycle_metropolis()
-    f = observable(chain, [0.3, 1.7, -1.1])
-    m, n, master = 7, 83, 4711
+def _assert_batch_equals_single_paths(chain, n, m, master, **sizes) -> None:
+    """Every replica of one ``_iter_batch`` pass equals its own ``sample_trajectory``."""
+    f = observable(chain, np.random.default_rng(chain.n_states).normal(size=chain.n_states))
     mat = np.empty((m, n + 1), dtype=np.int64)
-    for t, states in _iter_batch(chain, n, m, master, block=13):
+    for t, states in _iter_batch(chain, n, m, master, **sizes):
         mat[:, t] = states
     for r in range(m):
         single = rclt.sample_trajectory(chain, f, n, rclt.derive_seed(master, r))
         assert np.array_equal(single.states, mat[r])
+
+
+def test_batch_simulation_equals_stacked_single_paths() -> None:
+    _assert_batch_equals_single_paths(cycle_metropolis(), 83, 7, 4711, block=13)
+
+
+_37_STATES = partial(random_lazy_chain, 37, seed=5)  # 6 rounds over rows padded to 64
 
 
 @pytest.mark.parametrize(
-    ("make_chain", "block"),
+    ("make_chain", "block", "group"),
     [
-        (flip_chain, 13),  # zero kernel entries: repeated cumulative values
-        (lambda: rclt.build_chain([[1.0]]), 13),  # one state: no bisection rounds
-        (lambda: random_lazy_chain(37, seed=5), 13),  # 6 rounds over rows padded to 64
-        (lambda: random_lazy_chain(37, seed=5), 1),
-        (lambda: random_lazy_chain(37, seed=5), 500),  # one block longer than the path
+        (flip_chain, 13, 256),  # zero kernel entries: repeated cumulative values
+        (lambda: rclt.build_chain([[1.0]]), 13, 256),  # one state: no bisection rounds
+        (_37_STATES, 13, 256),
+        (_37_STATES, 1, 256),
+        (_37_STATES, 500, 256),  # one block longer than the path
+        # groups of 3 and 1 split the 7 replicas into several tiles, the last one short
+        *[(_37_STATES, block, group) for group in (3, 1) for block in (1, 13, 500)],
     ],
-    ids=["flip", "one-state", "37-states", "37-states-block-1", "37-states-block-500"],
+    ids=[
+        "flip", "one-state", "37-states", "37-states-block-1", "37-states-block-500",
+        *[f"37-states-group-{group}-block-{block}" for group in (3, 1) for block in (1, 13, 500)],
+    ],
 )
-def test_batch_stepping_edge_cases_equal_single_paths(make_chain, block) -> None:
-    chain = make_chain()
-    f = observable(chain, np.random.default_rng(chain.n_states).normal(size=chain.n_states))
-    m, n, master = 7, 83, 4711  # block 13 does not divide the n + 1 = 84 draws
-    mat = np.empty((m, n + 1), dtype=np.int64)
-    for t, states in _iter_batch(chain, n, m, master, block=block):
-        mat[:, t] = states
-    for r in range(m):
-        single = rclt.sample_trajectory(chain, f, n, rclt.derive_seed(master, r))
-        assert np.array_equal(single.states, mat[r])
+def test_batch_stepping_edge_cases_equal_single_paths(make_chain, block, group) -> None:
+    # m = 7, n = 83: block 13 does not divide the n + 1 = 84 draws
+    _assert_batch_equals_single_paths(make_chain(), 83, 7, 4711, block=block, group=group)
+
+
+def test_batch_stepping_across_tiles_at_default_sizes() -> None:
+    # 300 replicas fill one full tile of 256 and a short one of 44
+    _assert_batch_equals_single_paths(_37_STATES(), 20, 300, 99)
 
 
 def test_ks_distance_against_known_sample() -> None:

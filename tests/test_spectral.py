@@ -344,6 +344,10 @@ _RAGGED = [
         lambda: rclt.ks_distance_to_normal([]),
         lambda: rclt.ks_distance_to_normal(["a"]),
         lambda: rclt.ks_distance_to_normal([0.1, np.nan, -0.3]),
+        lambda: rclt.ks_distance_to_normal(1.0),
+        lambda: rclt.ks_distance_to_normal([[0.1, -0.3]]),
+        lambda: rclt.extrapolate_series_limit(1.0),
+        lambda: rclt.extrapolate_series_limit([[1.0, 2.0]]),
         lambda: rclt.dkw_epsilon(0),
         lambda: rclt.dkw_epsilon(-1),
         lambda: rclt.dkw_epsilon(100, alpha=0),
@@ -415,6 +419,10 @@ _RAGGED = [
         "ks-empty-sample",
         "ks-text-sample",
         "ks-nan-sample",
+        "ks-0d-sample",
+        "ks-2d-sample",
+        "series-limit-0d",
+        "series-limit-2d",
         "dkw-m-zero",
         "dkw-m-negative",
         "dkw-alpha-zero",
