@@ -385,10 +385,10 @@ def project_mean_zero(raw, chain: ReversibleChain) -> Observable:
     return Observable(values=v - float(np.dot(chain.stationary, v)))
 
 
-def require_centered(chain: ReversibleChain, f: Observable, tol: float = CERTIFIED_TOL) -> None:
-    """Reject f unless its stationary mean is within tol * max(1, max|f|) of zero."""
+def require_centered(chain: ReversibleChain, f: Observable) -> None:
+    """Reject f unless its stationary mean is within CERTIFIED_TOL * max(1, max|f|) of zero."""
     m = float(np.dot(chain.stationary, f.values))
-    if abs(m) > tol * max(1.0, float(np.max(np.abs(f.values)))):
+    if abs(m) > CERTIFIED_TOL * max(1.0, float(np.max(np.abs(f.values)))):
         raise InvalidArgument(f"observable is not centered: stationary mean {m:.3e}")
 
 

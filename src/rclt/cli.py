@@ -87,32 +87,6 @@ from .spectral import spectral_measure, variance_report
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("spectrum", "variance", "decompose", "clt", "fclt", "maximal", "ui-diagnostic")
-#: subcommands that consume random streams and therefore need a master seed
-SEEDED_COMMANDS = {"decompose", "clt", "fclt", "maximal", "ui-diagnostic"}
-
-DEFAULT_PARAMS = {
-    "spectrum": {},
-    "variance": {"n_max": 1000},
-    "decompose": {"length": 200, "horizon": None, "seed_index": 0},
-    "clt": {"n": 2000, "m": 10000, "ks_threshold": 0.02},
-    "fclt": {"n": 4000, "m": 10000, "grid": [0.25, 0.5, 0.75, 1.0]},
-    "maximal": {
-        "n": 6,
-        "lambdas": [0.0, 0.5, 1.0],
-        "mode": "forward",
-        "exhaustive": True,
-        "m": None,
-        "two_sided": False,
-    },
-    "ui-diagnostic": {
-        "n_list": [100, 1000],
-        "epsilon_grid": [1.0, 2.0, 5.0, 10.0, 20.0],
-        "m": 2000,
-    },
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Loaded and validated experiment description."""
@@ -237,7 +211,7 @@ def _normalize_commands(raw) -> list[tuple[str, dict]]:
 
 def _needs_seed(commands: list[tuple[str, dict]]) -> bool:
     return any(
-        name in SEEDED_COMMANDS and not (name == "maximal" and params["exhaustive"])
+        _COMMANDS[name].seeded and not (name == "maximal" and params["exhaustive"])
         for name, params in commands
     )
 
@@ -370,7 +344,10 @@ def _write_csv(path: Path, columns: dict) -> None:
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand's library call and what it writes.
+    """One subcommand: its library call, its params, whether it needs a seed, and what it writes.
+
+    ``_COMMANDS`` holds one per subcommand; ``COMMANDS`` and ``DEFAULT_PARAMS``
+    are read off it.
 
     A command has either a ``call`` or a ``check``, never both.
     ``call(config, chain, f, params)`` gives the result, looking library functions
@@ -379,7 +356,9 @@ class _Command:
     before any command runs. ``check`` is the ``rclt.limits`` check whose reader
     ``_prepare`` builds and whose report ``run`` takes from the run's one pass.
     ``payload`` turns the result into the JSON report body and ``csv``, if set,
-    into CSV columns.
+    into CSV columns. ``defaults`` are the command's params and their default
+    values, and ``seeded`` marks a command that consumes random streams and
+    therefore needs a master seed (``_needs_seed`` excuses exhaustive ``maximal``).
     """
 
     payload: Callable
@@ -387,6 +366,8 @@ class _Command:
     arguments: Callable | None = None
     csv: Callable | None = None
     check: Callable | None = None
+    defaults: dict = field(default_factory=dict)
+    seeded: bool = False
 
 
 def _decompose(config, chain, f, params):
@@ -413,6 +394,7 @@ _COMMANDS = {
     "variance": _Command(
         call=lambda _, chain, f, p: (spectral_measure(chain, f), variance_report(chain, f, **p)),
         arguments=lambda p: _numbers(int, [p["n_max"]], "n_max", least=1),
+        defaults={"n_max": 1000},
         payload=lambda result: {"atoms": result[0].atoms(), **result[1].to_dict()},
         csv=lambda result: {
             "n": range(1, len(result[1].var_over_n) + 1),
@@ -422,6 +404,7 @@ _COMMANDS = {
     "decompose": _Command(
         call=_decompose,
         arguments=_decompose_arguments,
+        defaults={"length": 200, "horizon": None, "seed_index": 0}, seeded=True,
         payload=lambda result: {
             "length": result[0].length,
             "horizon": result[1].horizon,
@@ -443,18 +426,31 @@ _COMMANDS = {
     ),
     "clt": _Command(
         check=clt_test,
+        defaults={"n": 2000, "m": 10000, "ks_threshold": 0.02}, seeded=True,
         payload=lambda report: {"passed": report.passed, **report.to_dict()},
         csv=lambda report: {
             "replica": range(len(report.normalized_sums)),
             "normalized_sum": report.normalized_sums,
         },
     ),
-    "fclt": _Command(check=fclt_profile, payload=_with_verdict),
-    "maximal": _Command(check=maximal_inequality_check, payload=_with_verdict),
+    "fclt": _Command(
+        check=fclt_profile, payload=_with_verdict, seeded=True,
+        defaults={"n": 4000, "m": 10000, "grid": [0.25, 0.5, 0.75, 1.0]},
+    ),
+    "maximal": _Command(
+        check=maximal_inequality_check, payload=_with_verdict, seeded=True,  # unless exhaustive
+        defaults={"n": 6, "lambdas": [0.0, 0.5, 1.0], "mode": "forward", "exhaustive": True,
+                  "m": None, "two_sided": False},
+    ),
     "ui-diagnostic": _Command(
-        check=uniform_integrability_diagnostic, payload=lambda report: report.to_dict()
+        check=uniform_integrability_diagnostic, payload=lambda report: report.to_dict(),
+        defaults={"n_list": [100, 1000], "epsilon_grid": [1.0, 2.0, 5.0, 10.0, 20.0], "m": 2000},
+        seeded=True,
     ),
 }
+
+COMMANDS = tuple(_COMMANDS)
+DEFAULT_PARAMS = {name: command.defaults for name, command in _COMMANDS.items()}
 
 
 def _prepare(config: ExperimentConfig):
@@ -584,12 +580,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rclt",
         description="Numerical laboratory for reversible Markov chain limit behavior.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS + ("run", "validate"):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="experiment config JSON file")
-        cmd.add_argument("--seed", type=int, default=None, help="override master seed")
-        cmd.add_argument("--out", default=None, help="override output directory")
+    parser.add_argument("subcommand", choices=COMMANDS + ("run", "validate"))
+    parser.add_argument("--config", required=True, help="experiment config JSON file")
+    parser.add_argument("--seed", type=int, default=None, help="override master seed")
+    parser.add_argument("--out", default=None, help="override output directory")
     return parser
 
 

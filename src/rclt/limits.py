@@ -136,14 +136,16 @@ def _iter_batch(
     the start bisects an extra row, the stationary CDF. The rows never
     decrease before their pinned last entry, and that entry and the padding
     are 1.0 > u, so ``entry <= u`` holds on a prefix of the row: the rounds
-    count exactly the entries ``bisect_right`` counts.
+    count exactly the entries ``bisect_right`` counts. The last round, of
+    step 1, adds its comparison directly; with one state (k = 0) it compares
+    the pinned 1.0 and adds nothing.
     """
     rngs = _generators(derive_seed(master_seed, np.arange(m)))
     cum_pi, cum_rows = _cumulative_tables(chain)
     k = (chain.n_states - 1).bit_length()
     rows = np.vstack([cum_rows, cum_pi])
     flat = np.pad(rows, [(0, 0), (0, (1 << k) - chain.n_states)], constant_values=1.0).ravel()
-    rounds = [1 << j for j in range(k - 1, -1, -1)]
+    rounds = [1 << j for j in range(k - 1, 0, -1)]  # all but the last round, of step 1
     states = np.full(m, chain.n_states)  # row S of the table: the start draw
     uniforms = np.empty((min(block, n + 1), m))
     tile = np.empty((min(group, m), uniforms.shape[0]))
@@ -158,6 +160,7 @@ def _iter_batch(
             cursor = states << k
             for step in rounds:
                 cursor += (flat.take(cursor + (step - 1)) <= u) * step
+            cursor += flat.take(cursor) <= u
             states = cursor & ((1 << k) - 1)
             yield t, states
 
@@ -393,80 +396,17 @@ def _enumerate_paths(chain: ReversibleChain, n: int):
     return paths, prob
 
 
-def _limit_martingale(chain: ReversibleChain, f: Observable, mode: str):
-    """(f + w, w) for the resolvent pair's w: the limit increment is their difference along a path.
-
-    Forward mode reads the path left to right; reversed mode accumulates
-    the reversed increments from the far end of the path, which is their
-    natural martingale direction (and, by reversibility, distributes
-    exactly like the forward case).
-    """
-    if mode not in ("forward", "reversed"):
-        raise InvalidArgument(f"mode must be 'forward' or 'reversed', got {mode!r}")
-    _, w = resolvent_pair(chain, f)
-    return f.values + w, w
-
-
-def _limit_increments(value: np.ndarray, w: np.ndarray, paths: np.ndarray, mode: str):
-    """Limit martingale increment matrix (rows = paths, columns = 1..n)."""
-    ordered = paths if mode == "forward" else paths[:, ::-1]
-    return value[ordered[:, 1:]] - w[ordered[:, :-1]]
-
-
-def _maximal_sides(increments: np.ndarray, lam: float, two_sided: bool):
-    """Per-path left and right side of the maximal inequality at level lam."""
-    sums = np.cumsum(increments, axis=1)
-    run_max = np.maximum.accumulate(np.maximum(sums, 0.0), axis=1)
-    if two_sided:
-        run_max_neg = np.maximum.accumulate(np.maximum(-sums, 0.0), axis=1)
-        peak = np.maximum(run_max[:, -1], run_max_neg[:, -1])
-        lhs = np.clip(peak - lam, 0.0, None) ** 2
-        hit = (run_max > lam).astype(float) + (run_max_neg > lam).astype(float)
-    else:
-        lhs = np.clip(run_max[:, -1] - lam, 0.0, None) ** 2
-        hit = (run_max > lam).astype(float)
-    rhs = 4.0 * np.sum(increments * increments * hit, axis=1)
-    return lhs, rhs
-
-
-def _maximal_report(increments, lambdas, mode, two_sided, prob=None, m=None, seed=None):
-    """Judge each level: exactly under the path probabilities ``prob``, else over m replicas."""
-    margins = []
-    failures = []
-    for lam in lambdas:
-        lhs_vals, rhs_vals = _maximal_sides(increments, lam, two_sided)
-        if prob is not None:
-            lhs, rhs = float(np.dot(prob, lhs_vals)), float(np.dot(prob, rhs_vals))
-            se_lhs = se_rhs = 0.0
-        else:
-            (lhs, se_lhs), (rhs, se_rhs) = _mean_se(lhs_vals), _mean_se(rhs_vals)
-        slack = SE_MULTIPLIER * (se_lhs + se_rhs)
-        margins.append(
-            {"lambda": lam, "lhs": lhs, "rhs": rhs, "slack": slack,
-             "se_lhs": se_lhs, "se_rhs": se_rhs}
-        )
-        if lhs > rhs + slack + 1e-12:
-            failures.append(f"lambda={lam}: lhs {lhs:.6g} > rhs {rhs:.6g}")
-
-    return LimitReport(
-        op="maximal",
-        n=increments.shape[1],
-        m=m,
-        master_seed=seed,
-        exact=prob is not None,
-        mode=mode,
-        maximal_margins=margins,
-        tolerances={"se_multiplier": SE_MULTIPLIER, "two_sided": bool(two_sided)},
-        failures=tuple(failures),
-    )
-
-
 class _MaximalReader:
     """Both sides of the maximal inequality, from replica paths or from every path.
 
     Monte Carlo mode records the m replica paths as they are stepped.
     Exhaustive mode enumerates every path with its exact probability when it
-    is built and sets ``m = None``, so the pass never steps it.
+    is built and sets ``m = None``, so the pass never steps it. The limit
+    increment along a path is (f + w)(xi_k) - w(xi_{k-1}) for the resolvent
+    pair's w. Forward mode reads the path left to right; reversed mode
+    accumulates the reversed increments from the far end of the path, which
+    is their natural martingale direction (and, by reversibility,
+    distributes exactly like the forward case).
     """
 
     def __init__(self, chain, f, n, lambdas, mode="forward", exhaustive=False, m=None, seed=None,
@@ -478,7 +418,10 @@ class _MaximalReader:
         else:
             m, seed = _replicas(m, seed)
             self.paths, self.prob = np.empty((m, n + 1), dtype=np.int64), None
-        self.value, self.w = _limit_martingale(chain, f, mode)
+        if mode not in ("forward", "reversed"):
+            raise InvalidArgument(f"mode must be 'forward' or 'reversed', got {mode!r}")
+        self.w = resolvent_pair(chain, f)[1]
+        self.value = f.values + self.w
         self.lambdas = _numbers(float, lambdas, "lambdas")
         self.n, self.m, self.seed, self.mode, self.two_sided = n, m, seed, mode, two_sided
 
@@ -486,9 +429,46 @@ class _MaximalReader:
         self.paths[:, t] = states
 
     def report(self) -> LimitReport:
-        increments = _limit_increments(self.value, self.w, self.paths, self.mode)
-        return _maximal_report(
-            increments, self.lambdas, self.mode, self.two_sided, self.prob, self.m, self.seed
+        """Judge each level: exactly under the path probabilities, else over the m replicas.
+
+        The partial sums, their running maxima and the squared increments do
+        not depend on the level, so they are computed once for all levels.
+        """
+        ordered = self.paths if self.mode == "forward" else self.paths[:, ::-1]
+        increments = self.value[ordered[:, 1:]] - self.w[ordered[:, :-1]]
+        sums = np.cumsum(increments, axis=1)
+        run_maxima = [np.maximum.accumulate(np.maximum(sums, 0.0), axis=1)]
+        if self.two_sided:
+            run_maxima.append(np.maximum.accumulate(np.maximum(-sums, 0.0), axis=1))
+        peak = np.maximum.reduce([run_max[:, -1] for run_max in run_maxima])
+        squares = increments * increments
+        margins, failures = [], []
+        for lam in self.lambdas:
+            lhs_vals = np.clip(peak - lam, 0.0, None) ** 2
+            hit = sum(run_max > lam for run_max in run_maxima)  # 0, 1 or 2 sides above lam
+            rhs_vals = 4.0 * np.sum(squares * hit, axis=1)
+            if self.prob is not None:
+                lhs, rhs = float(np.dot(self.prob, lhs_vals)), float(np.dot(self.prob, rhs_vals))
+                se_lhs = se_rhs = 0.0
+            else:
+                (lhs, se_lhs), (rhs, se_rhs) = _mean_se(lhs_vals), _mean_se(rhs_vals)
+            slack = SE_MULTIPLIER * (se_lhs + se_rhs)
+            margins.append(
+                {"lambda": lam, "lhs": lhs, "rhs": rhs, "slack": slack,
+                 "se_lhs": se_lhs, "se_rhs": se_rhs}
+            )
+            if lhs > rhs + slack + 1e-12:
+                failures.append(f"lambda={lam}: lhs {lhs:.6g} > rhs {rhs:.6g}")
+        return LimitReport(
+            op="maximal",
+            n=self.n,
+            m=self.m,
+            master_seed=self.seed,
+            exact=self.prob is not None,
+            mode=self.mode,
+            maximal_margins=margins,
+            tolerances={"se_multiplier": SE_MULTIPLIER, "two_sided": bool(self.two_sided)},
+            failures=tuple(failures),
         )
 
 

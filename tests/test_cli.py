@@ -12,6 +12,7 @@ import pytest
 
 import rclt
 from rclt.cli import (
+    COMMANDS,
     DEFAULT_PARAMS,
     SCHEMA_VERSION,
     _write_csv,
@@ -695,12 +696,37 @@ def test_main_exit_codes(tmp_path) -> None:
     good = _config(tmp_path, ["spectrum"], name="good.json")
     assert main(["spectrum", "--config", str(good)]) == 0
     assert (tmp_path / "out" / "spectrum.json").exists()
+    assert main(["--config", str(good), "spectrum"]) == 0
+    # argparse's own usage errors, an unknown subcommand or no --config, exit 2 as well
+    for argv in (["bogus", "--config", str(good)], ["spectrum"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
     bad_chain = {"kind": "kernel", "matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]}
     bad = _config(tmp_path, ["spectrum"], chain=bad_chain, name="bad.json", observable=[1, 0, -1])
     assert main(["run", "--config", str(bad)]) == 3
+
+
+def test_command_table_is_pinned() -> None:
+    assert COMMANDS == ("spectrum", "variance", "decompose", "clt", "fclt", "maximal", "ui-diagnostic")
+    # as item lists, so the order of the commands and of their params is pinned with the values
+    assert [(name, list(params.items())) for name, params in DEFAULT_PARAMS.items()] == [
+        ("spectrum", []),
+        ("variance", [("n_max", 1000)]),
+        ("decompose", [("length", 200), ("horizon", None), ("seed_index", 0)]),
+        ("clt", [("n", 2000), ("m", 10000), ("ks_threshold", 0.02)]),
+        ("fclt", [("n", 4000), ("m", 10000), ("grid", [0.25, 0.5, 0.75, 1.0])]),
+        ("maximal", [
+            ("n", 6), ("lambdas", [0.0, 0.5, 1.0]), ("mode", "forward"), ("exhaustive", True),
+            ("m", None), ("two_sided", False),
+        ]),
+        ("ui-diagnostic", [
+            ("n_list", [100, 1000]), ("epsilon_grid", [1.0, 2.0, 5.0, 10.0, 20.0]), ("m", 2000),
+        ]),
+    ]
 
 
 def test_single_subcommand_uses_config_params(tmp_path) -> None:

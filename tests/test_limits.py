@@ -7,15 +7,7 @@ import numpy as np
 import pytest
 
 import rclt
-from rclt.limits import (
-    _enumerate_paths,
-    _iter_batch,
-    _limit_increments,
-    _limit_martingale,
-    _build_reader,
-    _maximal_report,
-    _one_pass,
-)
+from rclt.limits import _build_reader, _enumerate_paths, _iter_batch, _one_pass
 
 from .fixture_chains import (
     cycle_metropolis,
@@ -248,6 +240,58 @@ def test_maximal_monte_carlo_mode() -> None:
     assert report.maximal_margins == again.maximal_margins
 
 
+def _maximal_by_formula(chain, f, paths, lambdas, mode, two_sided, prob=None):
+    """(lhs, rhs, se_lhs, se_rhs) per level, written out from the inequality's definition.
+
+    D_k = f(xi_k) + w(xi_k) - w(xi_{k-1}) along each path (read from the far end in
+    reversed mode), M_k their partial sums, M*_k the running maximum of max(0, M_j),
+    and of max(0, -M_j) too when two-sided. Per path, lhs is (M*_n - lam)_+^2 and rhs
+    is 4 sum_k D_k^2 times the number of sides whose M*_k exceeds lam. Both are
+    weighted by ``prob`` when it is given, else averaged with std / sqrt(count).
+    """
+    _, w = rclt.resolvent_pair(chain, f)
+    if mode == "reversed":
+        paths = paths[:, ::-1]
+    d = f.values[paths[:, 1:]] + w[paths[:, 1:]] - w[paths[:, :-1]]
+    partial_sums = np.cumsum(d, axis=1)
+    sides = [partial_sums, -partial_sums] if two_sided else [partial_sums]
+    running = [np.maximum.accumulate(np.maximum(side, 0.0), axis=1) for side in sides]
+    peak = np.max(np.stack([r[:, -1] for r in running]), axis=0)
+    levels = []
+    for lam in lambdas:
+        lhs = np.clip(peak - lam, 0.0, None) ** 2
+        hit = sum((r > lam).astype(float) for r in running)
+        rhs = 4.0 * np.sum(d * d * hit, axis=1)
+        if prob is not None:
+            levels.append((float(np.dot(prob, lhs)), float(np.dot(prob, rhs)), 0.0, 0.0))
+        else:
+            se = [float(v.std() / math.sqrt(v.size)) for v in (lhs, rhs)]
+            levels.append((float(lhs.mean()), float(rhs.mean()), *se))
+    return levels
+
+
+def _margins(report):
+    return [(e["lhs"], e["rhs"], e["se_lhs"], e["se_rhs"]) for e in report.maximal_margins]
+
+
+@pytest.mark.parametrize("two_sided", [False, True], ids=["one-sided", "two-sided"])
+@pytest.mark.parametrize("mode", ["forward", "reversed"])
+def test_maximal_monte_carlo_equals_the_formula_on_stacked_paths(mode, two_sided) -> None:
+    chain = cycle_metropolis()
+    f = observable(chain, [0.3, 1.7, -1.1])
+    n, m, seed = 12, 300, 8128
+    lambdas = [0.0, 0.5, 2.0, 1e3]  # no path of 12 steps reaches 1e3
+    report = rclt.maximal_inequality_check(
+        chain, f, n=n, lambdas=lambdas, mode=mode, m=m, seed=seed, two_sided=two_sided
+    )
+    paths = np.stack(
+        [rclt.sample_trajectory(chain, f, n, rclt.derive_seed(seed, r)).states for r in range(m)]
+    )
+    assert _margins(report) == _maximal_by_formula(chain, f, paths, lambdas, mode, two_sided)
+    assert _margins(report)[-1] == (0.0, 0.0, 0.0, 0.0)
+    assert all(se > 0.0 for level in _margins(report)[:-1] for se in level[2:])
+
+
 def test_maximal_requires_seed_in_mc_mode() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])
@@ -353,9 +397,9 @@ def test_exhaustive_maximal_joins_the_pass_without_stepping(monkeypatch) -> None
     alone = rclt.maximal_inequality_check(chain, f, **params)
     assert reports[0].to_dict() == alone.to_dict()
     assert reports[0].failures == alone.failures
-    # the same numbers as enumerating the paths and weighting them directly
+    # the same numbers as enumerating the paths and weighting the formula directly
     paths, prob = _enumerate_paths(chain, 5)
-    increments = _limit_increments(*_limit_martingale(chain, f, "reversed"), paths, "reversed")
-    direct = _maximal_report(increments, [0.0, 0.4], "reversed", True, prob)
-    assert alone.to_dict() == direct.to_dict()
+    direct = _maximal_by_formula(chain, f, paths, [0.0, 0.4], "reversed", True, prob)
+    assert _margins(alone) == direct
+    assert [(e["lambda"], e["slack"]) for e in alone.maximal_margins] == [(0.0, 0.0), (0.4, 0.0)]
     assert alone.exact and alone.m is None and alone.master_seed is None
