@@ -87,6 +87,7 @@ from .spectral import spectral_measure, variance_report
 
 SCHEMA_VERSION = 1
 
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Loaded and validated experiment description."""

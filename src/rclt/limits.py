@@ -136,16 +136,14 @@ def _iter_batch(
     the start bisects an extra row, the stationary CDF. The rows never
     decrease before their pinned last entry, and that entry and the padding
     are 1.0 > u, so ``entry <= u`` holds on a prefix of the row: the rounds
-    count exactly the entries ``bisect_right`` counts. The last round, of
-    step 1, adds its comparison directly; with one state (k = 0) it compares
-    the pinned 1.0 and adds nothing.
+    count exactly the entries ``bisect_right`` counts.
     """
     rngs = _generators(derive_seed(master_seed, np.arange(m)))
     cum_pi, cum_rows = _cumulative_tables(chain)
     k = (chain.n_states - 1).bit_length()
     rows = np.vstack([cum_rows, cum_pi])
     flat = np.pad(rows, [(0, 0), (0, (1 << k) - chain.n_states)], constant_values=1.0).ravel()
-    rounds = [1 << j for j in range(k - 1, 0, -1)]  # all but the last round, of step 1
+    rounds = [1 << j for j in range(k - 1, -1, -1)]
     states = np.full(m, chain.n_states)  # row S of the table: the start draw
     uniforms = np.empty((min(block, n + 1), m))
     tile = np.empty((min(group, m), uniforms.shape[0]))
@@ -160,7 +158,6 @@ def _iter_batch(
             cursor = states << k
             for step in rounds:
                 cursor += (flat.take(cursor + (step - 1)) <= u) * step
-            cursor += flat.take(cursor) <= u
             states = cursor & ((1 << k) - 1)
             yield t, states
 

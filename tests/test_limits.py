@@ -270,6 +270,21 @@ def _maximal_by_formula(chain, f, paths, lambdas, mode, two_sided, prob=None):
     return levels
 
 
+def _maximal_expected(n, m, seed, mode, two_sided, lambdas, levels):
+    """The whole report a maximal check owes for the formula's levels; none fails."""
+    se_multiplier = rclt.limits.SE_MULTIPLIER
+    margins = [
+        {"lambda": lam, "lhs": lhs, "rhs": rhs, "slack": se_multiplier * (se_lhs + se_rhs),
+         "se_lhs": se_lhs, "se_rhs": se_rhs}
+        for lam, (lhs, rhs, se_lhs, se_rhs) in zip(lambdas, levels)
+    ]
+    return rclt.LimitReport(
+        op="maximal", n=n, m=m, master_seed=seed, exact=m is None, mode=mode,
+        maximal_margins=margins,
+        tolerances={"se_multiplier": se_multiplier, "two_sided": two_sided},
+    )
+
+
 def _margins(report):
     return [(e["lhs"], e["rhs"], e["se_lhs"], e["se_rhs"]) for e in report.maximal_margins]
 
@@ -287,7 +302,10 @@ def test_maximal_monte_carlo_equals_the_formula_on_stacked_paths(mode, two_sided
     paths = np.stack(
         [rclt.sample_trajectory(chain, f, n, rclt.derive_seed(seed, r)).states for r in range(m)]
     )
-    assert _margins(report) == _maximal_by_formula(chain, f, paths, lambdas, mode, two_sided)
+    levels = _maximal_by_formula(chain, f, paths, lambdas, mode, two_sided)
+    expected = _maximal_expected(n, m, seed, mode, two_sided, lambdas, levels)
+    assert report.to_dict() == expected.to_dict()
+    assert report.failures == ()
     assert _margins(report)[-1] == (0.0, 0.0, 0.0, 0.0)
     assert all(se > 0.0 for level in _margins(report)[:-1] for se in level[2:])
 
@@ -400,6 +418,7 @@ def test_exhaustive_maximal_joins_the_pass_without_stepping(monkeypatch) -> None
     # the same numbers as enumerating the paths and weighting the formula directly
     paths, prob = _enumerate_paths(chain, 5)
     direct = _maximal_by_formula(chain, f, paths, [0.0, 0.4], "reversed", True, prob)
-    assert _margins(alone) == direct
+    expected = _maximal_expected(5, None, None, "reversed", True, [0.0, 0.4], direct)
+    assert alone.to_dict() == expected.to_dict()
+    assert alone.failures == ()
     assert [(e["lambda"], e["slack"]) for e in alone.maximal_margins] == [(0.0, 0.0), (0.4, 0.0)]
-    assert alone.exact and alone.m is None and alone.master_seed is None
