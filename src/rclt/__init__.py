@@ -24,7 +24,6 @@ from .decomposition import (
     l2_convergence_table,
     limit_difference_second_moment,
     martingale_certificate,
-    resolvent_pair,
 )
 from .errors import (
     ConfigError,

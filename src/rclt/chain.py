@@ -118,7 +118,8 @@ def _numbers(kind: Callable, values, name: str, least: int | None = None) -> lis
     This is the one judge of every count, length, replica count and seed in the
     package. A float must be finite. Counts take integers only, as in a config
     file, so neither 10.7, 10.0 nor True is a count, and no boolean is a float.
-    With ``least`` set, every entry must also be at least ``least``.
+    ``values`` must not be empty, and with ``least`` set, every entry must
+    also be at least ``least``.
     """
     try:
         pairs = [(kind(v), v) for v in values]
@@ -129,7 +130,9 @@ def _numbers(kind: Callable, values, name: str, least: int | None = None) -> lis
                for x, v in pairs):
         raise InvalidArgument(f"{name} must hold finite {kind.__name__} values, got {values!r}")
     out = [x for x, _ in pairs]
-    if least is not None and min(out, default=least) < least:
+    if not out:
+        raise InvalidArgument(f"{name} must not be empty")
+    if least is not None and min(out) < least:
         raise InvalidArgument(f"{name} must be >= {least}, got {min(out)}")
     return out
 

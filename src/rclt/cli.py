@@ -92,7 +92,6 @@ SCHEMA_VERSION = 1
 class ExperimentConfig:
     """Loaded and validated experiment description."""
 
-    chain_spec: Path
     #: the chain file's content, its ``matrix`` (and ``target``) as float arrays
     chain_definition: dict
     chain_sha256: str
@@ -101,22 +100,20 @@ class ExperimentConfig:
     master_seed: int | None
     output_dir: Path
 
-    def effective_payload(self) -> dict:
-        """Content that determines every output byte (output_dir excluded).
+    def config_hash(self) -> str:
+        """SHA-256 of the content that determines every output byte (output_dir excluded).
 
         The chain file enters by the SHA-256 of its bytes, taken when
         ``load_config`` read it, so hashing does not serialise the matrix.
         """
-        return {
+        payload = {
             "schema": SCHEMA_VERSION,
             "chain_sha256": self.chain_sha256,
             "observable": self.observable,
             "commands": [{"command": c, "params": p} for c, p in self.commands],
             "master_seed": self.master_seed,
         }
-
-    def config_hash(self) -> str:
-        canonical = json.dumps(self.effective_payload(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -251,7 +248,6 @@ def load_config(
     for key in _definition_inputs(chain_definition)[1]:  # frees each parsed list for its array
         chain_definition[key] = _array(chain_definition[key], f"chain {key!r}")
     return ExperimentConfig(
-        chain_spec=chain_path,
         chain_definition=chain_definition,
         chain_sha256=chain_sha256,
         observable=observable,

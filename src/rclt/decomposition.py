@@ -21,7 +21,8 @@ Two layers of objects are computed for a trajectory xi_0..xi_N:
       2 S_n = M^fwd_n + M^rev_n + X_n - X_0       at every prefix n.
 
   The increments are represented through (f, w) rather than (g, Q g) so
-  the telescoping holds in floating point as well as on paper. Each
+  the telescoping holds in floating point as well as on paper;
+  ``_limit_pair`` is the one place that forms this representation. Each
   martingale summand is carried as an exact (hi, lo) pair of doubles and
   summed by a compensated prefix sum, so no rounding accumulates along the
   path and both identity residuals stay at the 1e-12 certification level
@@ -134,11 +135,26 @@ def _decompose_horizon(length: int, horizon: int | None) -> int:
     return length if horizon is None else _numbers(int, [horizon], "horizon", least=1)[0]
 
 
-def resolvent_pair(chain: ReversibleChain, f: Observable):
-    """(g, w = Q g) for the resolvent solution of (I - Q) g = f."""
-    g = poisson_solve(chain, f)
-    w = chain.kernel @ g
-    return g, w
+def _limit_pair(chain: ReversibleChain, f: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state vectors (f + w, w) of the limit increments, w = Q g for (I - Q) g = f.
+
+    The limit increment along x -> y is (f + w)(y) - w(x), which is
+    g(y) - (Q g)(x) since g = f + Q g.
+    """
+    w = chain.kernel @ poisson_solve(chain, f)
+    return f.values + w, w
+
+
+def _edges(value: np.ndarray, pred: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Forward and reversed increments along the path s, indexed by time.
+
+    Row 0 holds value(s_k) - pred(s_{k-1}) for k = 1..N, row 1 holds
+    value(s_k) - pred(s_{k+1}) for k = 0..N-1; the slot without a neighbor is NaN.
+    """
+    out = np.full((2, s.shape[0]), np.nan)
+    out[0, 1:] = value[s[1:]] - pred[s[:-1]]
+    out[1, :-1] = value[s[:-1]] - pred[s[1:]]
+    return out
 
 
 def boundary_term(
@@ -203,19 +219,13 @@ def martingale_certificate(
     comes from the eigenbasis, so this is the kernel-versus-eigensystem
     defect that ``decompose_trajectory`` gates.
     """
-    if horizon is None:
-        _, w = resolvent_pair(chain, f)
-        value = f.values + w
-        pred = w
-    else:
-        value, pred, _ = _horizon_vectors(chain, f, horizon)
+    value, pred = _limit_pair(chain, f) if horizon is None else _horizon_vectors(chain, f, horizon)[:2]
     return float(np.max(np.abs(chain.kernel @ value - pred)))
 
 
 def limit_difference_second_moment(chain: ReversibleChain, f: Observable) -> float:
     """E(D^2) of the limit increments by exact summation of the joint law."""
-    _, w = resolvent_pair(chain, f)
-    value = f.values + w
+    value, w = _limit_pair(chain, f)
     gap_sq = (value[None, :] - w[:, None]) ** 2
     return float(chain.stationary @ np.sum(chain.kernel * gap_sq, axis=1))
 
@@ -232,9 +242,9 @@ def l2_convergence_table(
     from 1.
     """
     horizons = _numbers(int, horizons, "horizons")
-    if horizons != sorted(set(horizons)) or min(horizons, default=1) < 1:
+    if horizons != sorted(set(horizons)) or horizons[0] < 1:
         raise InvalidArgument("horizons must be strictly increasing positive integers")
-    g, _ = resolvent_pair(chain, f)
+    g = poisson_solve(chain, f)
     out = np.empty(len(horizons))
     for i, n in enumerate(horizons):
         phi, _, _ = _horizon_vectors(chain, f, n)
@@ -306,23 +316,15 @@ def decompose_trajectory(
         raise NumericalError(
             f"horizon vectors miss the kernel by {defect:.3e}, above {IDENTITY_TOL} * {scale:.3g}"
         )
-    _, w = resolvent_pair(chain, f)
+    value, w = _limit_pair(chain, f)
     s = traj.states
     x = traj.observables
     partial = traj.partial_sums
 
-    nan = np.nan
-    forward_finite = np.full(n_len + 1, nan)
-    forward_finite[1:] = phi[s[1:]] - pred[s[:-1]]
-    reversed_finite = np.full(n_len + 1, nan)
-    reversed_finite[:-1] = phi[s[:-1]] - pred[s[1:]]
+    forward_finite, reversed_finite = _edges(phi, pred, s)
+    forward_limit, reversed_limit = _edges(value, w, s)
     cesaro_prediction = partial + (phi - f.values)[s]
     lookahead = drift[s]
-
-    forward_limit = np.full(n_len + 1, nan)
-    forward_limit[1:] = x[1:] + w[s[1:]] - w[s[:-1]]
-    reversed_limit = np.full(n_len + 1, nan)
-    reversed_limit[:-1] = x[:-1] + w[s[:-1]] - w[s[1:]]
 
     # martingale prefix sums from exact (hi, lo) summands: the reversed step
     # w(xi_{k-1}) - w(xi_k) is the negated forward one, and TwoSum is odd
@@ -332,7 +334,7 @@ def decompose_trajectory(
     forward_martingale = np.concatenate(([0.0], exact_cumsum(fwd_hi, fwd_err + step_err)))
     reversed_martingale = np.concatenate(([0.0], exact_cumsum(rev_hi, rev_err - step_err)))
 
-    pair_residual = np.full(n_len + 1, nan)
+    pair_residual = np.full(n_len + 1, np.nan)
     pair_residual[:-1] = (
         x[:-1]
         + x[1:]

@@ -64,7 +64,7 @@ from .chain import (
     Observable, ReversibleChain, _array, _cumulative_tables, _generators, _numbers, derive_seed,
     require_centered,
 )
-from .decomposition import resolvent_pair
+from .decomposition import _limit_pair
 from .errors import DegenerateVariance, ExhaustiveTooLarge, InvalidArgument
 from .spectral import asymptotic_variance_spectral, spectral_measure
 
@@ -399,8 +399,8 @@ class _MaximalReader:
     Monte Carlo mode records the m replica paths as they are stepped.
     Exhaustive mode enumerates every path with its exact probability when it
     is built and sets ``m = None``, so the pass never steps it. The limit
-    increment along a path is (f + w)(xi_k) - w(xi_{k-1}) for the resolvent
-    pair's w. Forward mode reads the path left to right; reversed mode
+    increment along a path is (f + w)(xi_k) - w(xi_{k-1}) for the vectors of
+    ``_limit_pair``. Forward mode reads the path left to right; reversed mode
     accumulates the reversed increments from the far end of the path, which
     is their natural martingale direction (and, by reversibility,
     distributes exactly like the forward case).
@@ -417,8 +417,7 @@ class _MaximalReader:
             self.paths, self.prob = np.empty((m, n + 1), dtype=np.int64), None
         if mode not in ("forward", "reversed"):
             raise InvalidArgument(f"mode must be 'forward' or 'reversed', got {mode!r}")
-        self.w = resolvent_pair(chain, f)[1]
-        self.value = f.values + self.w
+        self.value, self.w = _limit_pair(chain, f)
         self.lambdas = _numbers(float, lambdas, "lambdas")
         self.n, self.m, self.seed, self.mode, self.two_sided = n, m, seed, mode, two_sided
 
@@ -500,7 +499,7 @@ def maximal_inequality_check(
 class _UiReader:
     def __init__(self, chain, f, n_list, epsilon_grid, seed, m=2000):
         n_list = _numbers(int, n_list, "n_list")
-        if not n_list or n_list != sorted(set(n_list)) or n_list[0] < 1:
+        if n_list != sorted(set(n_list)) or n_list[0] < 1:
             raise InvalidArgument(f"n_list must be strictly increasing positive integers: {n_list}")
         m, seed = _replicas(m, seed)
         self.n, self.m, self.seed, self.n_list = n_list[-1], m, seed, n_list

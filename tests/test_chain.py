@@ -61,12 +61,45 @@ def test_direct_construction_rejects_a_scalar_kernel() -> None:
         (rclt.build_chain, (np.zeros((0, 0)),)),
         (rclt.build_random_walk, (np.zeros((0, 0)),)),
         (rclt.build_metropolis, (np.zeros(0), np.zeros((0, 0)))),
+        (rclt.ReversibleChain, (np.zeros((0, 0)), np.zeros(0))),
     ],
-    ids=["kernel", "random_walk", "metropolis"],
+    ids=["kernel", "random_walk", "metropolis", "direct"],
 )
 def test_builders_reject_a_chain_without_states(builder, args) -> None:
     with pytest.raises(rclt.MalformedMatrix):
         builder(*args)
+
+
+@pytest.mark.parametrize(
+    ("call", "error"),
+    [
+        (lambda: rclt.build_metropolis([0.5, 0.5], np.full((3, 3), 1 / 3)), rclt.MalformedMatrix),
+        (lambda: rclt.build_metropolis([0.5, 0.5], [[0.5, 0.5], [0.4, 0.6]]), rclt.MalformedMatrix),
+        (lambda: rclt.build_metropolis([0.5, 0.5], [[0.5, 0.6], [0.6, 0.5]]), rclt.NotStochastic),
+        (lambda: rclt.build_metropolis([0.5, 0.5], np.eye(2)), rclt.NotIrreducible),
+        (lambda: rclt.build_chain([[1.1, -0.1], [0.5, 0.5]]), rclt.NotStochastic),
+        (
+            lambda: rclt.ReversibleChain(kernel=[[0.8, 0.3], [0.3, 0.8]], stationary=[0.5, 0.5]),
+            rclt.NotStochastic,
+        ),
+        (
+            lambda: rclt.ReversibleChain(kernel=[[0.5, 0.5], [0.25, 0.75]], stationary=[0.5, 0.5]),
+            rclt.NotReversible,
+        ),
+    ],
+    ids=[
+        "metropolis-proposal-shape",
+        "metropolis-proposal-asymmetric",
+        "metropolis-proposal-not-stochastic",
+        "metropolis-identity-proposal",
+        "kernel-negative-entry",
+        "direct-rows-off",
+        "direct-detailed-balance-off",
+    ],
+)
+def test_inadmissible_chains_raise_typed_errors(call, error) -> None:
+    with pytest.raises(error):
+        call()
 
 
 def test_random_walk_complete_graph() -> None:

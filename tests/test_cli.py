@@ -37,10 +37,11 @@ def _write(path: Path, payload: dict) -> Path:
 
 
 def _config(tmp_path: Path, commands, chain=TWO_STATE, seed=4242, name="config.json", **extra):
-    _write(tmp_path / "chain.json", chain)
+    # each config names its own chain file, so a later config cannot repoint an earlier one
+    chain_file = _write(tmp_path / f"{Path(name).stem}.chain.json", chain)
     payload = {
         "schema": 1,
-        "chain_spec": "chain.json",
+        "chain_spec": chain_file.name,
         "commands": commands,
         "output_dir": "out",
         **extra,
@@ -297,6 +298,9 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         (TWO_STATE, {"command": "ui-diagnostic", "params": {"m": 0}}, {}, 2),
         (TWO_STATE, {"command": "decompose", "params": {"length": 0}}, {}, 2),
         (TWO_STATE, {"command": "maximal", "params": {"exhaustive": False}}, {}, 2),
+        (TWO_STATE, {"command": "fclt", "params": {"grid": []}}, {}, 2),
+        (TWO_STATE, {"command": "maximal", "params": {"lambdas": []}}, {}, 2),
+        (TWO_STATE, {"command": "ui-diagnostic", "params": {"epsilon_grid": []}}, {}, 2),
     ],
     ids=[
         "asymmetric-weights",
@@ -328,6 +332,9 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         "ui-m-zero",
         "decompose-length-zero",
         "maximal-monte-carlo-without-m",
+        "fclt-grid-empty",
+        "maximal-lambdas-empty",
+        "ui-epsilon-grid-empty",
     ],
 )
 def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra, code) -> None:
@@ -680,7 +687,7 @@ def test_import_needs_numpy_alone() -> None:
 
 def test_chain_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys) -> None:
     cfg = _config(tmp_path, ["spectrum"])
-    (tmp_path / "chain.json").write_bytes(b'{"kind": "kernel\xff"}')
+    (tmp_path / "config.chain.json").write_bytes(b'{"kind": "kernel\xff"}')
     assert main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error: invalid JSON in ")
 
@@ -708,6 +715,8 @@ def test_main_exit_codes(tmp_path) -> None:
     bad_chain = {"kind": "kernel", "matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]}
     bad = _config(tmp_path, ["spectrum"], chain=bad_chain, name="bad.json", observable=[1, 0, -1])
     assert main(["run", "--config", str(bad)]) == 3
+    # bad.json's chain file leaves good.json's alone
+    assert main(["run", "--config", str(good)]) == 0
 
 
 def test_command_table_is_pinned() -> None:
@@ -760,7 +769,7 @@ def test_config_hash_semantics(tmp_path) -> None:
     assert load_config(_config(tmp_path, ["spectrum"], chain=matrix)).config_hash() != base
     # the chain file enters by its bytes: the same definition laid out differently hashes apart
     _config(tmp_path, ["spectrum"])
-    (tmp_path / "chain.json").write_text(json.dumps(TWO_STATE) + "\n")
+    (tmp_path / "config.chain.json").write_text(json.dumps(TWO_STATE) + "\n")
     assert load_config(cfg).config_hash() != base
 
 

@@ -249,7 +249,7 @@ def _maximal_by_formula(chain, f, paths, lambdas, mode, two_sided, prob=None):
     is 4 sum_k D_k^2 times the number of sides whose M*_k exceeds lam. Both are
     weighted by ``prob`` when it is given, else averaged with std / sqrt(count).
     """
-    _, w = rclt.resolvent_pair(chain, f)
+    w = chain.kernel @ rclt.poisson_solve(chain, f)
     if mode == "reversed":
         paths = paths[:, ::-1]
     d = f.values[paths[:, 1:]] + w[paths[:, 1:]] - w[paths[:, :-1]]

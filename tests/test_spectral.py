@@ -236,6 +236,8 @@ def test_spectral_gap_values() -> None:
     assert rclt.spectral_gap(two_state()) == pytest.approx(0.5, abs=1e-12)
     assert rclt.spectral_gap(flip_chain()) == pytest.approx(2.0, abs=1e-12)
     assert rclt.spectral_gap(flip_chain(), absolute=True) == pytest.approx(0.0, abs=1e-12)
+    # one state: no eigenvalue besides 1, so no gap
+    assert rclt.spectral_gap(rclt.build_chain([[1.0]])) == 0.0
 
 
 def test_spectral_gap_checks_the_eigensystem() -> None:
@@ -351,6 +353,11 @@ _RAGGED = [
         lambda: rclt.dkw_epsilon(0),
         lambda: rclt.dkw_epsilon(-1),
         lambda: rclt.dkw_epsilon(100, alpha=0),
+        lambda: rclt.fclt_profile(*_TWO, n=10, m=5, grid=[], seed=1),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[], exhaustive=True),
+        lambda: rclt.uniform_integrability_diagnostic(*_TWO, [5], epsilon_grid=[], seed=1, m=5),
+        lambda: rclt.l2_convergence_table(*_TWO, []),
+        lambda: rclt.Observable(values=np.zeros((2, 2))),
         *_RAGGED,
     ],
     ids=[
@@ -426,6 +433,11 @@ _RAGGED = [
         "dkw-m-zero",
         "dkw-m-negative",
         "dkw-alpha-zero",
+        "fclt-grid-empty",
+        "maximal-lambdas-empty",
+        "ui-epsilon-grid-empty",
+        "l2-table-horizons-empty",
+        "observable-2d",
         "build-chain-ragged",
         "build-random-walk-ragged",
         "build-metropolis-ragged-proposal",
