@@ -117,7 +117,8 @@ def _numbers(kind: Callable, values, name: str, least: int | None = None) -> lis
 
     This is the one judge of every count, length, replica count and seed in the
     package. A float must be finite. Counts take integers only, as in a config
-    file, so neither 10.7, 10.0 nor True is a count, and no boolean is a float.
+    file, so neither 10.7, 10.0 nor True is a count, and no boolean, string or
+    bytes entry is a float.
     ``values`` must not be empty, and with ``least`` set, every entry must
     also be at least ``least``.
     """
@@ -125,7 +126,7 @@ def _numbers(kind: Callable, values, name: str, least: int | None = None) -> lis
         pairs = [(kind(v), v) for v in values]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgument(f"{name} must be numeric, got {values!r}") from exc
-    if not all(not isinstance(v, (bool, np.bool_)) and
+    if not all(not isinstance(v, (bool, np.bool_, str, bytes)) and
                (isinstance(v, (int, np.integer)) if kind is int else math.isfinite(x))
                for x, v in pairs):
         raise InvalidArgument(f"{name} must hold finite {kind.__name__} values, got {values!r}")
@@ -206,8 +207,8 @@ class Observable:
 
     def __post_init__(self):
         v = _frozen(self.values, "observable")
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise InvalidArgument("observable must be a finite 1-d vector")
+        if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
+            raise InvalidArgument("observable must be a nonempty finite 1-d vector")
         object.__setattr__(self, "values", v)
 
 
@@ -380,16 +381,21 @@ def build_metropolis(target, proposal) -> ReversibleChain:
     return _certify(q, p)
 
 
+def _require_fit(chain: ReversibleChain, v: np.ndarray) -> None:
+    if v.shape != (chain.n_states,):
+        raise InvalidArgument(f"observable shape {v.shape} does not fit {chain.n_states} states")
+
+
 def project_mean_zero(raw, chain: ReversibleChain) -> Observable:
     """Center a raw vector so its stationary mean vanishes."""
     v = _array(raw, "observable", InvalidArgument)
-    if v.shape != (chain.n_states,):
-        raise InvalidArgument(f"observable shape {v.shape} does not fit {chain.n_states} states")
+    _require_fit(chain, v)
     return Observable(values=v - float(np.dot(chain.stationary, v)))
 
 
 def require_centered(chain: ReversibleChain, f: Observable) -> None:
-    """Reject f unless its stationary mean is within CERTIFIED_TOL * max(1, max|f|) of zero."""
+    """Reject f unless it has one value per state and mean within CERTIFIED_TOL * max(1, max|f|)."""
+    _require_fit(chain, f.values)
     m = float(np.dot(chain.stationary, f.values))
     if abs(m) > CERTIFIED_TOL * max(1.0, float(np.max(np.abs(f.values)))):
         raise InvalidArgument(f"observable is not centered: stationary mean {m:.3e}")

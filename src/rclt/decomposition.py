@@ -145,6 +145,14 @@ def _limit_pair(chain: ReversibleChain, f: Observable) -> tuple[np.ndarray, np.n
     return f.values + w, w
 
 
+def _states(chain: ReversibleChain, traj: Trajectory) -> np.ndarray:
+    """The states of ``traj``, each checked to be a state of ``chain``."""
+    s = traj.states
+    if not np.all((s >= 0) & (s < chain.n_states)):
+        raise InvalidArgument(f"trajectory leaves the states 0..{chain.n_states - 1} of the chain")
+    return s
+
+
 def _edges(value: np.ndarray, pred: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Forward and reversed increments along the path s, indexed by time.
 
@@ -173,10 +181,11 @@ def boundary_term(
         raise InvalidArgument(f"need 0 <= k <= n, got k={k}, n={n}")
     if n > traj.length:
         raise InvalidArgument(f"horizon {n} exceeds trajectory length {traj.length}")
+    state = _states(chain, traj)[k]
     if k == n:
         return 0.0
     drift = _horizon_vectors(chain, f, n - k)[2]
-    return float(drift[traj.states[k]]) * (n - k) / n
+    return float(drift[state]) * (n - k) / n
 
 
 def boundary_l2_norm(
@@ -306,6 +315,7 @@ def decompose_trajectory(
     went wrong.
     """
     require_centered(chain, f)
+    s = _states(chain, traj)
     n_len = traj.length
     n_hor = _decompose_horizon(n_len, horizon)
 
@@ -317,7 +327,6 @@ def decompose_trajectory(
             f"horizon vectors miss the kernel by {defect:.3e}, above {IDENTITY_TOL} * {scale:.3g}"
         )
     value, w = _limit_pair(chain, f)
-    s = traj.states
     x = traj.observables
     partial = traj.partial_sums
 

@@ -112,9 +112,13 @@ class LimitReport:
 # --- batched simulation -----------------------------------------------------
 
 
-def _iter_batch(
-    chain: ReversibleChain, n: int, m: int, master_seed: int, block: int = 512, group: int = 256
-):
+#: times of uniforms held in the buffer of one pass, at most _BLOCK x m doubles
+_BLOCK = 512
+#: replicas per fill tile: the fastest transposed copy into that buffer measured
+_GROUP = 256
+
+
+def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int):
     """Yield (t, states) for t = 0..n across m replicas.
 
     Replica r draws from the stream seeded with derive_seed(master_seed, r)
@@ -125,11 +129,13 @@ def _iter_batch(
     pass each: one ``derive_seed`` call over ``arange(m)``, then
     ``_generators``, which builds the generators ``default_rng`` would.
 
-    The uniforms of up to ``block`` times are held time-major in one buffer of
-    min(block, n + 1) x m doubles, reused for every block, so memory does not
-    grow with n. It is filled ``group`` replicas at a time: each replica draws
-    into its own contiguous row of a small row-major tile, and the tile is
-    copied into the buffer transposed, so no draw writes a strided column.
+    The uniforms of up to ``_BLOCK`` = 512 times are held time-major in one
+    buffer of min(512, n + 1) x m doubles, reused for every block, so memory
+    does not grow with n. It is filled ``_GROUP`` = 256 replicas at a time,
+    the fastest tile size of the transposed copy measured (ROADMAP, item 5):
+    each replica draws into its own contiguous row of a small row-major tile,
+    and the tile is copied into the buffer transposed, so no draw writes a
+    strided column.
 
     Each replica bisects its own cumulative row, padded with 1.0 to 2^k >= S
     entries, in k rounds of one comparison each, so a step costs O(m log S);
@@ -145,13 +151,13 @@ def _iter_batch(
     flat = np.pad(rows, [(0, 0), (0, (1 << k) - chain.n_states)], constant_values=1.0).ravel()
     rounds = [1 << j for j in range(k - 1, -1, -1)]
     states = np.full(m, chain.n_states)  # row S of the table: the start draw
-    uniforms = np.empty((min(block, n + 1), m))
-    tile = np.empty((min(group, m), uniforms.shape[0]))
-    for first in range(0, n + 1, block):
-        b = min(block, n + 1 - first)
-        for r0 in range(0, m, group):
-            drawn = tile[: min(group, m - r0), :b]
-            for row, rng in zip(drawn, rngs[r0 : r0 + group]):
+    uniforms = np.empty((min(_BLOCK, n + 1), m))
+    tile = np.empty((min(_GROUP, m), uniforms.shape[0]))
+    for first in range(0, n + 1, _BLOCK):
+        b = min(_BLOCK, n + 1 - first)
+        for r0 in range(0, m, _GROUP):
+            drawn = tile[: min(_GROUP, m - r0), :b]
+            for row, rng in zip(drawn, rngs[r0 : r0 + _GROUP]):
                 rng.random(out=row)
             uniforms[:b, r0 : r0 + drawn.shape[0]] = drawn.T
         for t, u in enumerate(uniforms[:b], first):
@@ -253,7 +259,7 @@ def dkw_epsilon(m: int, alpha: float = 0.01) -> float:
 
 
 class _CltReader:
-    def __init__(self, chain, f, n, m, seed, ks_threshold=0.02):
+    def __init__(self, chain, f, n, m, seed, ks_threshold):
         n = _numbers(int, [n], "n", least=1)[0]
         m, seed = _replicas(m, seed)
         self.sigma2 = _sigma2_or_raise(chain, f)
@@ -406,9 +412,12 @@ class _MaximalReader:
     distributes exactly like the forward case).
     """
 
-    def __init__(self, chain, f, n, lambdas, mode="forward", exhaustive=False, m=None, seed=None,
-                 two_sided=False):
+    def __init__(self, chain, f, n, lambdas, mode, exhaustive, m, seed, two_sided):
         n = _numbers(int, [n], "n", least=1)[0]
+        if not all(isinstance(flag, (bool, np.bool_)) for flag in (exhaustive, two_sided)):
+            raise InvalidArgument(
+                f"exhaustive and two_sided must be booleans, got {exhaustive!r} and {two_sided!r}"
+            )
         if exhaustive:
             self.paths, self.prob = _enumerate_paths(chain, n)
             m = seed = None
@@ -497,7 +506,7 @@ def maximal_inequality_check(
 
 
 class _UiReader:
-    def __init__(self, chain, f, n_list, epsilon_grid, seed, m=2000):
+    def __init__(self, chain, f, n_list, epsilon_grid, seed, m):
         n_list = _numbers(int, n_list, "n_list")
         if n_list != sorted(set(n_list)) or n_list[0] < 1:
             raise InvalidArgument(f"n_list must be strictly increasing positive integers: {n_list}")

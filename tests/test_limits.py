@@ -20,11 +20,11 @@ from .fixture_chains import (
 )
 
 
-def _assert_batch_equals_single_paths(chain, n, m, master, **sizes) -> None:
+def _assert_batch_equals_single_paths(chain, n, m, master) -> None:
     """Every replica of one ``_iter_batch`` pass equals its own ``sample_trajectory``."""
     f = observable(chain, np.random.default_rng(chain.n_states).normal(size=chain.n_states))
     mat = np.empty((m, n + 1), dtype=np.int64)
-    for t, states in _iter_batch(chain, n, m, master, **sizes):
+    for t, states in _iter_batch(chain, n, m, master):
         mat[:, t] = states
     for r in range(m):
         single = rclt.sample_trajectory(chain, f, n, rclt.derive_seed(master, r))
@@ -32,36 +32,25 @@ def _assert_batch_equals_single_paths(chain, n, m, master, **sizes) -> None:
 
 
 def test_batch_simulation_equals_stacked_single_paths() -> None:
-    _assert_batch_equals_single_paths(cycle_metropolis(), 83, 7, 4711, block=13)
+    _assert_batch_equals_single_paths(cycle_metropolis(), 83, 7, 4711)
 
 
 _37_STATES = partial(random_lazy_chain, 37, seed=5)  # 6 rounds over rows padded to 64
 
 
 @pytest.mark.parametrize(
-    ("make_chain", "block", "group"),
+    ("make_chain", "n", "m"),
     [
-        (flip_chain, 13, 256),  # zero kernel entries: repeated cumulative values
-        (lambda: rclt.build_chain([[1.0]]), 13, 256),  # one state: no bisection rounds
-        (_37_STATES, 13, 256),
-        (_37_STATES, 1, 256),
-        (_37_STATES, 500, 256),  # one block longer than the path
-        # groups of 3 and 1 split the 7 replicas into several tiles, the last one short
-        *[(_37_STATES, block, group) for group in (3, 1) for block in (1, 13, 500)],
+        (flip_chain, 600, 300),  # zero kernel entries: repeated cumulative values
+        (lambda: rclt.build_chain([[1.0]]), 600, 300),  # one state: no bisection rounds
+        (_37_STATES, 83, 7),  # one block longer than the path, one short tile
+        (_37_STATES, 600, 300),  # blocks of 512 and 89 times, tiles of 256 and 44 replicas
+        (_37_STATES, 1023, 257),  # two full blocks, a last tile of one replica
     ],
-    ids=[
-        "flip", "one-state", "37-states", "37-states-block-1", "37-states-block-500",
-        *[f"37-states-group-{group}-block-{block}" for group in (3, 1) for block in (1, 13, 500)],
-    ],
+    ids=["flip", "one-state", "37-states", "37-states-split", "37-states-full-blocks"],
 )
-def test_batch_stepping_edge_cases_equal_single_paths(make_chain, block, group) -> None:
-    # m = 7, n = 83: block 13 does not divide the n + 1 = 84 draws
-    _assert_batch_equals_single_paths(make_chain(), 83, 7, 4711, block=block, group=group)
-
-
-def test_batch_stepping_across_tiles_at_default_sizes() -> None:
-    # 300 replicas fill one full tile of 256 and a short one of 44
-    _assert_batch_equals_single_paths(_37_STATES(), 20, 300, 99)
+def test_batch_stepping_edge_cases_equal_single_paths(make_chain, n, m) -> None:
+    _assert_batch_equals_single_paths(make_chain(), n, m, 4711)
 
 
 def test_ks_distance_against_known_sample() -> None:
@@ -399,11 +388,23 @@ def test_ui_diagnostic_rejects_empty_n_list() -> None:
         rclt.uniform_integrability_diagnostic(chain, f, [], [1.0], seed=1, m=10)
 
 
+def test_maximal_flags_take_numpy_booleans() -> None:
+    chain = cycle_metropolis()
+    f = observable(chain, [0.3, 1.7, -1.1])
+    numpy_flags = rclt.maximal_inequality_check(
+        chain, f, 3, [0.0, 0.4], exhaustive=np.True_, two_sided=np.True_
+    )
+    python_flags = rclt.maximal_inequality_check(chain, f, 3, [0.0, 0.4], exhaustive=True, two_sided=True)
+    assert numpy_flags.to_dict() == python_flags.to_dict()
+    assert numpy_flags.tolerances["two_sided"] is True
+
+
 def test_exhaustive_maximal_joins_the_pass_without_stepping(monkeypatch) -> None:
     """An exhaustive maximal alone derives no seed, and its report is the enumeration's."""
     chain = cycle_metropolis()
     f = observable(chain, [0.3, 1.7, -1.1])
-    params = {"n": 5, "lambdas": [0.0, 0.4], "mode": "reversed", "exhaustive": True, "two_sided": True}
+    params = {"n": 5, "lambdas": [0.0, 0.4], "mode": "reversed", "exhaustive": True, "m": None,
+              "two_sided": True}
     calls = []
     derive_seed = rclt.limits.derive_seed
     monkeypatch.setattr(

@@ -42,7 +42,10 @@ _PARAMS = {
             {"n": st.integers(1, 4), "lambdas": _LEVELS, "two_sided": st.booleans(),
              "mode": st.sampled_from(["forward", "reversed"])}
         ),
-        st.one_of(st.just({"exhaustive": True}), st.fixed_dictionaries({"m": _COUNTS["m"]})),
+        st.one_of(
+            st.just({"exhaustive": True, "m": None}),
+            st.fixed_dictionaries({"exhaustive": st.just(False), "m": _COUNTS["m"]}),
+        ),
     ),
 }
 

@@ -266,6 +266,13 @@ def test_variance_report_three_way_agreement() -> None:
 _ATOM = rclt.SpectralMeasure(lambdas=np.array([0.5]), weights=np.array([1.0]))
 _TWO = (two_state(), observable(two_state(), [1, -1]))
 _PATH = rclt.sample_trajectory(*_TWO, 6, 1)
+#: an observable of three states, one too many for ``two_state``
+_THREE = rclt.Observable(values=np.array([1.0, 0.0, -1.0]))
+#: paths that leave the two states of ``two_state``: one of a 3-state chain, one below 0
+_OFF_PATHS = [
+    rclt.Trajectory(states=s, observables=[0.0] * 3, partial_sums=[0.0] * 3, seed=1)
+    for s in ([0, 2, 1], [0, -1, 0])
+]
 #: ragged chain input is a MalformedMatrix, like every other malformed builder input
 _RAGGED = [
     lambda: rclt.build_chain([[0.5, 0.5], [1.0]]),
@@ -358,6 +365,22 @@ _RAGGED = [
         lambda: rclt.uniform_integrability_diagnostic(*_TWO, [5], epsilon_grid=[], seed=1, m=5),
         lambda: rclt.l2_convergence_table(*_TWO, []),
         lambda: rclt.Observable(values=np.zeros((2, 2))),
+        lambda: rclt.spectral_measure(two_state(), _THREE),
+        lambda: rclt.poisson_solve(two_state(), _THREE),
+        lambda: rclt.sample_trajectory(two_state(), _THREE, 5, 1),
+        lambda: rclt.decompose_trajectory(two_state(), _THREE, _PATH),
+        *[lambda p=p: rclt.decompose_trajectory(*_TWO, p) for p in _OFF_PATHS],
+        *[lambda p=p: rclt.boundary_term(*_TWO, p, 1, 2) for p in _OFF_PATHS],
+        lambda: rclt.Observable(values=np.zeros(0)),
+        lambda: rclt.dkw_epsilon(100, alpha="0.05"),
+        lambda: rclt.fclt_profile(*_TWO, n=10, m=5, grid=["0.5", "1"], seed=1),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=["0.5"], exhaustive=True),
+        lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=1, ks_threshold="0.5"),
+        lambda: rclt.uniform_integrability_diagnostic(*_TWO, [5], epsilon_grid=[b"1"], seed=1, m=5),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[0.5], exhaustive="no"),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[0.5], m=5, seed=1, exhaustive=0),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[0.5], exhaustive=True, two_sided="no"),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[0.5], m=5, seed=1, two_sided=None),
         *_RAGGED,
     ],
     ids=[
@@ -438,6 +461,24 @@ _RAGGED = [
         "ui-epsilon-grid-empty",
         "l2-table-horizons-empty",
         "observable-2d",
+        "measure-observable-too-long",
+        "poisson-observable-too-long",
+        "sample-observable-too-long",
+        "decompose-observable-too-long",
+        "decompose-path-state-too-large",
+        "decompose-path-state-negative",
+        "boundary-term-path-state-too-large",
+        "boundary-term-path-state-negative",
+        "observable-empty",
+        "dkw-alpha-text",
+        "fclt-grid-numeric-text",
+        "maximal-lambdas-numeric-text",
+        "clt-ks-threshold-numeric-text",
+        "ui-epsilon-grid-bytes",
+        "maximal-exhaustive-text",
+        "maximal-exhaustive-int",
+        "maximal-two-sided-text",
+        "maximal-two-sided-none",
         "build-chain-ragged",
         "build-random-walk-ragged",
         "build-metropolis-ragged-proposal",
