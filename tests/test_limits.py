@@ -38,19 +38,41 @@ def test_batch_simulation_equals_stacked_single_paths() -> None:
 _37_STATES = partial(random_lazy_chain, 37, seed=5)  # 6 rounds over rows padded to 64
 
 
+def _last_tile_and_block(group: int, block: int) -> tuple[int, int]:
+    """(n, m) whose pass ends in a tile of ``group`` replicas and a block of ``block`` times."""
+    return 511 + block, 256 + group  # n + 1 = 512 + block draws
+
+
 @pytest.mark.parametrize(
     ("make_chain", "n", "m"),
     [
         (flip_chain, 600, 300),  # zero kernel entries: repeated cumulative values
         (lambda: rclt.build_chain([[1.0]]), 600, 300),  # one state: no bisection rounds
         (_37_STATES, 83, 7),  # one block longer than the path, one short tile
-        (_37_STATES, 600, 300),  # blocks of 512 and 89 times, tiles of 256 and 44 replicas
+        # a full block of 512 times, then a last block of 1 or 500 times
+        (_37_STATES, 512, 7),
+        (_37_STATES, 1011, 7),
+        # a full tile of 256 replicas, then a last tile of 3 or 1, over the same blocks
+        *[
+            (_37_STATES, *_last_tile_and_block(group, block))
+            for group in (3, 1)
+            for block in (1, 13, 500)
+        ],
         (_37_STATES, 1023, 257),  # two full blocks, a last tile of one replica
     ],
-    ids=["flip", "one-state", "37-states", "37-states-split", "37-states-full-blocks"],
+    ids=[
+        "flip", "one-state", "37-states", "37-states-block-1", "37-states-block-500",
+        *[f"37-states-group-{group}-block-{block}" for group in (3, 1) for block in (1, 13, 500)],
+        "37-states-full-blocks",
+    ],
 )
 def test_batch_stepping_edge_cases_equal_single_paths(make_chain, n, m) -> None:
     _assert_batch_equals_single_paths(make_chain(), n, m, 4711)
+
+
+def test_batch_stepping_across_tiles_at_default_sizes() -> None:
+    # 300 replicas fill one full tile of 256 and a short one of 44
+    _assert_batch_equals_single_paths(_37_STATES(), 20, 300, 99)
 
 
 def test_ks_distance_against_known_sample() -> None:
