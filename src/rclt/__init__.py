@@ -60,14 +60,12 @@ from .spectral import (
     asymptotic_variance_series,
     asymptotic_variance_spectral,
     cauchy_quantity,
-    cauchy_quantity_direct,
     extrapolate_series_limit,
     finiteness_integral,
     moment,
     poisson_solve,
     spectral_gap,
     spectral_measure,
-    variance_integrand_check,
     variance_report,
 )
 

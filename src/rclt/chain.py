@@ -382,6 +382,8 @@ def build_metropolis(target, proposal) -> ReversibleChain:
 
 
 def _require_fit(chain: ReversibleChain, v: np.ndarray) -> None:
+    if not isinstance(chain, ReversibleChain):
+        raise InvalidArgument(f"expected a ReversibleChain, got {type(chain).__name__}")
     if v.shape != (chain.n_states,):
         raise InvalidArgument(f"observable shape {v.shape} does not fit {chain.n_states} states")
 
@@ -394,7 +396,13 @@ def project_mean_zero(raw, chain: ReversibleChain) -> Observable:
 
 
 def require_centered(chain: ReversibleChain, f: Observable) -> None:
-    """Reject f unless it has one value per state and mean within CERTIFIED_TOL * max(1, max|f|)."""
+    """Reject f unless it has one value per state and mean within CERTIFIED_TOL * max(1, max|f|).
+
+    A chain that is not a ReversibleChain or an f that is not an Observable
+    is an InvalidArgument too; every library entry that takes both calls this.
+    """
+    if not isinstance(f, Observable):
+        raise InvalidArgument(f"expected an Observable, got {type(f).__name__}")
     _require_fit(chain, f.values)
     m = float(np.dot(chain.stationary, f.values))
     if abs(m) > CERTIFIED_TOL * max(1.0, float(np.max(np.abs(f.values)))):

@@ -303,14 +303,6 @@ def resolve_observable(config: ExperimentConfig, chain: ReversibleChain) -> Obse
     return _centered_observable(config, chain)[0]
 
 
-def save_chain_definition(path, chain: ReversibleChain, observable=None) -> None:
-    """Write a chain back out in the definition-file schema."""
-    payload = {"kind": "kernel", "matrix": [[float(v) for v in row] for row in chain.kernel]}
-    if observable is not None:
-        payload["observable"] = [float(v) for v in np.asarray(observable)]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 # --- persistence -----------------------------------------------------------------
 
 

@@ -141,7 +141,8 @@ def _limit_pair(chain: ReversibleChain, f: Observable) -> tuple[np.ndarray, np.n
     The limit increment along x -> y is (f + w)(y) - w(x), which is
     g(y) - (Q g)(x) since g = f + Q g.
     """
-    w = chain.kernel @ poisson_solve(chain, f)
+    g = poisson_solve(chain, f)  # checks chain and f before chain.kernel is read
+    w = chain.kernel @ g
     return f.values + w, w
 
 
@@ -181,6 +182,7 @@ def boundary_term(
         raise InvalidArgument(f"need 0 <= k <= n, got k={k}, n={n}")
     if n > traj.length:
         raise InvalidArgument(f"horizon {n} exceeds trajectory length {traj.length}")
+    require_centered(chain, f)
     state = _states(chain, traj)[k]
     if k == n:
         return 0.0
@@ -228,6 +230,7 @@ def martingale_certificate(
     comes from the eigenbasis, so this is the kernel-versus-eigensystem
     defect that ``decompose_trajectory`` gates.
     """
+    require_centered(chain, f)
     value, pred = _limit_pair(chain, f) if horizon is None else _horizon_vectors(chain, f, horizon)[:2]
     return float(np.max(np.abs(chain.kernel @ value - pred)))
 

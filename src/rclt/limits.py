@@ -229,10 +229,6 @@ def _one_check(check: Callable, chain: ReversibleChain, f: Observable, seed, **p
 _ERF = np.frompyfunc(math.erf, 1, 1)
 
 
-def standard_normal_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + _ERF(np.asarray(x) / math.sqrt(2.0)).astype(float))
-
-
 def ks_distance_to_normal(sample: np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov distance to the standard normal.
 
@@ -245,7 +241,7 @@ def ks_distance_to_normal(sample: np.ndarray) -> float:
     z.sort()
     m = _numbers(int, [z.shape[0]], "sample size", least=1)[0]
     _numbers(float, [z[0], z[-1]], "sample")
-    cdf = standard_normal_cdf(z)
+    cdf = 0.5 * (1.0 + _ERF(z / math.sqrt(2.0)).astype(float))
     grid = np.arange(1, m + 1) / m
     return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / m))))
 
@@ -383,11 +379,11 @@ def fclt_profile(
 def _enumerate_paths(chain: ReversibleChain, n: int):
     """All stationary paths of n steps with their exact probabilities."""
     ns = chain.n_states
-    count = ns ** (n + 1)
-    if count > EXHAUSTIVE_BUDGET:
-        raise ExhaustiveTooLarge(
-            f"{ns}^{n + 1} = {count} paths exceed the {EXHAUSTIVE_BUDGET} budget"
-        )
+    count = 1
+    for _ in range(n + 1 if ns > 1 else 0):  # never more than log2(budget) + 1 rounds
+        count *= ns
+        if count > EXHAUSTIVE_BUDGET:
+            raise ExhaustiveTooLarge(f"{ns}^{n + 1} paths exceed the {EXHAUSTIVE_BUDGET} budget")
     codes = np.arange(count, dtype=np.int64)
     paths = np.empty((count, n + 1), dtype=np.int64)
     for pos in range(n, -1, -1):

@@ -206,28 +206,6 @@ def extrapolate_series_limit(var_over_n: np.ndarray) -> float:
     return float((n * v[n - 1] - h * v[h - 1]) / (n - h))
 
 
-def variance_integrand_check(rho: SpectralMeasure, n: int) -> float:
-    """Var(S_n)/n by the one-shot spectral integrand, for cross-checking.
-
-    Integrates (1/n) [ (t + ... + t^n)^2
-                       + sum_{k=0}^{n-1} ((1 + ... + t^k)^2 - (t + ... + t^{k+1})^2) ]
-    atom by atom. The telescoping sum must start at k = 0 for the bracket
-    to reproduce the covariance formula exactly.
-    """
-    n = _numbers(int, [n], "n", least=1)[0]
-    lam = rho.lambdas
-    one_minus_sq = 1.0 - lam * lam
-    partial = np.ones_like(lam)  # 1 + t + ... + t^k, starting at k = 0
-    tpow = lam.copy()
-    bracket = one_minus_sq.copy()
-    for _ in range(1, n):
-        partial = partial + tpow
-        tpow = tpow * lam
-        bracket = bracket + partial * partial * one_minus_sq
-    bracket = bracket + (lam * partial) ** 2
-    return float(np.dot(rho.weights, bracket)) / n
-
-
 def cauchy_quantity(rho: SpectralMeasure, n: int, p: int) -> float:
     """Closed-form L2 gap of the one-step prediction increments.
 
@@ -248,28 +226,6 @@ def cauchy_quantity(rho: SpectralMeasure, n: int, p: int) -> float:
         quotient += tpow
         tpow *= lam
     return float(np.dot(rho.weights, head * tail * quotient * (1.0 + lam)))
-
-
-def cauchy_quantity_direct(chain: ReversibleChain, f: Observable, n: int, p: int) -> float:
-    """The same quantity from its definition, by summing the joint law.
-
-    Builds u = sum_{i=n}^{p} Q^{i-1} f and returns
-    E (u(xi_1) - (Q u)(xi_0))^2 as an exact double sum over states; this is
-    the independent oracle for ``cauchy_quantity``.
-    """
-    n, p = _numbers(int, [n, p], "n and p")
-    if not (1 <= n < p):
-        raise InvalidArgument(f"need 1 <= n < p, got n={n}, p={p}")
-    require_centered(chain, f)
-    v = f.values.copy()
-    u = np.zeros_like(v)
-    for i in range(1, p + 1):
-        if i >= n:
-            u += v
-        v = chain.kernel @ v
-    qu = chain.kernel @ u
-    gap_sq = (u[None, :] - qu[:, None]) ** 2
-    return float(chain.stationary @ np.sum(chain.kernel * gap_sq, axis=1))
 
 
 def spectral_gap(chain: ReversibleChain, absolute: bool = False) -> float:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import rclt
+from rclt import cli
 from rclt.cli import (
     COMMANDS,
     DEFAULT_PARAMS,
@@ -20,7 +22,6 @@ from rclt.cli import (
     load_config,
     main,
     run,
-    save_chain_definition,
     validate,
 )
 from rclt.errors import ConfigError
@@ -143,9 +144,9 @@ def test_spectrum_report_content(tmp_path) -> None:
 def test_chain_definition_round_trip(tmp_path) -> None:
     chain = cycle_metropolis()
     target = tmp_path / "written.json"
-    save_chain_definition(target, chain, observable=[0.3, 1.7, -1.1])
-    definition = json.loads(target.read_text())
-    rebuilt = build_chain_from_definition(definition)
+    definition = {"kind": "kernel", "matrix": chain.kernel.tolist(), "observable": [0.3, 1.7, -1.1]}
+    target.write_text(json.dumps(definition))
+    rebuilt = build_chain_from_definition(json.loads(target.read_text()))
     np.testing.assert_allclose(rebuilt.kernel, chain.kernel, atol=1e-15)
     np.testing.assert_allclose(rebuilt.stationary, chain.stationary, atol=1e-15)
 
@@ -457,6 +458,7 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         (TWO_STATE, {"command": "decompose", "params": {"length": 1}}, {}),
         (TWO_STATE, {"command": "decompose", "params": {"horizon": 0}}, {}),
         (TWO_STATE, {"command": "decompose", "params": {"seed_index": -1}}, {}),
+        (TWO_STATE, {"command": "maximal", "params": {"n": 20000}}, {}),
     ],
     ids=[
         "non-reversible",
@@ -472,6 +474,7 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         "decompose-length-one",
         "decompose-horizon-zero",
         "decompose-negative-seed-index",
+        "maximal-exhaustive-over-budget",
     ],
 )
 def test_validate_exits_like_run(tmp_path, capsys, chain, command, extra) -> None:
@@ -735,6 +738,42 @@ def test_command_table_is_pinned() -> None:
         ("ui-diagnostic", [
             ("n_list", [100, 1000]), ("epsilon_grid", [1.0, 2.0, 5.0, 10.0, 20.0]), ("m", 2000),
         ]),
+    ]
+
+
+def _public_names(module) -> list[str]:
+    return sorted(n for n, v in vars(module).items() if not n.startswith("_") and not inspect.ismodule(v))
+
+
+def test_public_names_are_pinned() -> None:
+    """A name added to or dropped from ``rclt`` or ``rclt.cli`` is a deliberate edit here.
+
+    ``rclt.cli``'s list includes what it imports, since the benchmark's layer
+    trace rebinds those names on the module.
+    """
+    assert _public_names(rclt) == [
+        "ConfigError", "DecompositionTerms", "DegenerateVariance", "Disconnected", "EigenFailure",
+        "ExhaustiveTooLarge", "FiniteVarianceViolated", "InvalidArgument", "LimitReport",
+        "MalformedMatrix", "NegativeWeight", "NotIrreducible", "NotReversible", "NotStochastic",
+        "NumericalError", "Observable", "RcltError", "ReversibleChain", "SingularPoisson",
+        "SpectralMeasure", "StatisticalFailure", "Trajectory", "VarianceReport", "ZeroTargetMass",
+        "asymptotic_variance_poisson", "asymptotic_variance_series", "asymptotic_variance_spectral",
+        "boundary_l2_norm", "boundary_term", "build_chain", "build_metropolis", "build_random_walk",
+        "cauchy_quantity", "clt_test", "decompose_trajectory", "derive_seed", "dkw_epsilon",
+        "extrapolate_series_limit", "fclt_profile", "finiteness_integral", "ks_distance_to_normal",
+        "l2_convergence_table", "limit_difference_second_moment", "martingale_certificate",
+        "maximal_inequality_check", "moment", "poisson_solve", "project_mean_zero",
+        "sample_trajectory", "spectral_gap", "spectral_measure", "uniform_integrability_diagnostic",
+        "variance_report",
+    ]
+    assert _public_names(cli) == [
+        "COMMANDS", "Callable", "ConfigError", "DEFAULT_PARAMS", "ExperimentConfig", "NumericalError",
+        "Observable", "Path", "RcltError", "ReversibleChain", "RunManifest", "SCHEMA_VERSION",
+        "StatisticalFailure", "annotations", "asdict", "build_chain", "build_chain_from_definition",
+        "build_metropolis", "build_random_walk", "clt_test", "dataclass", "decompose_trajectory",
+        "derive_seed", "fclt_profile", "field", "load_config", "main", "maximal_inequality_check",
+        "partial", "project_mean_zero", "replace", "resolve_observable", "run", "sample_trajectory",
+        "spectral_measure", "uniform_integrability_diagnostic", "validate", "variance_report",
     ]
 
 

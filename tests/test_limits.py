@@ -230,8 +230,10 @@ def test_maximal_two_sided_variant_holds() -> None:
 def test_maximal_budget_guard() -> None:
     chain = cycle_metropolis()
     f = observable(chain, [0.3, 1.7, -1.1])
-    with pytest.raises(rclt.ExhaustiveTooLarge):
-        rclt.maximal_inequality_check(chain, f, n=13, lambdas=[0.0], exhaustive=True)
+    # n = 10 000 is judged without forming 3^10001, a number too long to print
+    for n in (13, 10_000):
+        with pytest.raises(rclt.ExhaustiveTooLarge, match=rf"^3\^{n + 1} paths exceed the"):
+            rclt.maximal_inequality_check(chain, f, n=n, lambdas=[0.0], exhaustive=True)
 
 
 def test_maximal_monte_carlo_mode() -> None:

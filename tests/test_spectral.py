@@ -16,6 +16,7 @@ from .fixture_chains import (
     random_pairs,
     two_state,
 )
+from .oracles import cauchy_quantity_direct, variance_integrand_check
 
 
 def test_single_atom_for_two_state_chain() -> None:
@@ -183,11 +184,11 @@ def test_extrapolated_series_limit_matches_spectral() -> None:
 
 def test_variance_integrand_examples() -> None:
     atom_zero = rclt.SpectralMeasure(lambdas=np.array([0.0]), weights=np.array([1.0]))
-    assert rclt.variance_integrand_check(atom_zero, 3) == pytest.approx(1.0, abs=1e-15)
+    assert variance_integrand_check(atom_zero, 3) == pytest.approx(1.0, abs=1e-15)
     atom_half = rclt.SpectralMeasure(lambdas=np.array([0.5]), weights=np.array([1.0]))
-    assert rclt.variance_integrand_check(atom_half, 2) == pytest.approx(1.5, abs=1e-15)
+    assert variance_integrand_check(atom_half, 2) == pytest.approx(1.5, abs=1e-15)
     atom_neg = rclt.SpectralMeasure(lambdas=np.array([-1.0]), weights=np.array([1.0]))
-    assert rclt.variance_integrand_check(atom_neg, 2) == pytest.approx(0.0, abs=1e-15)
+    assert variance_integrand_check(atom_neg, 2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_variance_integrand_equals_series_everywhere() -> None:
@@ -195,7 +196,7 @@ def test_variance_integrand_equals_series_everywhere() -> None:
         rho = rclt.spectral_measure(chain, f)
         series = rclt.asymptotic_variance_series(chain, f, 60)
         for n in (1, 2, 3, 7, 20, 60):
-            assert abs(rclt.variance_integrand_check(rho, n) - series[n - 1]) <= 1e-10
+            assert abs(variance_integrand_check(rho, n) - series[n - 1]) <= 1e-10
 
 
 def test_lemma_style_identity_between_the_two_integrals() -> None:
@@ -220,7 +221,7 @@ def test_cauchy_quantity_matches_direct_definition() -> None:
         rho = rclt.spectral_measure(chain, f)
         for n, p in [(1, 2), (1, 5), (2, 3), (3, 8), (5, 6)]:
             closed = rclt.cauchy_quantity(rho, n, p)
-            direct = rclt.cauchy_quantity_direct(chain, f, n, p)
+            direct = cauchy_quantity_direct(chain, f, n, p)
             assert abs(closed - direct) <= 1e-10, (n, p)
 
 
@@ -291,9 +292,7 @@ _RAGGED = [
         lambda: rclt.SpectralMeasure(lambdas=np.array([1.5]), weights=np.array([1.0])),
         lambda: rclt.SpectralMeasure(lambdas=np.array([0.5]), weights=np.array([-1.0])),
         lambda: rclt.moment(_ATOM, -1),
-        lambda: rclt.variance_integrand_check(_ATOM, 0),
         lambda: rclt.cauchy_quantity(_ATOM, 3, 3),
-        lambda: rclt.cauchy_quantity_direct(two_state(), observable(two_state(), [1, -1]), 0, 2),
         lambda: rclt.l2_convergence_table(two_state(), observable(two_state(), [1, -1]), [4, 2]),
         lambda: rclt.fclt_profile(*_TWO, n=10, m=5, grid=["x"], seed=1),
         lambda: rclt.fclt_profile(*_TWO, n=10, m=5, grid=[None], seed=1),
@@ -381,6 +380,16 @@ _RAGGED = [
         lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[0.5], m=5, seed=1, exhaustive=0),
         lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[0.5], exhaustive=True, two_sided="no"),
         lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[0.5], m=5, seed=1, two_sided=None),
+        lambda: rclt.spectral_measure(None, _TWO[1]),
+        lambda: rclt.poisson_solve(two_state(), np.array([1.0, -1.0])),
+        lambda: rclt.sample_trajectory(two_state(), [1.0, -1.0], 5, 1),
+        lambda: rclt.clt_test([[0.5, 0.5], [0.5, 0.5]], _TWO[1], 10, 5, 1),
+        lambda: rclt.project_mean_zero([1.0, -1.0], None),
+        lambda: rclt.limit_difference_second_moment(None, _TWO[1]),
+        lambda: rclt.martingale_certificate(two_state(), [1.0, -1.0], 3),
+        lambda: rclt.boundary_term(None, _TWO[1], _PATH, 1, 2),
+        lambda: rclt.boundary_term(two_state(), rclt.Observable(values=np.array([1.0, 0.0])), _PATH, 1, 2),
+        lambda: rclt.martingale_certificate(two_state(), rclt.Observable(values=np.array([1.0, 0.0])), 3),
         *_RAGGED,
     ],
     ids=[
@@ -389,9 +398,7 @@ _RAGGED = [
         "measure-atom-outside",
         "measure-negative-weight",
         "moment-order",
-        "integrand-n",
         "cauchy-n-p",
-        "cauchy-direct-n-p",
         "l2-table-horizons",
         "fclt-grid-text",
         "fclt-grid-none",
@@ -479,6 +486,16 @@ _RAGGED = [
         "maximal-exhaustive-int",
         "maximal-two-sided-text",
         "maximal-two-sided-none",
+        "measure-chain-none",
+        "poisson-observable-array",
+        "sample-observable-list",
+        "clt-chain-list",
+        "project-chain-none",
+        "second-moment-chain-none",
+        "certificate-observable-list",
+        "boundary-term-chain-none",
+        "boundary-term-uncentered",
+        "certificate-horizon-uncentered",
         "build-chain-ragged",
         "build-random-walk-ragged",
         "build-metropolis-ragged-proposal",
