@@ -138,6 +138,18 @@ def _numbers(kind: Callable, values, name: str, least: int | None = None) -> lis
     return out
 
 
+def _booleans(flags: dict) -> None:
+    """Reject with InvalidArgument unless every value of ``flags`` (name to value) is a boolean.
+
+    This is the one judge of the library's flags: a numpy boolean is one, but
+    0, 1, None, a string or an array is not.
+    """
+    if not all(isinstance(v, (bool, np.bool_)) for v in flags.values()):
+        raise InvalidArgument(
+            f"{' and '.join(flags)} must be booleans, got {' and '.join(map(repr, flags.values()))}"
+        )
+
+
 @dataclass(frozen=True)
 class ReversibleChain:
     """Finite reversible kernel with its stationary distribution.
@@ -381,9 +393,14 @@ def build_metropolis(target, proposal) -> ReversibleChain:
     return _certify(q, p)
 
 
-def _require_fit(chain: ReversibleChain, v: np.ndarray) -> None:
+def _require_chain(chain) -> None:
+    """Reject anything but a ReversibleChain with InvalidArgument."""
     if not isinstance(chain, ReversibleChain):
         raise InvalidArgument(f"expected a ReversibleChain, got {type(chain).__name__}")
+
+
+def _require_fit(chain: ReversibleChain, v: np.ndarray) -> None:
+    _require_chain(chain)
     if v.shape != (chain.n_states,):
         raise InvalidArgument(f"observable shape {v.shape} does not fit {chain.n_states} states")
 

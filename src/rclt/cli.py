@@ -381,13 +381,12 @@ _COMMANDS = {
         payload=lambda rho: {"atoms": rho.atoms(), "total_mass": rho.total_mass},
     ),
     "variance": _Command(
-        call=lambda _, chain, f, p: (spectral_measure(chain, f), variance_report(chain, f, **p)),
+        call=lambda _, chain, f, p: variance_report(chain, f, **p),
         arguments=lambda p: _numbers(int, [p["n_max"]], "n_max", least=1),
         defaults={"n_max": 1000},
-        payload=lambda result: {"atoms": result[0].atoms(), **result[1].to_dict()},
-        csv=lambda result: {
-            "n": range(1, len(result[1].var_over_n) + 1),
-            "var_over_n": result[1].var_over_n,
+        payload=lambda report: {"atoms": report.measure.atoms(), **report.to_dict()},
+        csv=lambda report: {
+            "n": range(1, len(report.var_over_n) + 1), "var_over_n": report.var_over_n,
         },
     ),
     "decompose": _Command(

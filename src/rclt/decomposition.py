@@ -50,7 +50,9 @@ import numpy as np
 from ._numeric import exact_cumsum, two_sum
 from .chain import Observable, ReversibleChain, Trajectory, _numbers, require_centered
 from .errors import InvalidArgument, NumericalError
-from .spectral import SpectralMeasure, _checked_eigensystem, poisson_solve, spectral_measure
+from .spectral import (  # spectral_measure is unused here, but bench/layer_trace.py rebinds it
+    SpectralMeasure, _checked_eigensystem, _require_measure, poisson_solve, spectral_measure,
+)
 
 #: residual level certified for both decomposition identities
 IDENTITY_TOL = 1e-12
@@ -147,7 +149,13 @@ def _limit_pair(chain: ReversibleChain, f: Observable) -> tuple[np.ndarray, np.n
 
 
 def _states(chain: ReversibleChain, traj: Trajectory) -> np.ndarray:
-    """The states of ``traj``, each checked to be a state of ``chain``."""
+    """The states of ``traj``, each checked to be a state of ``chain``.
+
+    This is the one judge of a trajectory: anything but a Trajectory is an
+    InvalidArgument before an attribute of it is read.
+    """
+    if not isinstance(traj, Trajectory):
+        raise InvalidArgument(f"expected a Trajectory, got {type(traj).__name__}")
     s = traj.states
     if not np.all((s >= 0) & (s < chain.n_states)):
         raise InvalidArgument(f"trajectory leaves the states 0..{chain.n_states - 1} of the chain")
@@ -180,24 +188,19 @@ def boundary_term(
     k, n = _numbers(int, [k, n], "k and n")
     if not 0 <= k <= n:
         raise InvalidArgument(f"need 0 <= k <= n, got k={k}, n={n}")
+    require_centered(chain, f)
+    s = _states(chain, traj)
     if n > traj.length:
         raise InvalidArgument(f"horizon {n} exceeds trajectory length {traj.length}")
-    require_centered(chain, f)
-    state = _states(chain, traj)[k]
+    state = s[k]
     if k == n:
         return 0.0
     drift = _horizon_vectors(chain, f, n - k)[2]
     return float(drift[state]) * (n - k) / n
 
 
-def boundary_l2_norm(
-    chain: ReversibleChain,
-    f: Observable,
-    n: int,
-    k: int,
-    rho: SpectralMeasure | None = None,
-) -> float:
-    """Exact variance of the boundary term, as a spectral sum.
+def boundary_l2_norm(rho: SpectralMeasure, n: int, k: int) -> float:
+    """Exact variance of the boundary term, as a spectral sum against rho.
 
     Var = (1/n^2) * integral of (t + ... + t^{n-k})^2 against the spectral
     measure; it is bounded by (2/n) times the finiteness integral, which
@@ -205,11 +208,10 @@ def boundary_l2_norm(
     steps is s b_s(t) for the drift weight of ``_horizon_weights``, which
     stays accurate for atoms near 1.
     """
+    _require_measure(rho)
     n, k = _numbers(int, [n, k], "n and k")
     if not 0 <= k <= n:
         raise InvalidArgument(f"need 0 <= k <= n, got k={k}, n={n}")
-    if rho is None:
-        rho = spectral_measure(chain, f)
     steps = n - k
     if steps == 0:
         return 0.0

@@ -29,7 +29,9 @@ class InvalidArgument(ConfigError, ValueError):
     Raised for a count below its least value, a non-integral or boolean count, a
     negative or non-integral seed, a missing Monte Carlo seed or replica count, an
     index outside the sampled path, a grid time outside [0, 1], an unknown mode, a
-    non-finite number and an observable that is not centered or does not fit.
+    non-boolean flag, a non-finite number, an observable that is not centered or
+    does not fit, and a chain, observable, spectral measure or trajectory of the
+    wrong type.
     """
 
 

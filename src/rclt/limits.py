@@ -61,8 +61,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .chain import (
-    Observable, ReversibleChain, _array, _cumulative_tables, _generators, _numbers, derive_seed,
-    require_centered,
+    Observable, ReversibleChain, _array, _booleans, _cumulative_tables, _generators, _numbers,
+    derive_seed, require_centered,
 )
 from .decomposition import _limit_pair
 from .errors import DegenerateVariance, ExhaustiveTooLarge, InvalidArgument
@@ -410,20 +410,17 @@ class _MaximalReader:
 
     def __init__(self, chain, f, n, lambdas, mode, exhaustive, m, seed, two_sided):
         n = _numbers(int, [n], "n", least=1)[0]
-        if not all(isinstance(flag, (bool, np.bool_)) for flag in (exhaustive, two_sided)):
-            raise InvalidArgument(
-                f"exhaustive and two_sided must be booleans, got {exhaustive!r} and {two_sided!r}"
-            )
+        _booleans({"exhaustive": exhaustive, "two_sided": two_sided})
+        if not (isinstance(mode, str) and mode in ("forward", "reversed")):
+            raise InvalidArgument(f"mode must be 'forward' or 'reversed', got {mode!r}")
+        self.lambdas = _numbers(float, lambdas, "lambdas")
+        m, seed = (None, None) if exhaustive else _replicas(m, seed)
+        # every argument is judged above, before the costly work below
         if exhaustive:
             self.paths, self.prob = _enumerate_paths(chain, n)
-            m = seed = None
         else:
-            m, seed = _replicas(m, seed)
             self.paths, self.prob = np.empty((m, n + 1), dtype=np.int64), None
-        if mode not in ("forward", "reversed"):
-            raise InvalidArgument(f"mode must be 'forward' or 'reversed', got {mode!r}")
         self.value, self.w = _limit_pair(chain, f)
-        self.lambdas = _numbers(float, lambdas, "lambdas")
         self.n, self.m, self.seed, self.mode, self.two_sided = n, m, seed, mode, two_sided
 
     def feed(self, t: int, states: np.ndarray, sums: np.ndarray) -> None:

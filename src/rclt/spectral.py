@@ -19,10 +19,12 @@ routes that must agree:
   subspace,
 - series:    the exact finite-n sequence Var(S_n)/n extrapolated in 1/n.
 
-The series route reads the same cached eigensystem as the spectral route,
-so it is not yet independent of the eigensolver: an eigensolver error
-both routes share goes unseen by their comparison. Only the resolvent
-route avoids the eigensolver.
+Both spectral routes take the spectral measure, and only the resolvent
+route takes (chain, f). The series route reads the same measure as the
+spectral route, so it is not independent of the eigensolver: an
+eigensolver error both routes share goes unseen by their comparison. Only
+the resolvent route avoids the eigensolver. Every integral against the
+measure takes the measure itself, judged by ``_require_measure``.
 
 The finiteness of sum w / (1 - lambda) is exactly the asymptotic
 linearity of Var(S_n); mass at lambda = 1 is the failure mode and is
@@ -34,8 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Observable, ReversibleChain, _array, _frozen, _numbers, require_centered
-from .errors import EigenFailure, FiniteVarianceViolated, InvalidArgument, SingularPoisson
+from .chain import (
+    Observable, ReversibleChain, _array, _booleans, _frozen, _numbers, _require_chain,
+    require_centered,
+)
+from .errors import (
+    EigenFailure, FiniteVarianceViolated, InvalidArgument, NumericalError, SingularPoisson,
+)
 
 #: eigenvalues may exceed [-1, 1] by at most this much before clamping fails
 CLAMP_TOL = 1e-10
@@ -72,6 +79,15 @@ class SpectralMeasure:
 
     def atoms(self) -> list[tuple[float, float]]:
         return [(float(l), float(w)) for l, w in zip(self.lambdas, self.weights)]
+
+
+def _require_measure(rho) -> None:
+    """Reject anything but a SpectralMeasure with InvalidArgument.
+
+    Every function of the measure judges it here before reading an atom.
+    """
+    if not isinstance(rho, SpectralMeasure):
+        raise InvalidArgument(f"expected a SpectralMeasure, got {type(rho).__name__}")
 
 
 def _checked_eigensystem(chain: ReversibleChain) -> tuple[np.ndarray, np.ndarray]:
@@ -116,6 +132,7 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
 
 def moment(rho: SpectralMeasure, k: int) -> float:
     """k-th moment of the spectral measure = lag-k stationary covariance."""
+    _require_measure(rho)
     k = _numbers(int, [k], "moment order", least=0)[0]
     return float(np.dot(rho.weights, rho.lambdas**k))
 
@@ -126,6 +143,7 @@ def _atoms_off_one(rho: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:
     An atom of weight zero adds nothing to an integral, so it is left out
     rather than multiplied by 1/(1-t), which is infinite at t = 1.
     """
+    _require_measure(rho)
     positive = rho.weights > 0.0
     w, lam = rho.weights[positive], rho.lambdas[positive]
     if np.any(np.abs(1.0 - lam) <= ATOM_AT_ONE_TOL):
@@ -173,10 +191,10 @@ def asymptotic_variance_poisson(chain: ReversibleChain, f: Observable) -> float:
     return 2.0 * chain.pi_dot(g, f.values) - chain.pi_dot(f.values, f.values)
 
 
-def asymptotic_variance_series(chain: ReversibleChain, f: Observable, n_max: int) -> np.ndarray:
-    """Exact Var(S_n)/n for n = 1..n_max from the covariance sequence."""
+def asymptotic_variance_series(rho: SpectralMeasure, n_max: int) -> np.ndarray:
+    """Exact Var(S_n)/n for n = 1..n_max from the covariance sequence, the moments of rho."""
+    _require_measure(rho)
     n_max = _numbers(int, [n_max], "n_max", least=1)[0]
-    rho = spectral_measure(chain, f)
     gamma = np.empty(n_max)
     powers = rho.weights.copy()
     for k in range(n_max):
@@ -195,15 +213,23 @@ def extrapolate_series_limit(var_over_n: np.ndarray) -> float:
     The sequence is sigma^2 - c/n up to a geometrically small remainder,
     so eliminating the 1/n term between n_max and n_max/2 recovers the
     limit to near machine precision for chains with a spectral gap.
+    A non-finite entry is an InvalidArgument; a limit that overflows from
+    finite entries is a NumericalError.
     """
     v = _array(var_over_n, "var_over_n", InvalidArgument)
     if v.ndim != 1:
         raise InvalidArgument(f"var_over_n must be a 1-d vector, got shape {v.shape}")
     n = _numbers(int, [v.shape[0]], "length of var_over_n", least=1)[0]
+    if not np.all(np.isfinite(v)):
+        raise InvalidArgument("var_over_n must hold finite values")
     if n < 2:
         return float(v[-1])
     h = n // 2
-    return float((n * v[n - 1] - h * v[h - 1]) / (n - h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        limit = float((n * v[n - 1] - h * v[h - 1]) / (n - h))
+    if not np.isfinite(limit):
+        raise NumericalError(f"the extrapolated limit of var_over_n overflows to {limit}")
+    return limit
 
 
 def cauchy_quantity(rho: SpectralMeasure, n: int, p: int) -> float:
@@ -213,6 +239,7 @@ def cauchy_quantity(rho: SpectralMeasure, n: int, p: int) -> float:
     atomwise, written with the geometric quotient expanded so the
     expression stays polynomial (finite at t = 1 and t = -1).
     """
+    _require_measure(rho)
     n, p = _numbers(int, [n, p], "n and p")
     if not (1 <= n < p):
         raise InvalidArgument(f"need 1 <= n < p, got n={n}, p={p}")
@@ -230,6 +257,8 @@ def cauchy_quantity(rho: SpectralMeasure, n: int, p: int) -> float:
 
 def spectral_gap(chain: ReversibleChain, absolute: bool = False) -> float:
     """1 minus the second-largest eigenvalue (or largest modulus below 1)."""
+    _require_chain(chain)
+    _booleans({"absolute": absolute})
     rest = _checked_eigensystem(chain)[0][:-1]  # ascending, without the top eigenvalue 1
     if rest.size == 0:
         return 0.0
@@ -239,8 +268,13 @@ def spectral_gap(chain: ReversibleChain, absolute: bool = False) -> float:
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """The three asymptotic-variance routes plus the exact finite-n profile."""
+    """The three asymptotic-variance routes plus the exact finite-n profile.
 
+    ``measure`` is the one spectral measure that the spectral and series
+    routes and the finiteness integral read; ``to_dict`` leaves it out.
+    """
+
+    measure: SpectralMeasure
     sigma2_spectral: float
     sigma2_poisson: float
     sigma2_series: float
@@ -260,8 +294,9 @@ class VarianceReport:
 def variance_report(chain: ReversibleChain, f: Observable, n_max: int = 1000) -> VarianceReport:
     """Assemble the three-route variance comparison."""
     rho = spectral_measure(chain, f)
-    series = asymptotic_variance_series(chain, f, n_max)
+    series = asymptotic_variance_series(rho, n_max)
     return VarianceReport(
+        measure=rho,
         sigma2_spectral=asymptotic_variance_spectral(rho),
         sigma2_poisson=asymptotic_variance_poisson(chain, f),
         sigma2_series=extrapolate_series_limit(series),

@@ -49,7 +49,7 @@ def test_criterion_01_variance_linearity(random_fifty) -> None:
         assert rclt.spectral_gap(chain, absolute=True) >= 0.1
         rho = rclt.spectral_measure(chain, f)
         sigma2 = rclt.asymptotic_variance_spectral(rho)
-        series = rclt.asymptotic_variance_series(chain, f, n)
+        series = rclt.asymptotic_variance_series(rho, n)
         env = float(np.max(1.0 / (1.0 - rho.lambdas)))
         bound = 20.0 * sigma2 * env / n
         gap = abs(series[-1] - sigma2)
@@ -147,7 +147,7 @@ def test_criterion_06_boundary_variance_bound(identity_ten) -> None:
         for n in (10, 100, 1_000, 10_000):
             bound = envelope / n
             for k in range(n + 1):
-                var = rclt.boundary_l2_norm(chain, f, n, k, rho=rho)
+                var = rclt.boundary_l2_norm(rho, n, k)
                 assert var <= bound + 1e-15, (n, k)
                 worst_ratio = max(worst_ratio, var / bound)
     _report(6, f"Var(boundary) <= 2 * finiteness / n for n up to 1e4, all k (worst ratio {worst_ratio:.3f})")

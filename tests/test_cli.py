@@ -789,6 +789,38 @@ def test_single_subcommand_uses_config_params(tmp_path) -> None:
     assert len(csv_lines) == 2 + 17
 
 
+def test_variance_command_builds_one_spectral_measure(tmp_path, monkeypatch) -> None:
+    """The variance report's three routes and its atoms read one spectral measure."""
+    calls = []
+    measure = rclt.spectral.spectral_measure
+
+    def counted(chain, f):
+        calls.append(chain.n_states)
+        return measure(chain, f)
+
+    for module in (cli, rclt.spectral, rclt.limits, rclt.decomposition):
+        monkeypatch.setattr(module, "spectral_measure", counted)
+    cfg = _config(tmp_path, [{"command": "variance", "params": {"n_max": 50}}])
+    manifest = run(load_config(cfg))
+    assert list(manifest.outputs) == ["variance"]
+    assert calls == [2]
+
+
+def test_failed_maximal_levels_exit_4_and_keep_the_report(tmp_path, monkeypatch) -> None:
+    """A drifting limit pair (every increment 1) fails the levels below its peak, exactly and sampled."""
+    monkeypatch.setattr(rclt.limits, "_limit_pair", lambda chain, f: (np.ones(2), np.zeros(2)))
+    for name, extra in (("exact", {}), ("sampled", {"exhaustive": False, "m": 50})):
+        params = {"n": 10, "lambdas": [0.0, 0.5, 20.0], **extra}
+        (tmp_path / name).mkdir()
+        cfg = _config(tmp_path / name, [{"command": "maximal", "params": params}])
+        assert main(["run", "--config", str(cfg)]) == 4
+        payload = json.loads((tmp_path / name / "out" / "maximal.json").read_text())
+        assert payload["passed"] is False
+        assert payload["failures"] == [
+            "lambda=0.0: lhs 100 > rhs 40", "lambda=0.5: lhs 90.25 > rhs 40",
+        ]
+
+
 def test_seed_override_changes_hash(tmp_path) -> None:
     cfg = _config(tmp_path, [{"command": "decompose", "params": {"length": 30}}])
     a = load_config(cfg)

@@ -96,26 +96,24 @@ def test_boundary_term_index_errors() -> None:
 def test_boundary_l2_norm_examples_and_decay() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])
-    assert rclt.boundary_l2_norm(chain, f, 4, 2) == pytest.approx(0.03515625, abs=1e-15)
+    assert rclt.boundary_l2_norm(rclt.spectral_measure(chain, f), 4, 2) == pytest.approx(0.03515625, abs=1e-15)
 
     iid = iid_chain()
     fi = observable(iid, [1, -1])
-    assert rclt.boundary_l2_norm(iid, fi, 10, 3) == 0.0
+    assert rclt.boundary_l2_norm(rclt.spectral_measure(iid, fi), 10, 3) == 0.0
 
     rho = rclt.spectral_measure(chain, f)
     bound_constant = 2.0 * rclt.finiteness_integral(rho)
     for n in (10, 100, 1000):
-        assert rclt.boundary_l2_norm(chain, f, n, 0, rho=rho) <= bound_constant / n + 1e-15
+        assert rclt.boundary_l2_norm(rho, n, 0) <= bound_constant / n + 1e-15
 
 
 def test_boundary_l2_norm_is_accurate_near_one() -> None:
     """An atom 1e-9 below 1, which spectral_measure keeps, loses nothing to cancellation."""
-    chain = two_state()
-    f = observable(chain, [1, -1])
     t = 1.0 - 1e-9
     rho = rclt.SpectralMeasure(lambdas=np.array([t]), weights=np.array([0.75]))
     exact = Fraction(0.75) * sum(Fraction(t) ** j for j in range(1, 11)) ** 2 / 100
-    value = rclt.boundary_l2_norm(chain, f, 10, 0, rho=rho)
+    value = rclt.boundary_l2_norm(rho, 10, 0)
     assert abs(Fraction(value) - exact) <= 1e-15 * exact
 
 

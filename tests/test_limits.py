@@ -423,6 +423,40 @@ def test_maximal_flags_take_numpy_booleans() -> None:
     assert numpy_flags.tolerances["two_sided"] is True
 
 
+@pytest.mark.parametrize("exhaustive", [True, False], ids=["exhaustive", "monte-carlo"])
+@pytest.mark.parametrize(
+    "bad",
+    [{"mode": "bogus"}, {"mode": np.array(["forward", "x"])}, {"lambdas": ["x"]}, {"lambdas": []}],
+    ids=["mode-unknown", "mode-array", "lambdas-text", "lambdas-empty"],
+)
+def test_maximal_judges_its_arguments_before_the_costly_work(monkeypatch, bad, exhaustive) -> None:
+    """A bad mode or bad levels raise before the limit pair is solved or a path is enumerated."""
+
+    def costly(*args):
+        raise AssertionError("costly work began before the arguments were judged")
+
+    monkeypatch.setattr(rclt.limits, "_limit_pair", costly)
+    monkeypatch.setattr(rclt.limits, "_enumerate_paths", costly)
+    chain = two_state()
+    f = observable(chain, [1, -1])
+    params = {"n": 5, "lambdas": [0.0], "mode": "forward", "exhaustive": exhaustive, "m": 5, **bad}
+    with pytest.raises(rclt.InvalidArgument):
+        rclt.maximal_inequality_check(chain, f, seed=1, **params)
+
+
+def test_a_drifting_limit_pair_fails_the_levels_below_its_peak(monkeypatch) -> None:
+    """Every increment 1: lhs (10 - lam)^2 beats rhs 4 * 10 at lam = 0 and 0.5, not at 20."""
+    monkeypatch.setattr(rclt.limits, "_limit_pair", lambda chain, f: (np.ones(2), np.zeros(2)))
+    chain = two_state()
+    f = observable(chain, [1, -1])
+    levels = [0.0, 0.5, 20.0]
+    exact = rclt.maximal_inequality_check(chain, f, 10, levels, exhaustive=True)
+    sampled = rclt.maximal_inequality_check(chain, f, 10, levels, m=50, seed=1)
+    for report in (exact, sampled):
+        assert not report.passed
+        assert report.failures == ("lambda=0.0: lhs 100 > rhs 40", "lambda=0.5: lhs 90.25 > rhs 40")
+
+
 def test_exhaustive_maximal_joins_the_pass_without_stepping(monkeypatch) -> None:
     """An exhaustive maximal alone derives no seed, and its report is the enumeration's."""
     chain = cycle_metropolis()

@@ -149,18 +149,19 @@ def test_singular_poisson_on_numerically_reducible_chain() -> None:
 def test_series_examples() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])
-    series = rclt.asymptotic_variance_series(chain, f, 2)
+    series = rclt.asymptotic_variance_series(rclt.spectral_measure(chain, f), 2)
     np.testing.assert_allclose(series, [1.0, 1.5], atol=1e-14)
 
     iid = iid_chain()
     fi = observable(iid, [1, -1])
-    np.testing.assert_allclose(rclt.asymptotic_variance_series(iid, fi, 50), np.ones(50), atol=1e-13)
+    series = rclt.asymptotic_variance_series(rclt.spectral_measure(iid, fi), 50)
+    np.testing.assert_allclose(series, np.ones(50), atol=1e-13)
 
 
 def test_series_approaches_limit_monotonically_from_below() -> None:
     chain = two_state()
     f = observable(chain, [1, -1])
-    series = rclt.asymptotic_variance_series(chain, f, 400)
+    series = rclt.asymptotic_variance_series(rclt.spectral_measure(chain, f), 400)
     assert np.all(np.diff(series) > 0)
     assert series[-1] < 3.0
     # gap to the limit is O(1/n) with the geometric-tail constant
@@ -171,14 +172,14 @@ def test_series_approaches_limit_monotonically_from_below() -> None:
 
 def test_series_is_nondecreasing_for_nonnegative_spectrum() -> None:
     for chain, f in random_pairs(5, 424242):
-        series = rclt.asymptotic_variance_series(chain, f, 200)
+        series = rclt.asymptotic_variance_series(rclt.spectral_measure(chain, f), 200)
         assert np.all(np.diff(series) >= -1e-13)
 
 
 def test_extrapolated_series_limit_matches_spectral() -> None:
     for chain, f in identity_fixture_pairs():
         sigma2 = rclt.asymptotic_variance_spectral(rclt.spectral_measure(chain, f))
-        series = rclt.asymptotic_variance_series(chain, f, 600)
+        series = rclt.asymptotic_variance_series(rclt.spectral_measure(chain, f), 600)
         assert abs(rclt.extrapolate_series_limit(series) - sigma2) <= 1e-8 * max(sigma2, 1e-3)
 
 
@@ -194,7 +195,7 @@ def test_variance_integrand_examples() -> None:
 def test_variance_integrand_equals_series_everywhere() -> None:
     for chain, f in identity_fixture_pairs():
         rho = rclt.spectral_measure(chain, f)
-        series = rclt.asymptotic_variance_series(chain, f, 60)
+        series = rclt.asymptotic_variance_series(rho, 60)
         for n in (1, 2, 3, 7, 20, 60):
             assert abs(variance_integrand_check(rho, n) - series[n - 1]) <= 1e-10
 
@@ -311,12 +312,12 @@ _RAGGED = [
         lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=1, ks_threshold=float("inf")),
         lambda: rclt.Observable(["a"]),
         lambda: rclt.decompose_trajectory(*_TWO, _PATH, horizon=2.5),
-        lambda: rclt.boundary_l2_norm(*_TWO, 2.5, 1),
+        lambda: rclt.boundary_l2_norm(rclt.spectral_measure(*_TWO), 2.5, 1),
         lambda: rclt.boundary_term(*_TWO, _PATH, k=1.0, n=3),
         lambda: rclt.martingale_certificate(*_TWO, 2.5),
         lambda: rclt.moment(_ATOM, 1.5),
         lambda: rclt.moment(_ATOM, "a"),
-        lambda: rclt.asymptotic_variance_series(*_TWO, 3.0),
+        lambda: rclt.asymptotic_variance_series(rclt.spectral_measure(*_TWO), 3.0),
         lambda: rclt.variance_report(*_TWO, n_max="a"),
         lambda: rclt.l2_convergence_table(*_TWO, ["a"]),
         lambda: rclt.cauchy_quantity(_ATOM, 1.5, 3),
@@ -341,7 +342,7 @@ _RAGGED = [
         lambda: rclt.uniform_integrability_diagnostic(*_TWO, [5], epsilon_grid=[1.0], seed=1, m=0),
         lambda: rclt.boundary_term(*_TWO, _PATH, k=4, n=3),
         lambda: rclt.boundary_term(*_TWO, _PATH, k=0, n=7),
-        lambda: rclt.boundary_l2_norm(*_TWO, 3, 4),
+        lambda: rclt.boundary_l2_norm(rclt.spectral_measure(*_TWO), 3, 4),
         lambda: rclt.clt_test(*_TWO, n=10, m=5, seed=1, ks_threshold=True),
         lambda: rclt.fclt_profile(*_TWO, n=10, m=5, grid=[True], seed=1),
         lambda: rclt.maximal_inequality_check(*_TWO, n=3, lambdas=[False], exhaustive=True),
@@ -390,6 +391,21 @@ _RAGGED = [
         lambda: rclt.boundary_term(None, _TWO[1], _PATH, 1, 2),
         lambda: rclt.boundary_term(two_state(), rclt.Observable(values=np.array([1.0, 0.0])), _PATH, 1, 2),
         lambda: rclt.martingale_certificate(two_state(), rclt.Observable(values=np.array([1.0, 0.0])), 3),
+        lambda: rclt.spectral_gap(None),
+        lambda: rclt.spectral_gap(two_state(), absolute=np.ones((2, 2))),
+        lambda: rclt.spectral_gap(two_state(), absolute=1),
+        lambda: rclt.finiteness_integral([0.5]),
+        lambda: rclt.asymptotic_variance_spectral(None),
+        lambda: rclt.moment(None, 1),
+        lambda: rclt.cauchy_quantity(None, 1, 2),
+        lambda: rclt.asymptotic_variance_series(None, 3),
+        lambda: rclt.boundary_l2_norm(None, 4, 1),
+        lambda: rclt.boundary_l2_norm([1], 4, 1),
+        lambda: rclt.decompose_trajectory(*_TWO, [0, 1]),
+        lambda: rclt.boundary_term(*_TWO, None, 1, 2),
+        lambda: rclt.extrapolate_series_limit([np.nan] * 4),
+        lambda: rclt.extrapolate_series_limit([1.0, np.inf]),
+        lambda: rclt.derive_seed(1, np.array([0, -1])),
         *_RAGGED,
     ],
     ids=[
@@ -496,6 +512,21 @@ _RAGGED = [
         "boundary-term-chain-none",
         "boundary-term-uncentered",
         "certificate-horizon-uncentered",
+        "gap-chain-none",
+        "gap-absolute-array",
+        "gap-absolute-int",
+        "finiteness-measure-list",
+        "sigma2-spectral-measure-none",
+        "moment-measure-none",
+        "cauchy-measure-none",
+        "series-measure-none",
+        "boundary-l2-norm-measure-none",
+        "boundary-l2-norm-measure-list",
+        "decompose-path-list",
+        "boundary-term-path-none",
+        "series-limit-nan",
+        "series-limit-inf",
+        "derive-seed-index-array-negative",
         "build-chain-ragged",
         "build-random-walk-ragged",
         "build-metropolis-ragged-proposal",
@@ -508,6 +539,14 @@ def test_bad_library_arguments_raise_typed_errors(call) -> None:
         call()
     assert isinstance(info.value, rclt.MalformedMatrix if call in _RAGGED else rclt.InvalidArgument)
     assert isinstance(info.value, ValueError)
+
+
+def test_series_limit_overflow_is_a_numerical_error() -> None:
+    """Finite entries whose extrapolated limit overflows raise, with no RuntimeWarning."""
+    with pytest.raises(rclt.NumericalError):
+        rclt.extrapolate_series_limit([1e308, 1e308])
+    with pytest.raises(rclt.NumericalError):
+        rclt.extrapolate_series_limit([1e308] * 4)
 
 
 def test_zero_weight_atom_at_one_adds_nothing() -> None:
