@@ -28,9 +28,10 @@ differ only in their wall-clock timings.
 Each input reaches the run through one checking step. ``_read_json`` is the
 only place a file becomes a value: an unreadable path, bytes that are not
 UTF-8 JSON, nesting too deep to parse or a top-level value of the wrong JSON
-type is a config error. ``load_config`` checks the config's structure (string
-paths, a command list, a params object per command, typed params), then the
-chain file's ``kind``, ``matrix`` and ``target`` keys, and last converts the
+type is a config error. ``load_config`` checks the config's structure (known
+keys only, a ``schema`` of 1 if given, string paths, a command list, a params
+object per command, typed params), then the chain file's keys (known ones
+only, then ``kind``, ``matrix`` and ``target``), and last converts the
 matrix and target to float arrays (``MalformedMatrix`` for a ragged or
 non-numeric one), so the parsed lists are freed before the chain is admitted.
 A single subcommand run narrows the config to that subcommand before
@@ -39,11 +40,14 @@ anything reads it, so its manifest hashes the commands it ran.
 Exit codes: 0 success, 2 config or argument error, 3 numerical error
 (including a ragged or non-numeric chain matrix), 4 statistical acceptance
 failure. ``run`` and ``validate`` share one setup, ``_prepare``: it builds
-the chain, centers the observable and judges every command in config order
-(a check command by building its reader, unstepped, any other by its
-arguments), stopping at the first error. ``validate`` raises that error, so
-it exits with the code ``run`` would give; ``run`` raises it at that
-command's turn, after the reports of the commands before it.
+the chain, centers the observable, makes the run's one exact layer (the
+``rclt.spectral._Exact`` holder whose rho and Poisson solution every
+command and reader reads, each built at most once) and judges every
+command in config order (a check command by building its reader,
+unstepped, any other by its arguments), stopping at the first error.
+``validate`` raises that error, so it exits with the code ``run`` would
+give; ``run`` raises it at that command's turn, after the reports of the
+commands before it.
 """
 from __future__ import annotations
 
@@ -73,7 +77,9 @@ from .chain import (
     project_mean_zero,
     sample_trajectory,
 )
-from .decomposition import _decompose_horizon, decompose_trajectory
+# decompose_trajectory, spectral_measure, variance_report and the four checks are not
+# called here, but bench/layer_trace.py rebinds them on this module
+from .decomposition import _decompose, _decompose_horizon, decompose_trajectory
 from .errors import ConfigError, NumericalError, RcltError, StatisticalFailure
 from .limits import (
     _build_reader,
@@ -83,9 +89,12 @@ from .limits import (
     maximal_inequality_check,
     uniform_integrability_diagnostic,
 )
-from .spectral import spectral_measure, variance_report
+from .spectral import _Exact, _variance_report, spectral_measure, variance_report
 
 SCHEMA_VERSION = 1
+#: the keys a config may hold, and those a chain definition may hold
+_CONFIG_KEYS = ("schema", "chain_spec", "observable", "commands", "master_seed", "output_dir")
+_CHAIN_KEYS = ("kind", "matrix", "target", "observable")
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,13 @@ def _wrong_type(value, default) -> bool:
     return not isinstance(value, type(default))
 
 
+def _known_keys(mapping: dict, known, what: str) -> None:
+    """Reject the first key of ``mapping`` outside ``known``, naming it and the known ones."""
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"unknown {what} {key!r}; known: {', '.join(known)}")
+
+
 def _normalize_commands(raw) -> list[tuple[str, dict]]:
     if not isinstance(raw, list):
         raise ConfigError(f"config 'commands' must be a list, got {raw!r}")
@@ -195,10 +211,8 @@ def _normalize_commands(raw) -> list[tuple[str, dict]]:
         if not isinstance(params, dict):
             raise ConfigError(f"{name} params must be an object, got {params!r}")
         defaults = DEFAULT_PARAMS[name]
+        _known_keys(params, defaults, f"{name} parameter")
         for key, value in params.items():
-            if key not in defaults:
-                known = ", ".join(defaults)
-                raise ConfigError(f"unknown {name} parameter {key!r}; known: {known}")
             if _wrong_type(value, defaults[key]):
                 raise ConfigError(f"{name} parameter {key!r} has the wrong type: {value!r}")
         merged = dict(defaults)
@@ -224,9 +238,14 @@ def load_config(
     path = Path(path)
     raw = _read_json(path, dict)[0]
     base = path.parent
+    _known_keys(raw, _CONFIG_KEYS, "config key")
+    schema = raw.get("schema", SCHEMA_VERSION)
+    if _wrong_type(schema, 0) or schema != SCHEMA_VERSION:
+        raise ConfigError(f"config 'schema' must be {SCHEMA_VERSION}, got {schema!r}")
 
     chain_path = _path(base, raw.get("chain_spec"), "chain_spec")
     chain_definition, chain_sha256 = _read_json(chain_path, dict)
+    _known_keys(chain_definition, _CHAIN_KEYS, "chain key")
 
     observable = raw.get("observable")
     if isinstance(observable, str):
@@ -339,11 +358,12 @@ class _Command:
     are read off it.
 
     A command has either a ``call`` or a ``check``, never both.
-    ``call(config, chain, f, params)`` gives the result, looking library functions
-    up in this module's globals at run time. ``arguments(params)``, if set, raises
-    the library's error for params the call would reject; ``_prepare`` calls it
-    before any command runs. ``check`` is the ``rclt.limits`` check whose reader
-    ``_prepare`` builds and whose report ``run`` takes from the run's one pass.
+    ``call(config, exact, params)`` gives the result from the run's exact layer
+    ``exact``, looking library functions up in this module's globals at run
+    time. ``arguments(params)``, if set, raises the library's error for params
+    the call would reject; ``_prepare`` calls it before any command runs.
+    ``check`` is the ``rclt.limits`` check whose reader ``_prepare`` builds
+    and whose report ``run`` takes from the run's one pass.
     ``payload`` turns the result into the JSON report body and ``csv``, if set,
     into CSV columns. ``defaults`` are the command's params and their default
     values, and ``seeded`` marks a command that consumes random streams and
@@ -359,11 +379,11 @@ class _Command:
     seeded: bool = False
 
 
-def _decompose(config, chain, f, params):
+def _decompose_command(config, exact, params):
     """(trajectory, decomposition terms) for the seeded path of the params."""
     seed = derive_seed(config.master_seed, params["seed_index"])
-    traj = sample_trajectory(chain, f, params["length"], seed)
-    return traj, decompose_trajectory(chain, f, traj, params["horizon"])
+    traj = sample_trajectory(exact.chain, exact.f, params["length"], seed)
+    return traj, _decompose(exact, traj, params["horizon"])
 
 
 def _decompose_arguments(params) -> None:
@@ -377,11 +397,11 @@ def _with_verdict(report) -> dict:
 
 _COMMANDS = {
     "spectrum": _Command(
-        call=lambda config, chain, f, p: spectral_measure(chain, f),
+        call=lambda config, exact, p: exact.rho,
         payload=lambda rho: {"atoms": rho.atoms(), "total_mass": rho.total_mass},
     ),
     "variance": _Command(
-        call=lambda _, chain, f, p: variance_report(chain, f, **p),
+        call=lambda _, exact, p: _variance_report(exact, **p),
         arguments=lambda p: _numbers(int, [p["n_max"]], "n_max", least=1),
         defaults={"n_max": 1000},
         payload=lambda report: {"atoms": report.measure.atoms(), **report.to_dict()},
@@ -390,7 +410,7 @@ _COMMANDS = {
         },
     ),
     "decompose": _Command(
-        call=_decompose,
+        call=_decompose_command,
         arguments=_decompose_arguments,
         defaults={"length": 200, "horizon": None, "seed_index": 0}, seeded=True,
         payload=lambda result: {
@@ -442,12 +462,14 @@ DEFAULT_PARAMS = {name: command.defaults for name, command in _COMMANDS.items()}
 
 
 def _prepare(config: ExperimentConfig):
-    """``run``'s setup: (chain, centered f, centering note, readers, stop, error).
+    """``run``'s setup: (exact layer, centering note, readers, stop, error).
 
-    Builds the chain and centers the observable, then judges the commands in
-    config order: a check command by building its reader, unstepped, which
-    computes sigma^2 and, for exhaustive ``maximal``, every path; any other
-    command by its ``arguments``. The first error ends the walk: ``stop`` is
+    Builds the chain, centers the observable and makes the run's one exact
+    layer, the ``_Exact`` holder of (chain, f) that every command and reader
+    reads, so rho and the Poisson solution are built at most once per run.
+    Then it judges the commands in config order: a check command by building
+    its reader, unstepped, which computes sigma^2 and, for exhaustive
+    ``maximal``, every path; any other command by its ``arguments``. The first error ends the walk: ``stop`` is
     its command's index and ``error`` the error, else ``stop`` is the number
     of commands and ``error`` None. ``readers`` maps the index of each check
     command before ``stop`` to its reader. This is the one walk that judges
@@ -455,17 +477,18 @@ def _prepare(config: ExperimentConfig):
     """
     chain = build_chain_from_definition(config.chain_definition)
     f, note = _centered_observable(config, chain)
+    exact = _Exact(chain, f)
     readers = {}
     for i, (name, params) in enumerate(config.commands):
         command = _COMMANDS[name]
         try:
             if command.check:
-                readers[i] = _build_reader(chain, f, config.master_seed, command.check, params)
+                readers[i] = _build_reader(exact, config.master_seed, command.check, params)
             elif command.arguments:
                 command.arguments(params)
         except Exception as exc:  # run raises it at this command's turn
-            return chain, f, note, readers, i, exc
-    return chain, f, note, readers, len(config.commands), None
+            return exact, note, readers, i, exc
+    return exact, note, readers, len(config.commands), None
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -475,17 +498,17 @@ def validate(config: ExperimentConfig) -> list[str]:
     ``run``, and the error ``run`` would meet first is raised, so ``main``
     gives both the same exit code.
     """
-    _, _, note, _, _, error = _prepare(config)
+    _, note, _, _, error = _prepare(config)
     if error is not None:
         raise error
     return [note] if note else []
 
 
-def _run_command(name, config, chain, f, params, outdir, stem, result=None) -> list[Path]:
+def _run_command(name, config, exact, params, outdir, stem, result=None) -> list[Path]:
     """Run one subcommand, or take its check's ``result``, write its reports and judge them."""
     command = _COMMANDS[name]
     if result is None:
-        result = command.call(config, chain, f, params)
+        result = command.call(config, exact, params)
     files = [outdir / f"{stem}.json"]
     _write_json(files[0], {"schema": SCHEMA_VERSION, "command": name, **command.payload(result)})
     if command.csv:
@@ -530,7 +553,7 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
             raise ConfigError(f"subcommand {only!r} needs a master_seed")
         config = replace(config, commands=commands)
 
-    chain, f, note, readers, stop, error = _prepare(config)
+    exact, note, readers, stop, error = _prepare(config)
     if note:
         print(f"warning: {note}", file=sys.stderr)
 
@@ -545,9 +568,9 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
             if i == stop:
                 raise error
             if not reports and i in readers:
-                checked = _one_pass(chain, f, config.master_seed, list(readers.values()))
+                checked = _one_pass(exact, config.master_seed, list(readers.values()))
                 reports = dict(zip(readers, checked))
-            files = _RUNNERS[name](config, chain, f, params, config.output_dir, stem, reports.get(i))
+            files = _RUNNERS[name](config, exact, params, config.output_dir, stem, reports.get(i))
             written.extend(files)
             manifest.outputs[stem] = [p.name for p in files]
             manifest.timings[stem] = time.perf_counter() - start

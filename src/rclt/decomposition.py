@@ -22,15 +22,18 @@ Two layers of objects are computed for a trajectory xi_0..xi_N:
 
   The increments are represented through (f, w) rather than (g, Q g) so
   the telescoping holds in floating point as well as on paper;
-  ``_limit_pair`` is the one place that forms this representation. Each
-  martingale summand is carried as an exact (hi, lo) pair of doubles and
-  summed by a compensated prefix sum, so no rounding accumulates along the
-  path and both identity residuals stay at the 1e-12 certification level
-  along 10^5-step paths.
+  ``_limit_pair`` is the one place that forms this representation, from
+  the Poisson solution g of an exact layer (``rclt.spectral._Exact``), so
+  a run that decomposes a path and checks the maximal inequality solves
+  for g once. Each martingale summand is carried as an exact (hi, lo) pair
+  of doubles and summed by a compensated prefix sum, so no rounding
+  accumulates along the path and both identity residuals stay at the
+  1e-12 certification level along 10^5-step paths.
 
-``decompose_trajectory`` returns every per-position term as an array indexed
-by time (the forward increment at k is ``terms.forward_finite[k]``, and so on)
-and builds the per-state vectors once per path. Those vectors are spectral
+``decompose_trajectory``, an adapter over ``_decompose``, which takes a
+holder, returns every per-position term as an array indexed by time (the
+forward increment at k is ``terms.forward_finite[k]``, and so on) and
+builds the per-state vectors once per path. Those vectors are spectral
 functions of the kernel applied to f, so they are read off the chain's
 cached eigensystem in O(S^2) float64 work whatever the horizon; because of
 that, the kernel itself checks them (``Q phi`` against the eigenbasis
@@ -50,53 +53,14 @@ import numpy as np
 from ._numeric import exact_cumsum, two_sum
 from .chain import Observable, ReversibleChain, Trajectory, _numbers, require_centered
 from .errors import InvalidArgument, NumericalError
-from .spectral import (  # spectral_measure is unused here, but bench/layer_trace.py rebinds it
-    SpectralMeasure, _checked_eigensystem, _require_measure, poisson_solve, spectral_measure,
+# poisson_solve and spectral_measure are unused here, but bench/layer_trace.py rebinds them
+from .spectral import (
+    SpectralMeasure, _checked_eigensystem, _Exact, _horizon_weights, _require_measure,
+    poisson_solve, spectral_measure,
 )
 
 #: residual level certified for both decomposition identities
 IDENTITY_TOL = 1e-12
-
-
-def _horizon_weights(lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral weights (c, b) of the Cesaro vector and the drift at horizon n.
-
-    c(t) = sum_{j<n} (1 - j/n) t^j and b(t) = (1/n) sum_{j=1}^{n} t^j, so that
-    (1 - t) c(t) = 1 - b(t). With x = 1 - t, far from t = 1 (n x >= 1)
-    b = t (1 - t^n) / (n x), with 1 - t^n taken through expm1 and log1p
-    where t^n may be near 1, and c = (1 - b) / x. Near t = 1 that quotient
-    cancels, so c is summed from its exact expansion
-    (1/n) sum_k C(n+1, k+2) (t - 1)^k, whose terms shrink by a factor
-    n x / 3 < 1/3 or better, until they fall below rounding; there
-    b = 1 - x c. The split at n x = 1 balances the rounding of the two
-    forms, which stay within 5e-16 relative of the exact values, and
-    c(1) = (n + 1) / 2, b(1) = 1.
-    """
-    x = 1.0 - lam
-    c = np.empty_like(lam)
-    b = np.empty_like(lam)
-    far = n * x >= 1.0
-    t, xf = lam[far], x[far]
-    rest = 1.0 - t**n
-    # where |t| > 1/2, |t|^n - 1 = expm1(n log1p(-(1 - |t|))) keeps 1 - t^n accurate
-    big = np.abs(t) > 0.5
-    pw = np.expm1(n * np.log1p(np.abs(t[big]) - 1.0))
-    rest[big] = -pw if n % 2 == 0 else np.where(t[big] > 0.0, -pw, 2.0 + pw)
-    b[far] = t * rest / (n * xf)
-    c[far] = (1.0 - b[far]) / xf
-
-    near = ~far
-    y = -x[near]
-    term = np.full(y.shape, (n + 1) / 2.0)
-    total = term.copy()
-    for k in range(n - 1):
-        term *= (n - k - 1) / (k + 3) * y
-        total += term
-        if np.all(np.abs(term) <= np.finfo(float).eps * np.abs(total)):
-            break
-    c[near] = total
-    b[near] = 1.0 - x[near] * total
-    return c, b
 
 
 def _horizon_vectors(chain: ReversibleChain, f: Observable, n: int):
@@ -137,15 +101,14 @@ def _decompose_horizon(length: int, horizon: int | None) -> int:
     return length if horizon is None else _numbers(int, [horizon], "horizon", least=1)[0]
 
 
-def _limit_pair(chain: ReversibleChain, f: Observable) -> tuple[np.ndarray, np.ndarray]:
+def _limit_pair(exact: _Exact) -> tuple[np.ndarray, np.ndarray]:
     """Per-state vectors (f + w, w) of the limit increments, w = Q g for (I - Q) g = f.
 
     The limit increment along x -> y is (f + w)(y) - w(x), which is
     g(y) - (Q g)(x) since g = f + Q g.
     """
-    g = poisson_solve(chain, f)  # checks chain and f before chain.kernel is read
-    w = chain.kernel @ g
-    return f.values + w, w
+    w = exact.chain.kernel @ exact.g
+    return exact.f.values + w, w
 
 
 def _states(chain: ReversibleChain, traj: Trajectory) -> np.ndarray:
@@ -232,14 +195,14 @@ def martingale_certificate(
     comes from the eigenbasis, so this is the kernel-versus-eigensystem
     defect that ``decompose_trajectory`` gates.
     """
-    require_centered(chain, f)
-    value, pred = _limit_pair(chain, f) if horizon is None else _horizon_vectors(chain, f, horizon)[:2]
+    exact = _Exact(chain, f)
+    value, pred = _limit_pair(exact) if horizon is None else _horizon_vectors(chain, f, horizon)[:2]
     return float(np.max(np.abs(chain.kernel @ value - pred)))
 
 
 def limit_difference_second_moment(chain: ReversibleChain, f: Observable) -> float:
     """E(D^2) of the limit increments by exact summation of the joint law."""
-    value, w = _limit_pair(chain, f)
+    value, w = _limit_pair(_Exact(chain, f))
     gap_sq = (value[None, :] - w[:, None]) ** 2
     return float(chain.stationary @ np.sum(chain.kernel * gap_sq, axis=1))
 
@@ -258,7 +221,7 @@ def l2_convergence_table(
     horizons = _numbers(int, horizons, "horizons")
     if horizons != sorted(set(horizons)) or horizons[0] < 1:
         raise InvalidArgument("horizons must be strictly increasing positive integers")
-    g = poisson_solve(chain, f)
+    g = _Exact(chain, f).g
     out = np.empty(len(horizons))
     for i, n in enumerate(horizons):
         phi, _, _ = _horizon_vectors(chain, f, n)
@@ -304,40 +267,25 @@ class DecompositionTerms:
         return float(np.max(np.abs(self.decomposition_residual)))
 
 
-def decompose_trajectory(
-    chain: ReversibleChain,
-    f: Observable,
-    traj: Trajectory,
-    horizon: int | None = None,
-) -> DecompositionTerms:
-    """Fill every decomposition sequence and certify both identities.
-
-    The lookahead horizon of the finite-horizon terms defaults to the
-    trajectory length. Raises NumericalError if the kernel applied to phi
-    misses the eigenbasis prediction by more than 1e-12 * max(1, max|phi|)
-    (phi grows like min(n, 1 / gap)), or if either identity residual
-    exceeds 1e-12, which would mean the arithmetic (not the statistics)
-    went wrong.
-    """
-    require_centered(chain, f)
-    s = _states(chain, traj)
+def _decompose(exact: _Exact, traj: Trajectory, horizon: int | None) -> DecompositionTerms:
+    s = _states(exact.chain, traj)
     n_len = traj.length
     n_hor = _decompose_horizon(n_len, horizon)
 
-    phi, pred, drift = _horizon_vectors(chain, f, n_hor)
-    defect = float(np.max(np.abs(chain.kernel @ phi - pred)))
+    phi, pred, drift = _horizon_vectors(exact.chain, exact.f, n_hor)
+    defect = float(np.max(np.abs(exact.chain.kernel @ phi - pred)))
     scale = max(1.0, float(np.max(np.abs(phi))))
     if not defect <= IDENTITY_TOL * scale:
         raise NumericalError(
             f"horizon vectors miss the kernel by {defect:.3e}, above {IDENTITY_TOL} * {scale:.3g}"
         )
-    value, w = _limit_pair(chain, f)
+    value, w = _limit_pair(exact)
     x = traj.observables
     partial = traj.partial_sums
 
     forward_finite, reversed_finite = _edges(phi, pred, s)
     forward_limit, reversed_limit = _edges(value, w, s)
-    cesaro_prediction = partial + (phi - f.values)[s]
+    cesaro_prediction = partial + (phi - exact.f.values)[s]
     lookahead = drift[s]
 
     # martingale prefix sums from exact (hi, lo) summands: the reversed step
@@ -383,3 +331,21 @@ def decompose_trajectory(
             f"decomposition residual {terms.max_decomposition_residual:.3e} exceeds {IDENTITY_TOL}"
         )
     return terms
+
+
+def decompose_trajectory(
+    chain: ReversibleChain,
+    f: Observable,
+    traj: Trajectory,
+    horizon: int | None = None,
+) -> DecompositionTerms:
+    """Fill every decomposition sequence and certify both identities.
+
+    The lookahead horizon of the finite-horizon terms defaults to the
+    trajectory length. Raises NumericalError if the kernel applied to phi
+    misses the eigenbasis prediction by more than 1e-12 * max(1, max|phi|)
+    (phi grows like min(n, 1 / gap)), or if either identity residual
+    exceeds 1e-12, which would mean the arithmetic (not the statistics)
+    went wrong.
+    """
+    return _decompose(_Exact(chain, f), traj, horizon)

@@ -32,22 +32,25 @@ A step of m replicas on S states costs O(m log S): each replica bisects
 its own cumulative kernel row and compares the doubles ``bisect_right`` does.
 
 Every check is a reader of one replica pass, in two steps. The build
-step, ``_build_reader``, checks the centering of f and builds the check's
-reader, which validates its arguments and computes what it needs before
-any replica moves: sigma^2, the limit martingale, or, for exhaustive
-``maximal``, every path with its exact probability. A reader that samples
-sets its replica count ``m``; an exhaustive one sets ``m = None`` and is
-never stepped. The stepping step, ``_one_pass``, steps max m replicas to
+step, ``_build_reader``, builds the check's reader on an exact layer, the
+``rclt.spectral._Exact`` holder that judged (chain, f) and builds rho and
+the Poisson solution at most once. The reader validates its arguments,
+then computes what it needs before any replica moves: sigma^2 from the
+holder's rho, the limit martingale from its Poisson solution, or, for
+exhaustive ``maximal``, every path with its exact probability. A reader
+that samples sets its replica count ``m``; an exhaustive one sets
+``m = None`` and is never stepped. The stepping step, ``_one_pass``, steps max m replicas to
 max n once, keeps one vector of running partial sums S_t, and calls
 ``feed(t, states, sums)`` on each stepped reader with its prefix of
 replicas for t = 0..n; ``report()`` then gives the ``LimitReport``.
 Streams are prefix consistent in both r and t, and a prefix of the
 elementwise sum is the sum a reader would keep alone, so each reader sees
 exactly the numbers a pass of its own would. Each public check is the two
-steps for one reader. A run of several is the same two steps: the
-command line's ``_prepare`` builds the readers of a run while it judges
-the config, in config order and stopping at the first error, and ``run``
-steps them all with one ``_one_pass`` at its first check command.
+steps for one reader on a holder of its own. A run of several is the same
+two steps: the command line's ``_prepare`` builds the readers of a run on
+the run's one holder while it judges the config, in config order and
+stopping at the first error, and ``run`` steps them all with one
+``_one_pass`` at its first check command.
 
 Every Monte Carlo estimate in a report is a sample mean with its standard
 error, std / sqrt(size), from ``_mean_se``.
@@ -62,11 +65,12 @@ import numpy as np
 
 from .chain import (
     Observable, ReversibleChain, _array, _booleans, _cumulative_tables, _generators, _numbers,
-    derive_seed, require_centered,
+    derive_seed,
 )
 from .decomposition import _limit_pair
 from .errors import DegenerateVariance, ExhaustiveTooLarge, InvalidArgument
-from .spectral import asymptotic_variance_spectral, spectral_measure
+# spectral_measure is unused here, but bench/layer_trace.py rebinds it
+from .spectral import _Exact, asymptotic_variance_spectral, spectral_measure
 
 #: sigma^2 below this is treated as the degenerate case
 DEGENERATE_TOL = 1e-8
@@ -173,8 +177,8 @@ def _replicas(m, seed) -> tuple[int, int]:
     return _numbers(int, [m], "m", least=1)[0], _numbers(int, [seed], "seed", least=0)[0]
 
 
-def _sigma2_or_raise(chain: ReversibleChain, f: Observable) -> float:
-    sigma2 = asymptotic_variance_spectral(spectral_measure(chain, f))
+def _sigma2_or_raise(exact: _Exact) -> float:
+    sigma2 = asymptotic_variance_spectral(exact.rho)
     if sigma2 <= DEGENERATE_TOL:
         raise DegenerateVariance(
             f"asymptotic variance {sigma2:.3e} is degenerate; the CLT scaling is void"
@@ -190,17 +194,16 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 # --- one pass, many readers ---------------------------------------------------
 
 
-def _build_reader(chain: ReversibleChain, f: Observable, seed, check: Callable, params: dict):
-    """The reader of one check, unstepped: the centering of f is checked, then the reader built.
+def _build_reader(exact: _Exact, seed, check: Callable, params: dict):
+    """The reader of one check on the holder's (chain, f), which judged the pair, unstepped.
 
     Building validates the check's arguments and computes all it needs before
     any replica moves, so a check that raises does so here.
     """
-    require_centered(chain, f)
-    return _READERS[check](chain, f, seed=seed, **params)
+    return _READERS[check](exact, seed=seed, **params)
 
 
-def _one_pass(chain: ReversibleChain, f: Observable, seed, readers: list) -> list[LimitReport]:
+def _one_pass(exact: _Exact, seed, readers: list) -> list[LimitReport]:
     """Step the sampling readers in one pass over the replicas, then every reader's report.
 
     Only readers with a replica count are stepped, to the largest n over the
@@ -210,9 +213,9 @@ def _one_pass(chain: ReversibleChain, f: Observable, seed, readers: list) -> lis
     if stepped:
         n, m = max(r.n for r in stepped), max(r.m for r in stepped)
         sums = np.zeros(m)
-        for t, states in _iter_batch(chain, n, m, seed):
+        for t, states in _iter_batch(exact.chain, n, m, seed):
             if t >= 1:
-                sums += f.values[states]
+                sums += exact.f.values[states]
             for reader in stepped:
                 if t <= reader.n:
                     reader.feed(t, states[: reader.m], sums[: reader.m])
@@ -220,7 +223,8 @@ def _one_pass(chain: ReversibleChain, f: Observable, seed, readers: list) -> lis
 
 
 def _one_check(check: Callable, chain: ReversibleChain, f: Observable, seed, **params):
-    return _one_pass(chain, f, seed, [_build_reader(chain, f, seed, check, params)])[0]
+    exact = _Exact(chain, f)
+    return _one_pass(exact, seed, [_build_reader(exact, seed, check, params)])[0]
 
 
 # --- normal limit ------------------------------------------------------------
@@ -255,11 +259,11 @@ def dkw_epsilon(m: int, alpha: float = 0.01) -> float:
 
 
 class _CltReader:
-    def __init__(self, chain, f, n, m, seed, ks_threshold):
+    def __init__(self, exact, n, m, seed, ks_threshold):
         n = _numbers(int, [n], "n", least=1)[0]
         m, seed = _replicas(m, seed)
-        self.sigma2 = _sigma2_or_raise(chain, f)
         self.ks_threshold = _numbers(float, [ks_threshold], "ks_threshold")[0]
+        self.sigma2 = _sigma2_or_raise(exact)
         self.n, self.m, self.seed = n, m, seed
 
     def feed(self, t: int, states: np.ndarray, sums: np.ndarray) -> None:
@@ -306,13 +310,13 @@ def clt_test(
 
 
 class _FcltReader:
-    def __init__(self, chain, f, n, m, grid, seed):
+    def __init__(self, exact, n, m, grid, seed):
         n = _numbers(int, [n], "n", least=1)[0]
         m, seed = _replicas(m, seed)
         grid = sorted(_numbers(float, grid, "grid"))
         if not all(0.0 <= t <= 1.0 for t in grid):
             raise InvalidArgument(f"grid times must lie in [0, 1], got {grid}")
-        self.sigma2 = _sigma2_or_raise(chain, f)
+        self.sigma2 = _sigma2_or_raise(exact)
         self.n, self.m, self.seed, self.grid = n, m, seed, grid
         self.indices = [int(math.floor(n * t)) for t in grid]
         self.snapshots = np.empty((len(grid), m))
@@ -408,7 +412,7 @@ class _MaximalReader:
     distributes exactly like the forward case).
     """
 
-    def __init__(self, chain, f, n, lambdas, mode, exhaustive, m, seed, two_sided):
+    def __init__(self, exact, n, lambdas, mode, exhaustive, m, seed, two_sided):
         n = _numbers(int, [n], "n", least=1)[0]
         _booleans({"exhaustive": exhaustive, "two_sided": two_sided})
         if not (isinstance(mode, str) and mode in ("forward", "reversed")):
@@ -417,10 +421,10 @@ class _MaximalReader:
         m, seed = (None, None) if exhaustive else _replicas(m, seed)
         # every argument is judged above, before the costly work below
         if exhaustive:
-            self.paths, self.prob = _enumerate_paths(chain, n)
+            self.paths, self.prob = _enumerate_paths(exact.chain, n)
         else:
             self.paths, self.prob = np.empty((m, n + 1), dtype=np.int64), None
-        self.value, self.w = _limit_pair(chain, f)
+        self.value, self.w = _limit_pair(exact)
         self.n, self.m, self.seed, self.mode, self.two_sided = n, m, seed, mode, two_sided
 
     def feed(self, t: int, states: np.ndarray, sums: np.ndarray) -> None:
@@ -499,7 +503,7 @@ def maximal_inequality_check(
 
 
 class _UiReader:
-    def __init__(self, chain, f, n_list, epsilon_grid, seed, m):
+    def __init__(self, exact, n_list, epsilon_grid, seed, m):
         n_list = _numbers(int, n_list, "n_list")
         if n_list != sorted(set(n_list)) or n_list[0] < 1:
             raise InvalidArgument(f"n_list must be strictly increasing positive integers: {n_list}")

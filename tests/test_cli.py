@@ -378,6 +378,12 @@ def _without(key: str) -> dict:
         (_without("chain_spec"), TWO_STATE),
         ({**_BASE, "commands": [5]}, TWO_STATE),
         ({**_BASE, "commands": [{"params": {}}]}, TWO_STATE),
+        ({**_BASE, "observabel": [3.0, -1.0]}, TWO_STATE),
+        ({**_BASE, "output_dri": "elsewhere"}, TWO_STATE),
+        (_BASE, {**TWO_STATE, "targte": [1.0, 1.0]}),
+        ({**_BASE, "schema": 2}, TWO_STATE),
+        ({**_BASE, "schema": "1"}, TWO_STATE),
+        ({**_BASE, "schema": True}, TWO_STATE),
     ],
     ids=[
         "config-list",
@@ -399,6 +405,12 @@ def _without(key: str) -> dict:
         "chain-spec-missing",
         "command-entry-number",
         "command-entry-without-name",
+        "config-key-misspelled",
+        "output-dir-key-misspelled",
+        "chain-key-misspelled",
+        "schema-2",
+        "schema-text",
+        "schema-true",
     ],
 )
 def test_malformed_config_is_one_config_error(tmp_path, capsys, subcommand, config, chain) -> None:
@@ -545,7 +557,10 @@ def _reports(outdir: Path) -> dict[str, bytes]:
 
 
 def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
-    """Every check command of a run, exhaustive maximal too, reads one pass; each report is its own."""
+    """Every check command of a run, exhaustive maximal too, reads one pass; each report is its own.
+
+    The exact commands read the run's one exact layer, and their reports are their own too.
+    """
     commands = [
         {"command": "maximal", "params": {"n": 4, "mode": "reversed", "two_sided": True}},
         {"command": "clt", "params": {"n": 60, "m": 150, "ks_threshold": 0.5}},
@@ -554,6 +569,8 @@ def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
         {"command": "clt", "params": {"n": 25, "m": 200, "ks_threshold": 0.5}},
         {"command": "ui-diagnostic", "params": {"n_list": [1, 7, 40], "m": 30}},
         {"command": "maximal", "params": {"n": 5, "exhaustive": False, "m": 90, "two_sided": True}},
+        {"command": "variance", "params": {"n_max": 30}},
+        {"command": "decompose", "params": {"length": 50, "horizon": 7}},
     ]
     chain = {"kind": "random_walk", "matrix": [[2, 1, 1], [1, 1, 3], [1, 3, 4]],
              "observable": [1.0, -0.5, 0.25]}
@@ -561,7 +578,7 @@ def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
     shared.mkdir()
     run(load_config(_config(shared, commands, chain=chain)))
     together = _reports(shared / "out")
-    assert len(together) == 9
+    assert len(together) == 13
     assert json.loads(together["maximal.json"])["exact"] is True
     for index, command in enumerate(commands):
         alone = tmp_path / f"alone_{index}"
@@ -808,7 +825,7 @@ def test_variance_command_builds_one_spectral_measure(tmp_path, monkeypatch) -> 
 
 def test_failed_maximal_levels_exit_4_and_keep_the_report(tmp_path, monkeypatch) -> None:
     """A drifting limit pair (every increment 1) fails the levels below its peak, exactly and sampled."""
-    monkeypatch.setattr(rclt.limits, "_limit_pair", lambda chain, f: (np.ones(2), np.zeros(2)))
+    monkeypatch.setattr(rclt.limits, "_limit_pair", lambda exact: (np.ones(2), np.zeros(2)))
     for name, extra in (("exact", {}), ("sampled", {"exhaustive": False, "m": 50})):
         params = {"n": 10, "lambdas": [0.0, 0.5, 20.0], **extra}
         (tmp_path / name).mkdir()

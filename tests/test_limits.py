@@ -8,6 +8,7 @@ import pytest
 
 import rclt
 from rclt.limits import _build_reader, _enumerate_paths, _iter_batch, _one_pass
+from rclt.spectral import _Exact
 
 from .fixture_chains import (
     cycle_metropolis,
@@ -446,7 +447,7 @@ def test_maximal_judges_its_arguments_before_the_costly_work(monkeypatch, bad, e
 
 def test_a_drifting_limit_pair_fails_the_levels_below_its_peak(monkeypatch) -> None:
     """Every increment 1: lhs (10 - lam)^2 beats rhs 4 * 10 at lam = 0 and 0.5, not at 20."""
-    monkeypatch.setattr(rclt.limits, "_limit_pair", lambda chain, f: (np.ones(2), np.zeros(2)))
+    monkeypatch.setattr(rclt.limits, "_limit_pair", lambda exact: (np.ones(2), np.zeros(2)))
     chain = two_state()
     f = observable(chain, [1, -1])
     levels = [0.0, 0.5, 20.0]
@@ -468,8 +469,9 @@ def test_exhaustive_maximal_joins_the_pass_without_stepping(monkeypatch) -> None
     monkeypatch.setattr(
         rclt.limits, "derive_seed", lambda s, i: calls.extend(np.ravel(i)) or derive_seed(s, i)
     )
-    reader = _build_reader(chain, f, None, rclt.maximal_inequality_check, params)
-    reports = _one_pass(chain, f, None, [reader])
+    exact = _Exact(chain, f)
+    reader = _build_reader(exact, None, rclt.maximal_inequality_check, params)
+    reports = _one_pass(exact, None, [reader])
     assert calls == []
     alone = rclt.maximal_inequality_check(chain, f, **params)
     assert reports[0].to_dict() == alone.to_dict()

@@ -15,6 +15,7 @@ import pytest
 import rclt
 from rclt.cli import main
 from rclt.limits import _build_reader, _one_pass
+from rclt.spectral import _Exact
 
 from .fixture_chains import mixing_fixture_pairs
 
@@ -57,8 +58,9 @@ def test_one_pass_reports_equal_one_request_calls(data) -> None:
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     order = data.draw(st.lists(st.sampled_from(list(_PARAMS)), min_size=1, max_size=5), label="checks")
     checks = [(check, data.draw(_PARAMS[check], label=check.__name__)) for check in order]
-    readers = [_build_reader(chain, f, seed, check, params) for check, params in checks]
-    reports = _one_pass(chain, f, seed, readers)
+    exact = _Exact(chain, f)
+    readers = [_build_reader(exact, seed, check, params) for check, params in checks]
+    reports = _one_pass(exact, seed, readers)
     assert len(reports) == len(checks)
     for (check, params), report in zip(checks, reports):
         alone = check(chain, f, seed=seed, **params)

@@ -615,3 +615,95 @@ def test_one_eigensolve_per_chain(tmp_path, monkeypatch) -> None:
         lam[0] = 0.0
     with pytest.raises(ValueError):
         phi[0, 0] = 0.0
+
+
+def _fail_if_called(*args):
+    raise AssertionError("the exact layer was built before a cheap argument was judged")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda chain, f: rclt.variance_report(chain, f, 0),
+        lambda chain, f: rclt.variance_report(chain, f, "x"),
+        lambda chain, f: rclt.clt_test(chain, f, n=10, m=10, seed=1, ks_threshold="a"),
+        lambda chain, f: rclt.fclt_profile(chain, f, n=10, m=10, grid=[2.0], seed=1),
+        lambda chain, f: rclt.l2_convergence_table(chain, f, [0]),
+        lambda chain, f: rclt.martingale_certificate(chain, f, horizon=0),
+    ],
+    ids=["variance-n-max-zero", "variance-n-max-text", "clt-threshold-text", "fclt-grid",
+         "l2-table-horizons", "certificate-horizon"],
+)
+def test_cheap_arguments_are_judged_before_the_exact_layer(monkeypatch, call) -> None:
+    """A bad count, threshold, grid or horizon raises before rho or the Poisson solution is built."""
+    for module in (cli, rclt.spectral, rclt.limits, rclt.decomposition):
+        monkeypatch.setattr(module, "spectral_measure", _fail_if_called)
+    for module in (rclt.spectral, rclt.decomposition):
+        monkeypatch.setattr(module, "poisson_solve", _fail_if_called)
+    chain = two_state()
+    with pytest.raises(rclt.InvalidArgument):
+        call(chain, observable(chain, [1, -1]))
+
+
+#: the kernel of ``test_one_eigensolve_per_chain`` and one command of each exact and sampled kind
+_THREE_STATE = {
+    "kind": "kernel",
+    "matrix": [[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.3, 0.6]],
+    "observable": [1.0, 0.0, -1.0],
+}
+_SIX_COMMANDS = [
+    "spectrum",
+    {"command": "variance", "params": {"n_max": 50}},
+    {"command": "decompose", "params": {"length": 40}},
+    {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 0.5}},
+    {"command": "fclt", "params": {"n": 50, "m": 100, "grid": [0.5, 1.0]}},
+    {"command": "maximal", "params": {"n": 4, "exhaustive": False, "m": 50}},
+]
+
+
+def _exact_config(tmp_path, commands) -> str:
+    (tmp_path / "chain.json").write_text(json.dumps(_THREE_STATE))
+    config = {"chain_spec": "chain.json", "commands": commands, "master_seed": 7, "output_dir": "out"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return str(tmp_path / "config.json")
+
+
+@pytest.mark.parametrize("subcommand", ["run", "validate"])
+def test_one_exact_layer_per_run(tmp_path, monkeypatch, subcommand) -> None:
+    """Every command and reader of a run reads one rho and one Poisson solution."""
+    calls = []
+
+    def counting(name):
+        build = getattr(rclt.spectral, name)
+        return lambda chain, f: calls.append(name) or build(chain, f)
+
+    measure, solve = counting("spectral_measure"), counting("poisson_solve")
+    for module in (cli, rclt.spectral, rclt.limits, rclt.decomposition):
+        monkeypatch.setattr(module, "spectral_measure", measure)
+    for module in (rclt.spectral, rclt.decomposition):
+        monkeypatch.setattr(module, "poisson_solve", solve)
+    assert cli.main([subcommand, "--config", _exact_config(tmp_path, _SIX_COMMANDS)]) == 0
+    assert sorted(calls) == ["poisson_solve", "spectral_measure"]
+
+
+@pytest.mark.parametrize("subcommand", ["validate", "run"])
+@pytest.mark.parametrize(
+    ("name", "error", "commands"),
+    [
+        ("poisson_solve", rclt.SingularPoisson, ["variance", "maximal"]),
+        ("spectral_measure", rclt.EigenFailure, ["spectrum", "clt"]),
+    ],
+    ids=["poisson", "measure"],
+)
+def test_a_failed_exact_build_is_raised_at_each_reader(
+    tmp_path, capsys, monkeypatch, subcommand, name, error, commands
+) -> None:
+    """A build that raises keeps nothing: validate and run exit 3 with its one line, and no report."""
+
+    def broken(chain, f):
+        raise error("broken build")
+
+    monkeypatch.setattr(rclt.spectral, name, broken)
+    assert cli.main([subcommand, "--config", _exact_config(tmp_path, commands)]) == 3
+    assert capsys.readouterr() == ("", "numerical error: broken build\n")
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
