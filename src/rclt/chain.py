@@ -54,6 +54,10 @@ ADMISSION_TOL = 1e-9
 CERTIFIED_TOL = 1e-12
 #: row stripes of the in-place symmetric part and of the asymmetry defect
 _STRIPES = 8
+#: the largest count, and the most entries of one array sized from counts:
+#: 2^27 doubles, 1 GiB. Work that costs only time, such as the m * n replica
+#: steps of a pass, is not bounded.
+MAX_CELLS = 2**27
 
 
 def _array(values, name: str, error: type = MalformedMatrix) -> np.ndarray:
@@ -112,15 +116,17 @@ def _balance_defect(q: np.ndarray, pi: np.ndarray) -> float:
     return _asymmetry(pi[:, None] * q)
 
 
-def _numbers(kind: Callable, values, name: str, least: int | None = None) -> list:
+def _numbers(
+    kind: Callable, values, name: str, least: int | None = None, most: int | None = None
+) -> list:
     """Each entry of ``values`` converted by ``kind`` (float or int), else InvalidArgument.
 
     This is the one judge of every count, length, replica count and seed in the
     package. A float must be finite. Counts take integers only, as in a config
     file, so neither 10.7, 10.0 nor True is a count, and no boolean, string or
     bytes entry is a float.
-    ``values`` must not be empty, and with ``least`` set, every entry must
-    also be at least ``least``.
+    ``values`` must not be empty, and with ``least`` or ``most`` set, every
+    entry must also be at least ``least`` or at most ``most``.
     """
     try:
         pairs = [(kind(v), v) for v in values]
@@ -135,7 +141,18 @@ def _numbers(kind: Callable, values, name: str, least: int | None = None) -> lis
         raise InvalidArgument(f"{name} must not be empty")
     if least is not None and min(out) < least:
         raise InvalidArgument(f"{name} must be >= {least}, got {min(out)}")
+    if most is not None and max(out) > most:
+        raise InvalidArgument(f"{name} must be <= {most}, got {max(out)}")
     return out
+
+
+def _fits(cells: int, what: str) -> None:
+    """Reject with InvalidArgument an array of ``what`` with more than MAX_CELLS entries.
+
+    Callers judge each array a count sizes before they allocate it.
+    """
+    if cells > MAX_CELLS:
+        raise InvalidArgument(f"{what} would hold {cells} entries, above {MAX_CELLS}")
 
 
 def _booleans(flags: dict) -> None:
@@ -569,7 +586,7 @@ def sample_trajectory(chain: ReversibleChain, f: Observable, length: int, seed: 
     row (its pinned last entry is 1.0 > u), so the bisection counts that
     prefix, which is always shorter than the number of states.
     """
-    length = _numbers(int, [length], "length", least=1)[0]
+    length = _numbers(int, [length], "length", least=1, most=MAX_CELLS - 1)[0]  # length + 1 states
     seed = _numbers(int, [seed], "seed", least=0)[0]
     require_centered(chain, f)
     rng = np.random.default_rng(seed)

@@ -39,15 +39,22 @@ anything reads it, so its manifest hashes the commands it ran.
 
 Exit codes: 0 success, 2 config or argument error, 3 numerical error
 (including a ragged or non-numeric chain matrix), 4 statistical acceptance
-failure. ``run`` and ``validate`` share one setup, ``_prepare``: it builds
-the chain, centers the observable, makes the run's one exact layer (the
+failure.
+
+Every command is a reader with one protocol: ``_Command.build(exact,
+seed=master_seed, **params)`` judges the params and returns an object with
+a replica count ``m`` (None for a reader the pass does not step) and a
+``report()``. A check's build is its ``rclt.limits`` reader class; an exact
+command's is a ``_Exactly``, whose ``report()`` computes the result.
+``run`` and ``validate`` share one setup, ``_prepare``: it builds the
+chain, centers the observable, makes the run's one exact layer (the
 ``rclt.spectral._Exact`` holder whose rho and Poisson solution every
-command and reader reads, each built at most once) and judges every
-command in config order (a check command by building its reader,
-unstepped, any other by its arguments), stopping at the first error.
-``validate`` raises that error, so it exits with the code ``run`` would
-give; ``run`` raises it at that command's turn, after the reports of the
-commands before it.
+reader reads, each built at most once) and builds the readers in config
+order, stopping at the first error. ``validate`` raises that error, so it
+exits with the code ``run`` would give. ``run`` steps every sampling
+reader in one pass at the first of them, takes each report at its own
+command's turn, and raises the error after the reports of the commands
+before it.
 """
 from __future__ import annotations
 
@@ -82,14 +89,18 @@ from .chain import (
 from .decomposition import _decompose, _decompose_horizon, decompose_trajectory
 from .errors import ConfigError, NumericalError, RcltError, StatisticalFailure
 from .limits import (
-    _build_reader,
+    _CltReader,
+    _FcltReader,
+    _MaximalReader,
     _one_pass,
+    _pass_shape,
+    _UiReader,
     clt_test,
     fclt_profile,
     maximal_inequality_check,
     uniform_integrability_diagnostic,
 )
-from .spectral import _Exact, _variance_report, spectral_measure, variance_report
+from .spectral import _Exact, _series_length, _variance_report, spectral_measure, variance_report
 
 SCHEMA_VERSION = 1
 #: the keys a config may hold, and those a chain definition may hold
@@ -352,43 +363,47 @@ def _write_csv(path: Path, columns: dict) -> None:
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand: its library call, its params, whether it needs a seed, and what it writes.
+    """One subcommand: its reader, its params, whether it needs a seed, and what it writes.
 
     ``_COMMANDS`` holds one per subcommand; ``COMMANDS`` and ``DEFAULT_PARAMS``
     are read off it.
 
-    A command has either a ``call`` or a ``check``, never both.
-    ``call(config, exact, params)`` gives the result from the run's exact layer
-    ``exact``, looking library functions up in this module's globals at run
-    time. ``arguments(params)``, if set, raises the library's error for params
-    the call would reject; ``_prepare`` calls it before any command runs.
-    ``check`` is the ``rclt.limits`` check whose reader ``_prepare`` builds
-    and whose report ``run`` takes from the run's one pass.
-    ``payload`` turns the result into the JSON report body and ``csv``, if set,
-    into CSV columns. ``defaults`` are the command's params and their default
-    values, and ``seeded`` marks a command that consumes random streams and
-    therefore needs a master seed (``_needs_seed`` excuses exhaustive ``maximal``).
+    ``build(exact, seed=master_seed, **params)`` judges the params and returns
+    the command's reader on the run's exact layer ``exact``: an object with a
+    replica count ``m``, which is None unless the run's pass steps it, and a
+    ``report()`` that gives the result. ``payload`` turns the result into the
+    JSON report body and ``csv``, if set, into CSV columns. ``defaults`` are
+    the command's params and their default values, and ``seeded`` marks a
+    command that consumes random streams and therefore needs a master seed
+    (``_needs_seed`` excuses exhaustive ``maximal``).
     """
 
+    build: Callable
     payload: Callable
-    call: Callable | None = None
-    arguments: Callable | None = None
     csv: Callable | None = None
-    check: Callable | None = None
     defaults: dict = field(default_factory=dict)
     seeded: bool = False
 
 
-def _decompose_command(config, exact, params):
-    """(trajectory, decomposition terms) for the seeded path of the params."""
-    seed = derive_seed(config.master_seed, params["seed_index"])
-    traj = sample_trajectory(exact.chain, exact.f, params["length"], seed)
-    return traj, _decompose(exact, traj, params["horizon"])
+class _Exactly:
+    """The reader of an exact command: the pass does not step it, and ``report()`` computes it."""
+
+    m = None
+
+    def __init__(self, report: Callable):
+        self.report = report
 
 
-def _decompose_arguments(params) -> None:
-    _numbers(int, [params["seed_index"]], "seed_index", least=0)
-    _decompose_horizon(params["length"], params["horizon"])
+def _decompose_reader(exact, seed, length, horizon, seed_index) -> _Exactly:
+    """The seeded path's seed derived and its horizon judged; at its turn, (path, terms)."""
+    path_seed = derive_seed(seed, _numbers(int, [seed_index], "seed_index", least=0)[0])
+    _decompose_horizon(length, horizon)
+
+    def decompose():
+        traj = sample_trajectory(exact.chain, exact.f, length, path_seed)
+        return traj, _decompose(exact, traj, horizon)
+
+    return _Exactly(decompose)
 
 
 def _with_verdict(report) -> dict:
@@ -397,12 +412,13 @@ def _with_verdict(report) -> dict:
 
 _COMMANDS = {
     "spectrum": _Command(
-        call=lambda config, exact, p: exact.rho,
+        build=lambda exact, seed: _Exactly(lambda: exact.rho),
         payload=lambda rho: {"atoms": rho.atoms(), "total_mass": rho.total_mass},
     ),
     "variance": _Command(
-        call=lambda _, exact, p: _variance_report(exact, **p),
-        arguments=lambda p: _numbers(int, [p["n_max"]], "n_max", least=1),
+        build=lambda exact, seed, n_max: _Exactly(
+            partial(_variance_report, exact, _series_length(n_max))
+        ),
         defaults={"n_max": 1000},
         payload=lambda report: {"atoms": report.measure.atoms(), **report.to_dict()},
         csv=lambda report: {
@@ -410,8 +426,7 @@ _COMMANDS = {
         },
     ),
     "decompose": _Command(
-        call=_decompose_command,
-        arguments=_decompose_arguments,
+        build=_decompose_reader,
         defaults={"length": 200, "horizon": None, "seed_index": 0}, seeded=True,
         payload=lambda result: {
             "length": result[0].length,
@@ -433,7 +448,7 @@ _COMMANDS = {
         },
     ),
     "clt": _Command(
-        check=clt_test,
+        build=_CltReader,
         defaults={"n": 2000, "m": 10000, "ks_threshold": 0.02}, seeded=True,
         payload=lambda report: {"passed": report.passed, **report.to_dict()},
         csv=lambda report: {
@@ -442,16 +457,16 @@ _COMMANDS = {
         },
     ),
     "fclt": _Command(
-        check=fclt_profile, payload=_with_verdict, seeded=True,
+        build=_FcltReader, payload=_with_verdict, seeded=True,
         defaults={"n": 4000, "m": 10000, "grid": [0.25, 0.5, 0.75, 1.0]},
     ),
     "maximal": _Command(
-        check=maximal_inequality_check, payload=_with_verdict, seeded=True,  # unless exhaustive
+        build=_MaximalReader, payload=_with_verdict, seeded=True,  # unless exhaustive
         defaults={"n": 6, "lambdas": [0.0, 0.5, 1.0], "mode": "forward", "exhaustive": True,
                   "m": None, "two_sided": False},
     ),
     "ui-diagnostic": _Command(
-        check=uniform_integrability_diagnostic, payload=lambda report: report.to_dict(),
+        build=_UiReader, payload=lambda report: report.to_dict(),
         defaults={"n_list": [100, 1000], "epsilon_grid": [1.0, 2.0, 5.0, 10.0, 20.0], "m": 2000},
         seeded=True,
     ),
@@ -462,33 +477,32 @@ DEFAULT_PARAMS = {name: command.defaults for name, command in _COMMANDS.items()}
 
 
 def _prepare(config: ExperimentConfig):
-    """``run``'s setup: (exact layer, centering note, readers, stop, error).
+    """``run``'s setup: (exact layer, centering note, readers, error).
 
     Builds the chain, centers the observable and makes the run's one exact
-    layer, the ``_Exact`` holder of (chain, f) that every command and reader
-    reads, so rho and the Poisson solution are built at most once per run.
-    Then it judges the commands in config order: a check command by building
-    its reader, unstepped, which computes sigma^2 and, for exhaustive
-    ``maximal``, every path; any other command by its ``arguments``. The first error ends the walk: ``stop`` is
-    its command's index and ``error`` the error, else ``stop`` is the number
-    of commands and ``error`` None. ``readers`` maps the index of each check
-    command before ``stop`` to its reader. This is the one walk that judges
-    commands, so ``validate`` and ``run`` meet the same error.
+    layer, the ``_Exact`` holder of (chain, f) that every reader reads, so rho
+    and the Poisson solution are built at most once per run. Then it builds
+    each command's reader in config order, unstepped: a check's computes
+    sigma^2 and, for exhaustive ``maximal``, every path; an exact command's
+    only judges its params. Each reader must also fit the run's one pass
+    with the readers before it. The first error ends the walk: ``readers``
+    holds the readers of the commands before it, so ``error`` belongs to
+    command ``len(readers)``, and is None when every command has a reader.
+    This is the one walk that judges commands, so ``validate`` and ``run``
+    meet the same error.
     """
     chain = build_chain_from_definition(config.chain_definition)
     f, note = _centered_observable(config, chain)
     exact = _Exact(chain, f)
-    readers = {}
-    for i, (name, params) in enumerate(config.commands):
-        command = _COMMANDS[name]
+    readers = []
+    for name, params in config.commands:
         try:
-            if command.check:
-                readers[i] = _build_reader(exact, config.master_seed, command.check, params)
-            elif command.arguments:
-                command.arguments(params)
-        except Exception as exc:  # run raises it at this command's turn
-            return exact, note, readers, i, exc
-    return exact, note, readers, len(config.commands), None
+            reader = _COMMANDS[name].build(exact, seed=config.master_seed, **params)
+            _pass_shape([*readers, reader])
+        except Exception as exc:  # run raises it after the readers before it
+            return exact, note, readers, exc
+        readers.append(reader)
+    return exact, note, readers, None
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -498,17 +512,16 @@ def validate(config: ExperimentConfig) -> list[str]:
     ``run``, and the error ``run`` would meet first is raised, so ``main``
     gives both the same exit code.
     """
-    _, note, _, _, error = _prepare(config)
+    _, note, _, error = _prepare(config)
     if error is not None:
         raise error
     return [note] if note else []
 
 
-def _run_command(name, config, exact, params, outdir, stem, result=None) -> list[Path]:
-    """Run one subcommand, or take its check's ``result``, write its reports and judge them."""
+def _run_command(name, reader, outdir: Path, stem: str) -> list[Path]:
+    """Take one command's report from its reader, write it and judge it."""
     command = _COMMANDS[name]
-    if result is None:
-        result = command.call(config, exact, params)
+    result = reader.report()
     files = [outdir / f"{stem}.json"]
     _write_json(files[0], {"schema": SCHEMA_VERSION, "command": name, **command.payload(result)})
     if command.csv:
@@ -539,11 +552,11 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     With ``only`` the config is first narrowed to that subcommand's entries,
     or to one entry with its default params if it lists none, so the manifest
     hash, the setup and the command loop all read the commands that run.
-    ``_prepare`` judges every command and builds the readers of the check
-    commands; the first check command steps them all in one pass, and each
-    report is still written at its own command's turn, in config order. The
-    setup's error is raised at its command's turn. On a module error, files
-    already written by this invocation are removed before the error
+    ``_prepare`` builds every command's reader; the first sampling reader's
+    turn steps them all in one pass, and each report is taken and written at
+    its own command's turn, in config order. The setup's error is raised
+    after the readers before it, at its command's turn. On a module error,
+    files already written by this invocation are removed before the error
     propagates; outputs of a statistical failure are complete reports and
     are kept.
     """
@@ -553,27 +566,25 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
             raise ConfigError(f"subcommand {only!r} needs a master_seed")
         config = replace(config, commands=commands)
 
-    exact, note, readers, stop, error = _prepare(config)
+    exact, note, readers, error = _prepare(config)
     if note:
         print(f"warning: {note}", file=sys.stderr)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_hash=config.config_hash(), version=__version__)
     written: list[Path] = []
-    reports: dict[int, object] = {}
-    stems = _output_stems(config.commands)
+    first = next((reader for reader in readers if reader.m is not None), None)
     try:
-        for i, ((name, params), stem) in enumerate(zip(config.commands, stems)):
+        for reader, (name, _), stem in zip(readers, config.commands, _output_stems(config.commands)):
             start = time.perf_counter()
-            if i == stop:
-                raise error
-            if not reports and i in readers:
-                checked = _one_pass(exact, config.master_seed, list(readers.values()))
-                reports = dict(zip(readers, checked))
-            files = _RUNNERS[name](config, exact, params, config.output_dir, stem, reports.get(i))
+            if reader is first:
+                _one_pass(exact, config.master_seed, readers)
+            files = _RUNNERS[name](reader, config.output_dir, stem)
             written.extend(files)
             manifest.outputs[stem] = [p.name for p in files]
             manifest.timings[stem] = time.perf_counter() - start
+        if error is not None:
+            raise error
     except (NumericalError, ConfigError):
         for path in written:
             path.unlink(missing_ok=True)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import exact_cumsum, two_sum
-from .chain import Observable, ReversibleChain, Trajectory, _numbers, require_centered
+from .chain import MAX_CELLS, Observable, ReversibleChain, Trajectory, _numbers, require_centered
 from .errors import InvalidArgument, NumericalError
 # poisson_solve and spectral_measure are unused here, but bench/layer_trace.py rebinds them
 from .spectral import (
@@ -92,10 +92,12 @@ def _horizon_vectors(chain: ReversibleChain, f: Observable, n: int):
 def _decompose_horizon(length: int, horizon: int | None) -> int:
     """The lookahead horizon of a decomposed path of ``length`` steps, checked.
 
-    The path needs at least two steps, and the horizon, a positive count,
-    defaults to the length. ``decompose_trajectory`` and the command line
-    judge their arguments here.
+    The path needs at least two steps, and its length + 1 states must fit
+    MAX_CELLS, as ``sample_trajectory`` judges it. The horizon, a positive
+    count, defaults to the length. ``decompose_trajectory`` and the command
+    line judge their arguments here.
     """
+    _numbers(int, [length], "length", most=MAX_CELLS - 1)
     if length < 2:
         raise InvalidArgument(f"trajectory must have length >= 2, got {length}")
     return length if horizon is None else _numbers(int, [horizon], "horizon", least=1)[0]

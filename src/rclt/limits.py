@@ -31,26 +31,29 @@ of ``default_rng(derive_seed(master_seed, r))``.
 A step of m replicas on S states costs O(m log S): each replica bisects
 its own cumulative kernel row and compares the doubles ``bisect_right`` does.
 
-Every check is a reader of one replica pass, in two steps. The build
-step, ``_build_reader``, builds the check's reader on an exact layer, the
-``rclt.spectral._Exact`` holder that judged (chain, f) and builds rho and
-the Poisson solution at most once. The reader validates its arguments,
-then computes what it needs before any replica moves: sigma^2 from the
-holder's rho, the limit martingale from its Poisson solution, or, for
-exhaustive ``maximal``, every path with its exact probability. A reader
-that samples sets its replica count ``m``; an exhaustive one sets
-``m = None`` and is never stepped. The stepping step, ``_one_pass``, steps max m replicas to
-max n once, keeps one vector of running partial sums S_t, and calls
-``feed(t, states, sums)`` on each stepped reader with its prefix of
-replicas for t = 0..n; ``report()`` then gives the ``LimitReport``.
-Streams are prefix consistent in both r and t, and a prefix of the
-elementwise sum is the sum a reader would keep alone, so each reader sees
-exactly the numbers a pass of its own would. Each public check is the two
-steps for one reader on a holder of its own. A run of several is the same
-two steps: the command line's ``_prepare`` builds the readers of a run on
-the run's one holder while it judges the config, in config order and
-stopping at the first error, and ``run`` steps them all with one
-``_one_pass`` at its first check command.
+Every check is a reader of one replica pass, and a reader has one
+protocol: it is built, stepped, then asked for its ``report()``. Its class
+is its build step, ``_CltReader(exact, seed=seed, **params)`` and so on,
+on an exact layer, the ``rclt.spectral._Exact`` holder that judged
+(chain, f) and builds rho and the Poisson solution at most once. The
+constructor judges every argument, and each array the check sizes from
+its counts against ``MAX_CELLS``, then computes what it needs before any
+replica moves: sigma^2 from the holder's rho, the limit martingale from
+its Poisson solution, or, for exhaustive ``maximal``, every path with its
+exact probability. A reader that samples sets its replica count ``m``;
+an exhaustive one sets ``m = None`` and is never stepped. ``_one_pass``
+steps max m replicas to max n once, keeps one vector of running partial
+sums S_t, and calls ``feed(t, states, sums)`` on each stepped reader with
+its prefix of replicas for t = 0..n; it returns nothing, and each
+reader's ``report()`` gives its ``LimitReport`` when asked. Streams are
+prefix consistent in both r and t, and a prefix of the elementwise sum is
+the sum a reader would keep alone, so each reader sees exactly the
+numbers a pass of its own would. Each public check, through
+``_one_check``, is the three steps for one reader on a holder of its own.
+The command line's ``run`` takes the same steps for every command of a
+run, whose exact commands are readers with ``m = None`` too: ``_prepare``
+builds them all on the run's one holder, ``run`` makes the one pass at
+the first sampling reader, and takes each report at its own command's turn.
 
 Every Monte Carlo estimate in a report is a sample mean with its standard
 error, std / sqrt(size), from ``_mean_se``.
@@ -58,14 +61,13 @@ error, std / sqrt(size), from ``_mean_se``.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .chain import (
-    Observable, ReversibleChain, _array, _booleans, _cumulative_tables, _generators, _numbers,
-    derive_seed,
+    MAX_CELLS, Observable, ReversibleChain, _array, _booleans, _cumulative_tables, _fits,
+    _generators, _numbers, derive_seed,
 )
 from .decomposition import _limit_pair
 from .errors import DegenerateVariance, ExhaustiveTooLarge, InvalidArgument
@@ -172,9 +174,14 @@ def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int):
             yield t, states
 
 
+def _count(n, name: str = "n") -> int:
+    """A reader's step count (or one entry of ``n_list``), from 1 to MAX_CELLS."""
+    return _numbers(int, [n], name, least=1, most=MAX_CELLS)[0]
+
+
 def _replicas(m, seed) -> tuple[int, int]:
-    """A sampling reader's replica count and master seed, checked in that order."""
-    return _numbers(int, [m], "m", least=1)[0], _numbers(int, [seed], "seed", least=0)[0]
+    """A sampling reader's replica count, from 1 to MAX_CELLS, and master seed, in that order."""
+    return _count(m, "m"), _numbers(int, [seed], "seed", least=0)[0]
 
 
 def _sigma2_or_raise(exact: _Exact) -> float:
@@ -194,24 +201,27 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 # --- one pass, many readers ---------------------------------------------------
 
 
-def _build_reader(exact: _Exact, seed, check: Callable, params: dict):
-    """The reader of one check on the holder's (chain, f), which judged the pair, unstepped.
+def _pass_shape(readers: list) -> tuple[list, int, int]:
+    """The sampling readers among ``readers``, and the largest n and m of their one pass.
 
-    Building validates the check's arguments and computes all it needs before
-    any replica moves, so a check that raises does so here.
+    The pass's n and m may come from different readers, so no reader alone
+    can judge its buffer of min(_BLOCK, n + 1) x m uniforms: it is judged
+    here against MAX_CELLS, before ``_iter_batch`` allocates it.
     """
-    return _READERS[check](exact, seed=seed, **params)
+    stepped = [r for r in readers if r.m is not None]
+    n, m = max((r.n for r in stepped), default=0), max((r.m for r in stepped), default=0)
+    _fits(min(_BLOCK, n + 1) * m, "the pass's min(512, n + 1) x m uniforms")
+    return stepped, n, m
 
 
-def _one_pass(exact: _Exact, seed, readers: list) -> list[LimitReport]:
-    """Step the sampling readers in one pass over the replicas, then every reader's report.
+def _one_pass(exact: _Exact, seed, readers: list) -> None:
+    """Step the sampling readers of ``readers`` in one pass over the replicas.
 
     Only readers with a replica count are stepped, to the largest n over the
     largest m among them, so a list of exhaustive readers derives no seed.
     """
-    stepped = [r for r in readers if r.m is not None]
+    stepped, n, m = _pass_shape(readers)
     if stepped:
-        n, m = max(r.n for r in stepped), max(r.m for r in stepped)
         sums = np.zeros(m)
         for t, states in _iter_batch(exact.chain, n, m, seed):
             if t >= 1:
@@ -219,12 +229,14 @@ def _one_pass(exact: _Exact, seed, readers: list) -> list[LimitReport]:
             for reader in stepped:
                 if t <= reader.n:
                     reader.feed(t, states[: reader.m], sums[: reader.m])
-    return [reader.report() for reader in readers]
 
 
-def _one_check(check: Callable, chain: ReversibleChain, f: Observable, seed, **params):
+def _one_check(reader_type: type, chain: ReversibleChain, f: Observable, seed, **params):
+    """One check alone: its reader built on a holder of its own, stepped, then its report."""
     exact = _Exact(chain, f)
-    return _one_pass(exact, seed, [_build_reader(exact, seed, check, params)])[0]
+    reader = reader_type(exact, seed=seed, **params)
+    _one_pass(exact, seed, [reader])
+    return reader.report()
 
 
 # --- normal limit ------------------------------------------------------------
@@ -260,7 +272,7 @@ def dkw_epsilon(m: int, alpha: float = 0.01) -> float:
 
 class _CltReader:
     def __init__(self, exact, n, m, seed, ks_threshold):
-        n = _numbers(int, [n], "n", least=1)[0]
+        n = _count(n)
         m, seed = _replicas(m, seed)
         self.ks_threshold = _numbers(float, [ks_threshold], "ks_threshold")[0]
         self.sigma2 = _sigma2_or_raise(exact)
@@ -303,7 +315,7 @@ def clt_test(
     Kolmogorov-Smirnov distance together with the DKW calibration. The
     check fails when the distance exceeds ``ks_threshold``.
     """
-    return _one_check(clt_test, chain, f, seed, n=n, m=m, ks_threshold=ks_threshold)
+    return _one_check(_CltReader, chain, f, seed, n=n, m=m, ks_threshold=ks_threshold)
 
 
 # --- path-scaling profile -----------------------------------------------------
@@ -311,11 +323,12 @@ def clt_test(
 
 class _FcltReader:
     def __init__(self, exact, n, m, grid, seed):
-        n = _numbers(int, [n], "n", least=1)[0]
+        n = _count(n)
         m, seed = _replicas(m, seed)
         grid = sorted(_numbers(float, grid, "grid"))
         if not all(0.0 <= t <= 1.0 for t in grid):
             raise InvalidArgument(f"grid times must lie in [0, 1], got {grid}")
+        _fits(len(grid) * m, "the len(grid) x m snapshots")
         self.sigma2 = _sigma2_or_raise(exact)
         self.n, self.m, self.seed, self.grid = n, m, seed, grid
         self.indices = [int(math.floor(n * t)) for t in grid]
@@ -374,7 +387,7 @@ def fclt_profile(
     Cov(W(s), W(t)) = sigma^2 min(s, t). Each of those comparisons fails
     when it misses by more than SE_MULTIPLIER standard errors.
     """
-    return _one_check(fclt_profile, chain, f, seed, n=n, m=m, grid=grid)
+    return _one_check(_FcltReader, chain, f, seed, n=n, m=m, grid=grid)
 
 
 # --- maximal inequality -------------------------------------------------------
@@ -413,7 +426,7 @@ class _MaximalReader:
     """
 
     def __init__(self, exact, n, lambdas, mode, exhaustive, m, seed, two_sided):
-        n = _numbers(int, [n], "n", least=1)[0]
+        n = _count(n)
         _booleans({"exhaustive": exhaustive, "two_sided": two_sided})
         if not (isinstance(mode, str) and mode in ("forward", "reversed")):
             raise InvalidArgument(f"mode must be 'forward' or 'reversed', got {mode!r}")
@@ -423,6 +436,7 @@ class _MaximalReader:
         if exhaustive:
             self.paths, self.prob = _enumerate_paths(exact.chain, n)
         else:
+            _fits(m * (n + 1), "the m x (n + 1) replica paths")
             self.paths, self.prob = np.empty((m, n + 1), dtype=np.int64), None
         self.value, self.w = _limit_pair(exact)
         self.n, self.m, self.seed, self.mode, self.two_sided = n, m, seed, mode, two_sided
@@ -494,7 +508,7 @@ def maximal_inequality_check(
     when its left side exceeds the right by more than the statistical slack.
     """
     return _one_check(
-        maximal_inequality_check, chain, f, seed,
+        _MaximalReader, chain, f, seed,
         n=n, lambdas=lambdas, mode=mode, exhaustive=exhaustive, m=m, two_sided=two_sided,
     )
 
@@ -504,10 +518,11 @@ def maximal_inequality_check(
 
 class _UiReader:
     def __init__(self, exact, n_list, epsilon_grid, seed, m):
-        n_list = _numbers(int, n_list, "n_list")
+        n_list = _numbers(int, n_list, "n_list", most=MAX_CELLS)
         if n_list != sorted(set(n_list)) or n_list[0] < 1:
             raise InvalidArgument(f"n_list must be strictly increasing positive integers: {n_list}")
         m, seed = _replicas(m, seed)
+        _fits(len(n_list) * m, "the len(n_list) x m running maxima")
         self.n, self.m, self.seed, self.n_list = n_list[-1], m, seed, n_list
         self.cutoffs = _numbers(float, epsilon_grid, "epsilon_grid")
         self.peak_sq = np.zeros(m)
@@ -552,15 +567,6 @@ def uniform_integrability_diagnostic(
     prefix consistent, so one pass to max(n_list) serves every length.
     """
     return _one_check(
-        uniform_integrability_diagnostic, chain, f, seed,
+        _UiReader, chain, f, seed,
         n_list=n_list, epsilon_grid=epsilon_grid, m=m,
     )
-
-
-#: the reader behind each Monte Carlo check, by the check's public function
-_READERS = {
-    clt_test: _CltReader,
-    fclt_profile: _FcltReader,
-    maximal_inequality_check: _MaximalReader,
-    uniform_integrability_diagnostic: _UiReader,
-}

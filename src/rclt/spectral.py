@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .chain import (
-    Observable, ReversibleChain, _array, _booleans, _frozen, _numbers, _require_chain,
+    MAX_CELLS, Observable, ReversibleChain, _array, _booleans, _frozen, _numbers, _require_chain,
     require_centered,
 )
 from .errors import (
@@ -227,10 +227,15 @@ def asymptotic_variance_poisson(chain: ReversibleChain, f: Observable) -> float:
     return _sigma2_poisson(_Exact(chain, f))
 
 
+def _series_length(n_max) -> int:
+    """``n_max`` judged as a count whose series of n_max doubles fits MAX_CELLS."""
+    return _numbers(int, [n_max], "n_max", least=1, most=MAX_CELLS)[0]
+
+
 def asymptotic_variance_series(rho: SpectralMeasure, n_max: int) -> np.ndarray:
     """Exact Var(S_n)/n for n = 1..n_max from the covariance sequence, the moments of rho."""
     _require_measure(rho)
-    n_max = _numbers(int, [n_max], "n_max", least=1)[0]
+    n_max = _series_length(n_max)
     gamma = np.empty(n_max)
     powers = rho.weights.copy()
     for k in range(n_max):
@@ -317,7 +322,9 @@ def cauchy_quantity(rho: SpectralMeasure, n: int, p: int) -> float:
     replaced by the geometric sum 1 + t + ... + t^{m-1}, so the integrand
     stays finite at t = 1 and t = -1. That sum is 1 + (m - 1) b(t) for the
     drift weight b of ``_horizon_weights`` at horizon m - 1, which stays
-    accurate for atoms near 1 and costs no loop over m.
+    accurate for atoms near 1 and costs no loop over m. The other factor
+    1 - t^m is taken as (1 - t) times the same sum, since 1 - t^m itself
+    cancels for atoms near 1. Near -1 the sum cancels instead.
     """
     _require_measure(rho)
     n, p = _numbers(int, [n, p], "n and p")
@@ -326,8 +333,8 @@ def cauchy_quantity(rho: SpectralMeasure, n: int, p: int) -> float:
     lam = rho.lambdas
     m = p - n + 1
     head = lam ** (2 * n - 2)
-    tail = 1.0 - lam**m
     quotient = 1.0 + (m - 1) * _horizon_weights(lam, m - 1)[1]
+    tail = (1.0 - lam) * quotient
     return float(np.dot(rho.weights, head * tail * quotient * (1.0 + lam)))
 
 
@@ -368,7 +375,7 @@ class VarianceReport:
 
 
 def _variance_report(exact: _Exact, n_max: int) -> VarianceReport:
-    _numbers(int, [n_max], "n_max", least=1)  # judged before the eigensolve
+    _series_length(n_max)  # judged before the eigensolve
     rho = exact.rho
     series = asymptotic_variance_series(rho, n_max)
     return VarianceReport(

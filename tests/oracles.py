@@ -8,6 +8,8 @@ Tests call them with fixed valid inputs, so they check no arguments.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -47,3 +49,16 @@ def cauchy_quantity_direct(chain, f, n: int, p: int) -> float:
     qu = chain.kernel @ u
     gap_sq = (u[None, :] - qu[:, None]) ** 2
     return float(chain.stationary @ np.sum(chain.kernel * gap_sq, axis=1))
+
+
+def cauchy_quantity_exact(rho, n: int, p: int) -> Fraction:
+    """``rclt.cauchy_quantity`` in exact rational arithmetic on the measure's doubles.
+
+    Sums w t^{2n-2} (1 - t^m) (1 + t + ... + t^{m-1}) (1 + t), m = p - n + 1,
+    over the atoms, each double read as the rational it is.
+    """
+    m = p - n + 1
+    total = Fraction(0)
+    for t, w in zip(map(Fraction, rho.lambdas.tolist()), map(Fraction, rho.weights.tolist())):
+        total += w * t ** (2 * n - 2) * (1 - t**m) * sum(t**j for j in range(m)) * (1 + t)
+    return total

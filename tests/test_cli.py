@@ -471,6 +471,10 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         (TWO_STATE, {"command": "decompose", "params": {"horizon": 0}}, {}),
         (TWO_STATE, {"command": "decompose", "params": {"seed_index": -1}}, {}),
         (TWO_STATE, {"command": "maximal", "params": {"n": 20000}}, {}),
+        (TWO_STATE, {"command": "variance", "params": {"n_max": 10**30}}, {}),
+        (TWO_STATE, {"command": "clt", "params": {"n": 10, "m": 10**30}}, {}),
+        (TWO_STATE, {"command": "decompose", "params": {"length": 10**30}}, {}),
+        (TWO_STATE, {"command": "clt", "params": {"n": 10**30, "m": 10}}, {}),
     ],
     ids=[
         "non-reversible",
@@ -487,6 +491,10 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         "decompose-horizon-zero",
         "decompose-negative-seed-index",
         "maximal-exhaustive-over-budget",
+        "variance-n-max-over-ceiling",
+        "clt-m-over-ceiling",
+        "decompose-length-over-ceiling",
+        "clt-n-over-ceiling",
     ],
 )
 def test_validate_exits_like_run(tmp_path, capsys, chain, command, extra) -> None:
@@ -685,6 +693,48 @@ def test_one_replica_pass_per_run(tmp_path, monkeypatch) -> None:
     assert json.loads((tmp_path / "out" / "maximal_2.json").read_text())["exact"] is True
     assert len(calls) == 200
     assert len(set(calls)) == 200
+
+
+def test_a_pass_over_the_ceiling_fails_at_the_reader_that_grows_it(tmp_path, capsys) -> None:
+    """Neither reader alone sizes a buffer over MAX_CELLS, but their one pass would.
+
+    The ui-diagnostic steps 1000 times and the clt holds 2^18 + 1 replicas, so
+    the pass's buffer would be 512 x (2^18 + 1) uniforms. ``validate`` and
+    ``run`` exit 2 at the clt, and ``run`` removes the report written before it.
+    """
+    commands = [
+        {"command": "ui-diagnostic", "params": {"n_list": [1000], "m": 1}},
+        {"command": "clt", "params": {"n": 1, "m": 2**18 + 1}},
+    ]
+    cfg = _config(tmp_path, commands)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: the pass's min(512, n + 1) x m uniforms would hold 134218240 entries, "
+        "above 134217728\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_each_report_is_taken_at_its_own_turn(tmp_path, monkeypatch) -> None:
+    """A check's report is reduced at its own command's turn, after the commands before it wrote."""
+    seen = []
+    report = rclt.limits._FcltReader.report
+
+    def recording(reader):
+        seen.append((tmp_path / "out" / "spectrum.json").exists())
+        return report(reader)
+
+    monkeypatch.setattr(rclt.limits._FcltReader, "report", recording)
+    commands = [
+        {"command": "clt", "params": {"n": 30, "m": 100, "ks_threshold": 0.5}},
+        "spectrum",
+        {"command": "fclt", "params": {"n": 30, "m": 100, "grid": [0.5, 1.0]}},
+    ]
+    run(load_config(_config(tmp_path, commands)))
+    assert seen == [True]
 
 
 def test_import_needs_numpy_alone() -> None:

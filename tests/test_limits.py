@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rclt
-from rclt.limits import _build_reader, _enumerate_paths, _iter_batch, _one_pass
+from rclt.limits import _enumerate_paths, _iter_batch, _MaximalReader, _one_pass
 from rclt.spectral import _Exact
 
 from .fixture_chains import (
@@ -470,12 +470,13 @@ def test_exhaustive_maximal_joins_the_pass_without_stepping(monkeypatch) -> None
         rclt.limits, "derive_seed", lambda s, i: calls.extend(np.ravel(i)) or derive_seed(s, i)
     )
     exact = _Exact(chain, f)
-    reader = _build_reader(exact, None, rclt.maximal_inequality_check, params)
-    reports = _one_pass(exact, None, [reader])
+    reader = _MaximalReader(exact, seed=None, **params)
+    _one_pass(exact, None, [reader])
+    report = reader.report()
     assert calls == []
     alone = rclt.maximal_inequality_check(chain, f, **params)
-    assert reports[0].to_dict() == alone.to_dict()
-    assert reports[0].failures == alone.failures
+    assert report.to_dict() == alone.to_dict()
+    assert report.failures == alone.failures
     # the same numbers as enumerating the paths and weighting the formula directly
     paths, prob = _enumerate_paths(chain, 5)
     direct = _maximal_by_formula(chain, f, paths, [0.0, 0.4], "reversed", True, prob)

@@ -14,7 +14,7 @@ import pytest
 
 import rclt
 from rclt.cli import main
-from rclt.limits import _build_reader, _one_pass
+from rclt.limits import _CltReader, _FcltReader, _MaximalReader, _one_pass, _UiReader
 from rclt.spectral import _Exact
 
 from .fixture_chains import mixing_fixture_pairs
@@ -49,6 +49,13 @@ _PARAMS = {
         ),
     ),
 }
+#: the reader class behind each public check
+_READER_TYPES = {
+    rclt.clt_test: _CltReader,
+    rclt.fclt_profile: _FcltReader,
+    rclt.uniform_integrability_diagnostic: _UiReader,
+    rclt.maximal_inequality_check: _MaximalReader,
+}
 
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -59,8 +66,9 @@ def test_one_pass_reports_equal_one_request_calls(data) -> None:
     order = data.draw(st.lists(st.sampled_from(list(_PARAMS)), min_size=1, max_size=5), label="checks")
     checks = [(check, data.draw(_PARAMS[check], label=check.__name__)) for check in order]
     exact = _Exact(chain, f)
-    readers = [_build_reader(exact, seed, check, params) for check, params in checks]
-    reports = _one_pass(exact, seed, readers)
+    readers = [_READER_TYPES[check](exact, seed=seed, **params) for check, params in checks]
+    _one_pass(exact, seed, readers)
+    reports = [reader.report() for reader in readers]
     assert len(reports) == len(checks)
     for (check, params), report in zip(checks, reports):
         alone = check(chain, f, seed=seed, **params)

@@ -16,7 +16,7 @@ from .fixture_chains import (
     random_pairs,
     two_state,
 )
-from .oracles import cauchy_quantity_direct, variance_integrand_check
+from .oracles import cauchy_quantity_direct, cauchy_quantity_exact, variance_integrand_check
 
 
 def test_single_atom_for_two_state_chain() -> None:
@@ -226,6 +226,15 @@ def test_cauchy_quantity_matches_direct_definition() -> None:
             assert abs(closed - direct) <= 1e-10, (n, p)
 
 
+@pytest.mark.parametrize("atom", [1 - 2**-33, 1 - 2**-23, 1 - 1e-10, 1 - 1e-7])
+def test_cauchy_quantity_is_accurate_for_atoms_near_one(atom) -> None:
+    """1 - t^m cancels near t = 1, so it is taken as (1 - t) times the geometric sum."""
+    rho = rclt.SpectralMeasure(lambdas=np.array([atom]), weights=np.array([1.0]))
+    for n, p in [(1, 2), (3, 100), (1, 50), (10, 40), (2, 3)]:
+        exact = cauchy_quantity_exact(rho, n, p)
+        assert abs(rclt.cauchy_quantity(rho, n, p) - exact) <= 1e-15 * exact, (n, p)
+
+
 def test_cauchy_quantity_geometric_decay_bound() -> None:
     rho = rclt.spectral_measure(two_state(), observable(two_state(), [1, -1]))
     for n in (2, 4, 8):
@@ -406,6 +415,18 @@ _RAGGED = [
         lambda: rclt.extrapolate_series_limit([np.nan] * 4),
         lambda: rclt.extrapolate_series_limit([1.0, np.inf]),
         lambda: rclt.derive_seed(1, np.array([0, -1])),
+        lambda: rclt.asymptotic_variance_series(rclt.spectral_measure(*_TWO), 10**30),
+        lambda: rclt.variance_report(*_TWO, n_max=10**30),
+        lambda: rclt.clt_test(*_TWO, n=10, m=10**30, seed=1),
+        lambda: rclt.clt_test(*_TWO, n=10**30, m=5, seed=1),
+        lambda: rclt.sample_trajectory(*_TWO, 10**30, 1),
+        lambda: rclt.sample_trajectory(*_TWO, 2**27, 1),
+        lambda: rclt.uniform_integrability_diagnostic(*_TWO, [10**30], epsilon_grid=[1.0], seed=1, m=5),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=10**30, lambdas=[0.0], exhaustive=True),
+        lambda: rclt.fclt_profile(*_TWO, n=10, m=2**26, grid=[0.25, 0.5, 0.75], seed=1),
+        lambda: rclt.maximal_inequality_check(*_TWO, n=10, lambdas=[0.0], m=2**24, seed=1),
+        lambda: rclt.uniform_integrability_diagnostic(*_TWO, [5, 10], epsilon_grid=[1.0], seed=1, m=2**27),
+        lambda: rclt.clt_test(*_TWO, n=1000, m=2**20, seed=1),
         *_RAGGED,
     ],
     ids=[
@@ -527,6 +548,18 @@ _RAGGED = [
         "series-limit-nan",
         "series-limit-inf",
         "derive-seed-index-array-negative",
+        "series-n-max-over-ceiling",
+        "variance-report-n-max-over-ceiling",
+        "clt-m-over-ceiling",
+        "clt-n-over-ceiling",
+        "sample-length-over-ceiling",
+        "sample-states-over-ceiling",
+        "ui-n-list-over-ceiling",
+        "maximal-exhaustive-n-over-ceiling",
+        "fclt-snapshots-over-ceiling",
+        "maximal-paths-over-ceiling",
+        "ui-maxima-over-ceiling",
+        "clt-pass-buffer-over-ceiling",
         "build-chain-ragged",
         "build-random-walk-ragged",
         "build-metropolis-ragged-proposal",
