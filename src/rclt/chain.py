@@ -64,12 +64,13 @@ def _array(values, name: str, error: type = MalformedMatrix) -> np.ndarray:
     """``values`` as a new float array, else ``error`` naming ``name``.
 
     The builders, ``project_mean_zero`` and the frozen value types convert their
-    input here, so a ragged or non-numeric one is a typed error: ``MalformedMatrix``
-    for what defines a chain, ``InvalidArgument`` for everything else.
+    input here, so a ragged or non-numeric one, or one holding an integer past the
+    float range, is a typed error: ``MalformedMatrix`` for what defines a chain,
+    ``InvalidArgument`` for everything else.
     """
     try:
         return np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{name} is not a numeric array: {exc}") from exc
 
 
@@ -116,17 +117,16 @@ def _balance_defect(q: np.ndarray, pi: np.ndarray) -> float:
     return _asymmetry(pi[:, None] * q)
 
 
-def _numbers(
-    kind: Callable, values, name: str, least: int | None = None, most: int | None = None
-) -> list:
+def _numbers(kind: Callable, values, name: str, least: int | None = None) -> list:
     """Each entry of ``values`` converted by ``kind`` (float or int), else InvalidArgument.
 
-    This is the one judge of every count, length, replica count and seed in the
-    package. A float must be finite. Counts take integers only, as in a config
-    file, so neither 10.7, 10.0 nor True is a count, and no boolean, string or
-    bytes entry is a float.
-    ``values`` must not be empty, and with ``least`` or ``most`` set, every
-    entry must also be at least ``least`` or at most ``most``.
+    This is the one judge of a number's type: of every float, of every count
+    through ``_counts``, and of every seed and stream index, which are
+    nonnegative integers of any size. A float must be finite. Integers take
+    integers only, as in a config file, so neither 10.7, 10.0 nor True is one,
+    and no boolean, string or bytes entry is a float.
+    ``values`` must not be empty, and with ``least`` set, every entry must
+    also be at least ``least``.
     """
     try:
         pairs = [(kind(v), v) for v in values]
@@ -141,8 +141,21 @@ def _numbers(
         raise InvalidArgument(f"{name} must not be empty")
     if least is not None and min(out) < least:
         raise InvalidArgument(f"{name} must be >= {least}, got {min(out)}")
-    if most is not None and max(out) > most:
-        raise InvalidArgument(f"{name} must be <= {most}, got {max(out)}")
+    return out
+
+
+def _counts(values, name: str, least: int | None = None) -> list[int]:
+    """Each entry of ``values`` as a count: an integer judged by ``_numbers``, at most MAX_CELLS.
+
+    This is the one ceiling of every count in the package: a step count,
+    replica count, horizon, path length, series length, moment order,
+    boundary position or ``n_list`` entry. So no count reaches float
+    arithmetic large enough to overflow, and an array of a count's doubles
+    fits the ceiling.
+    """
+    out = _numbers(int, values, name, least)
+    if max(out) > MAX_CELLS:
+        raise InvalidArgument(f"{name} must be <= {MAX_CELLS}, got {max(out)}")
     return out
 
 
@@ -586,7 +599,8 @@ def sample_trajectory(chain: ReversibleChain, f: Observable, length: int, seed: 
     row (its pinned last entry is 1.0 > u), so the bisection counts that
     prefix, which is always shorter than the number of states.
     """
-    length = _numbers(int, [length], "length", least=1, most=MAX_CELLS - 1)[0]  # length + 1 states
+    length = _counts([length], "length", least=1)[0]
+    _fits(length + 1, "the path's length + 1 states")
     seed = _numbers(int, [seed], "seed", least=0)[0]
     require_centered(chain, f)
     rng = np.random.default_rng(seed)

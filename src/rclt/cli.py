@@ -76,6 +76,7 @@ from .chain import (
     Observable,
     ReversibleChain,
     _array,
+    _counts,
     _numbers,
     build_chain,
     build_metropolis,
@@ -100,7 +101,7 @@ from .limits import (
     maximal_inequality_check,
     uniform_integrability_diagnostic,
 )
-from .spectral import _Exact, _series_length, _variance_report, spectral_measure, variance_report
+from .spectral import _Exact, _variance_report, spectral_measure, variance_report
 
 SCHEMA_VERSION = 1
 #: the keys a config may hold, and those a chain definition may hold
@@ -264,7 +265,7 @@ def load_config(
     if observable is not None:
         if _wrong_type(observable, [0.0]):
             raise ConfigError("observable must be a vector of numbers (or a path to one)")
-        observable = [float(v) for v in observable]
+        observable = _array(observable, "observable", ConfigError).tolist()
 
     commands = _normalize_commands(raw.get("commands"))
     master_seed = raw.get("master_seed") if seed_override is None else seed_override
@@ -417,7 +418,7 @@ _COMMANDS = {
     ),
     "variance": _Command(
         build=lambda exact, seed, n_max: _Exactly(
-            partial(_variance_report, exact, _series_length(n_max))
+            partial(_variance_report, exact, _counts([n_max], "n_max", least=1)[0])
         ),
         defaults={"n_max": 1000},
         payload=lambda report: {"atoms": report.measure.atoms(), **report.to_dict()},

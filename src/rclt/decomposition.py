@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import exact_cumsum, two_sum
-from .chain import MAX_CELLS, Observable, ReversibleChain, Trajectory, _numbers, require_centered
+from .chain import Observable, ReversibleChain, Trajectory, _counts, _fits, require_centered
 from .errors import InvalidArgument, NumericalError
 # poisson_solve and spectral_measure are unused here, but bench/layer_trace.py rebinds them
 from .spectral import (
@@ -80,7 +80,7 @@ def _horizon_vectors(chain: ReversibleChain, f: Observable, n: int):
     whatever the horizon. The coefficient at eigenvalue 1 is kept: it only
     adds a constant to phi and Q phi, which cancels in every increment.
     """
-    n = _numbers(int, [n], "horizon", least=1)[0]
+    n = _counts([n], "horizon", least=1)[0]
     lam, u = _checked_eigensystem(chain)
     d = np.sqrt(chain.stationary)
     a = (d * f.values) @ u
@@ -93,14 +93,14 @@ def _decompose_horizon(length: int, horizon: int | None) -> int:
     """The lookahead horizon of a decomposed path of ``length`` steps, checked.
 
     The path needs at least two steps, and its length + 1 states must fit
-    MAX_CELLS, as ``sample_trajectory`` judges it. The horizon, a positive
-    count, defaults to the length. ``decompose_trajectory`` and the command
-    line judge their arguments here.
+    the size ceiling, as ``sample_trajectory`` judges them. The horizon, a
+    positive count, defaults to the length. ``decompose_trajectory`` and the
+    command line judge their arguments here.
     """
-    _numbers(int, [length], "length", most=MAX_CELLS - 1)
+    _fits(_counts([length], "length")[0] + 1, "the path's length + 1 states")
     if length < 2:
         raise InvalidArgument(f"trajectory must have length >= 2, got {length}")
-    return length if horizon is None else _numbers(int, [horizon], "horizon", least=1)[0]
+    return length if horizon is None else _counts([horizon], "horizon", least=1)[0]
 
 
 def _limit_pair(exact: _Exact) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +150,7 @@ def boundary_term(
     lookahead at every position, which is the same expression with n - k
     replaced by n and is the form that closes the identity exactly.)
     """
-    k, n = _numbers(int, [k, n], "k and n")
+    k, n = _counts([k, n], "k and n")
     if not 0 <= k <= n:
         raise InvalidArgument(f"need 0 <= k <= n, got k={k}, n={n}")
     require_centered(chain, f)
@@ -174,7 +174,7 @@ def boundary_l2_norm(rho: SpectralMeasure, n: int, k: int) -> float:
     stays accurate for atoms near 1.
     """
     _require_measure(rho)
-    n, k = _numbers(int, [n, k], "n and k")
+    n, k = _counts([n, k], "n and k")
     if not 0 <= k <= n:
         raise InvalidArgument(f"need 0 <= k <= n, got k={k}, n={n}")
     steps = n - k
@@ -220,7 +220,7 @@ def l2_convergence_table(
     zero whenever the kernel's spectrum on centered functions stays away
     from 1.
     """
-    horizons = _numbers(int, horizons, "horizons")
+    horizons = _counts(horizons, "horizons")
     if horizons != sorted(set(horizons)) or horizons[0] < 1:
         raise InvalidArgument("horizons must be strictly increasing positive integers")
     g = _Exact(chain, f).g

@@ -9,8 +9,9 @@ Three families matter to callers (and to the CLI exit-code mapping):
 
 Every library argument outside its domain is an ``InvalidArgument``, a
 ``ConfigError``: a count, length, replica count, seed or index as much as a
-grid time or a mode. ``rclt.chain._numbers`` alone judges numbers, counts
-included, so a bad count is exit 2 wherever it is passed.
+grid time or a mode. ``rclt.chain._numbers`` alone judges the type of
+numbers, and ``rclt.chain._counts`` alone holds every count to the one size
+ceiling, so a bad count is exit 2 wherever it is passed.
 """
 from __future__ import annotations
 
@@ -26,12 +27,13 @@ class ConfigError(RcltError):
 class InvalidArgument(ConfigError, ValueError):
     """A parameter or observable lies outside its domain.
 
-    Raised for a count below its least value, a non-integral or boolean count, a
-    negative or non-integral seed, a missing Monte Carlo seed or replica count, an
-    index outside the sampled path, a grid time outside [0, 1], an unknown mode, a
-    non-boolean flag, a non-finite number, an observable that is not centered or
-    does not fit, and a chain, observable, spectral measure or trajectory of the
-    wrong type.
+    Raised for a count below its least value or above the size ceiling, a
+    non-integral or boolean count, a negative or non-integral seed, a missing
+    Monte Carlo seed or replica count, an integer past the float range where a
+    float is expected, an index outside the sampled path, a grid time outside
+    [0, 1], an unknown mode, a non-boolean flag, a non-finite number, an
+    observable that is not centered or does not fit, and a chain, observable,
+    spectral measure or trajectory of the wrong type.
     """
 
 

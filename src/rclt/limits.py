@@ -36,8 +36,9 @@ protocol: it is built, stepped, then asked for its ``report()``. Its class
 is its build step, ``_CltReader(exact, seed=seed, **params)`` and so on,
 on an exact layer, the ``rclt.spectral._Exact`` holder that judged
 (chain, f) and builds rho and the Poisson solution at most once. The
-constructor judges every argument, and each array the check sizes from
-its counts against ``MAX_CELLS``, then computes what it needs before any
+constructor judges every argument, each count by ``rclt.chain._counts``
+and each array the check sizes from its counts by ``rclt.chain._fits``,
+under the one size ceiling, then computes what it needs before any
 replica moves: sigma^2 from the holder's rho, the limit martingale from
 its Poisson solution, or, for exhaustive ``maximal``, every path with its
 exact probability. A reader that samples sets its replica count ``m``;
@@ -66,7 +67,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .chain import (
-    MAX_CELLS, Observable, ReversibleChain, _array, _booleans, _cumulative_tables, _fits,
+    Observable, ReversibleChain, _array, _booleans, _counts, _cumulative_tables, _fits,
     _generators, _numbers, derive_seed,
 )
 from .decomposition import _limit_pair
@@ -174,14 +175,9 @@ def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int):
             yield t, states
 
 
-def _count(n, name: str = "n") -> int:
-    """A reader's step count (or one entry of ``n_list``), from 1 to MAX_CELLS."""
-    return _numbers(int, [n], name, least=1, most=MAX_CELLS)[0]
-
-
 def _replicas(m, seed) -> tuple[int, int]:
-    """A sampling reader's replica count, from 1 to MAX_CELLS, and master seed, in that order."""
-    return _count(m, "m"), _numbers(int, [seed], "seed", least=0)[0]
+    """A sampling reader's replica count, a count from 1, and master seed, in that order."""
+    return _counts([m], "m", least=1)[0], _numbers(int, [seed], "seed", least=0)[0]
 
 
 def _sigma2_or_raise(exact: _Exact) -> float:
@@ -206,11 +202,14 @@ def _pass_shape(readers: list) -> tuple[list, int, int]:
 
     The pass's n and m may come from different readers, so no reader alone
     can judge its buffer of min(_BLOCK, n + 1) x m uniforms: it is judged
-    here against MAX_CELLS, before ``_iter_batch`` allocates it.
+    here under the size ceiling, before ``_iter_batch`` allocates it. So are
+    its m generators, each counted as 128 cells (1 KiB, above the ~780 bytes
+    ``tracemalloc`` measures for one), which bounds a pass at 2^20 replicas.
     """
     stepped = [r for r in readers if r.m is not None]
     n, m = max((r.n for r in stepped), default=0), max((r.m for r in stepped), default=0)
     _fits(min(_BLOCK, n + 1) * m, "the pass's min(512, n + 1) x m uniforms")
+    _fits(128 * m, "the pass's m generators of 128 cells each")
     return stepped, n, m
 
 
@@ -264,7 +263,7 @@ def ks_distance_to_normal(sample: np.ndarray) -> float:
 
 def dkw_epsilon(m: int, alpha: float = 0.01) -> float:
     """Empirical-CDF deviation not exceeded with probability 1 - alpha, 0 < alpha < 1."""
-    m, alpha = _numbers(int, [m], "m", least=1)[0], _numbers(float, [alpha], "alpha")[0]
+    m, alpha = _counts([m], "m", least=1)[0], _numbers(float, [alpha], "alpha")[0]
     if not 0.0 < alpha < 1.0:
         raise InvalidArgument(f"alpha must lie in (0, 1), got {alpha}")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * m))
@@ -272,7 +271,7 @@ def dkw_epsilon(m: int, alpha: float = 0.01) -> float:
 
 class _CltReader:
     def __init__(self, exact, n, m, seed, ks_threshold):
-        n = _count(n)
+        n = _counts([n], "n", least=1)[0]
         m, seed = _replicas(m, seed)
         self.ks_threshold = _numbers(float, [ks_threshold], "ks_threshold")[0]
         self.sigma2 = _sigma2_or_raise(exact)
@@ -323,7 +322,7 @@ def clt_test(
 
 class _FcltReader:
     def __init__(self, exact, n, m, grid, seed):
-        n = _count(n)
+        n = _counts([n], "n", least=1)[0]
         m, seed = _replicas(m, seed)
         grid = sorted(_numbers(float, grid, "grid"))
         if not all(0.0 <= t <= 1.0 for t in grid):
@@ -426,7 +425,7 @@ class _MaximalReader:
     """
 
     def __init__(self, exact, n, lambdas, mode, exhaustive, m, seed, two_sided):
-        n = _count(n)
+        n = _counts([n], "n", least=1)[0]
         _booleans({"exhaustive": exhaustive, "two_sided": two_sided})
         if not (isinstance(mode, str) and mode in ("forward", "reversed")):
             raise InvalidArgument(f"mode must be 'forward' or 'reversed', got {mode!r}")
@@ -518,7 +517,7 @@ def maximal_inequality_check(
 
 class _UiReader:
     def __init__(self, exact, n_list, epsilon_grid, seed, m):
-        n_list = _numbers(int, n_list, "n_list", most=MAX_CELLS)
+        n_list = _counts(n_list, "n_list")
         if n_list != sorted(set(n_list)) or n_list[0] < 1:
             raise InvalidArgument(f"n_list must be strictly increasing positive integers: {n_list}")
         m, seed = _replicas(m, seed)

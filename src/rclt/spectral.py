@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .chain import (
-    MAX_CELLS, Observable, ReversibleChain, _array, _booleans, _frozen, _numbers, _require_chain,
+    Observable, ReversibleChain, _array, _booleans, _counts, _frozen, _numbers, _require_chain,
     require_centered,
 )
 from .errors import (
@@ -142,7 +142,7 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
 def moment(rho: SpectralMeasure, k: int) -> float:
     """k-th moment of the spectral measure = lag-k stationary covariance."""
     _require_measure(rho)
-    k = _numbers(int, [k], "moment order", least=0)[0]
+    k = _counts([k], "moment order", least=0)[0]
     return float(np.dot(rho.weights, rho.lambdas**k))
 
 
@@ -227,15 +227,10 @@ def asymptotic_variance_poisson(chain: ReversibleChain, f: Observable) -> float:
     return _sigma2_poisson(_Exact(chain, f))
 
 
-def _series_length(n_max) -> int:
-    """``n_max`` judged as a count whose series of n_max doubles fits MAX_CELLS."""
-    return _numbers(int, [n_max], "n_max", least=1, most=MAX_CELLS)[0]
-
-
 def asymptotic_variance_series(rho: SpectralMeasure, n_max: int) -> np.ndarray:
     """Exact Var(S_n)/n for n = 1..n_max from the covariance sequence, the moments of rho."""
     _require_measure(rho)
-    n_max = _series_length(n_max)
+    n_max = _counts([n_max], "n_max", least=1)[0]
     gamma = np.empty(n_max)
     powers = rho.weights.copy()
     for k in range(n_max):
@@ -319,21 +314,27 @@ def cauchy_quantity(rho: SpectralMeasure, n: int, p: int) -> float:
 
     Evaluates the integral of t^{2n-2} (1 - t^{p-n+1})^2 (1+t) / (1-t)
     atomwise, with one factor (1 - t^m) / (1 - t), m = p - n + 1 >= 2,
-    replaced by the geometric sum 1 + t + ... + t^{m-1}, so the integrand
-    stays finite at t = 1 and t = -1. That sum is 1 + (m - 1) b(t) for the
-    drift weight b of ``_horizon_weights`` at horizon m - 1, which stays
-    accurate for atoms near 1 and costs no loop over m. The other factor
-    1 - t^m is taken as (1 - t) times the same sum, since 1 - t^m itself
-    cancels for atoms near 1. Near -1 the sum cancels instead.
+    replaced by the geometric sum S(t) = 1 + t + ... + t^{m-1}, so the
+    integrand stays finite at t = 1 and t = -1. The other factor 1 - t^m is
+    taken as (1 - t) S(t), since 1 - t^m itself cancels for atoms near 1.
+    S(s) at s = |t| is 1 + (m - 1) b(s) for the drift weight b of
+    ``_horizon_weights`` at horizon m - 1, which stays accurate for atoms
+    near 1 and costs no loop over m. The terms of S(t) cancel near -1, so at
+    a negative atom S(t) = (1 - t^m) / (1 + s), where 1 - t^m is 1 + s^m for
+    odd m and (1 - s) S(s) for even m: neither cancels.
     """
     _require_measure(rho)
-    n, p = _numbers(int, [n, p], "n and p")
+    n, p = _counts([n, p], "n and p")
     if not (1 <= n < p):
         raise InvalidArgument(f"need 1 <= n < p, got n={n}, p={p}")
     lam = rho.lambdas
     m = p - n + 1
+    s = np.abs(lam)
+    quotient = 1.0 + (m - 1) * _horizon_weights(s, m - 1)[1]
+    neg = lam < 0.0
+    top = (1.0 - s[neg]) * quotient[neg] if m % 2 == 0 else 1.0 + s[neg] ** m
+    quotient[neg] = top / (1.0 + s[neg])
     head = lam ** (2 * n - 2)
-    quotient = 1.0 + (m - 1) * _horizon_weights(lam, m - 1)[1]
     tail = (1.0 - lam) * quotient
     return float(np.dot(rho.weights, head * tail * quotient * (1.0 + lam)))
 
@@ -375,7 +376,7 @@ class VarianceReport:
 
 
 def _variance_report(exact: _Exact, n_max: int) -> VarianceReport:
-    _series_length(n_max)  # judged before the eigensolve
+    _counts([n_max], "n_max", least=1)  # judged before the eigensolve
     rho = exact.rho
     series = asymptotic_variance_series(rho, n_max)
     return VarianceReport(

@@ -302,6 +302,9 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         (TWO_STATE, {"command": "fclt", "params": {"grid": []}}, {}, 2),
         (TWO_STATE, {"command": "maximal", "params": {"lambdas": []}}, {}, 2),
         (TWO_STATE, {"command": "ui-diagnostic", "params": {"epsilon_grid": []}}, {}, 2),
+        ({**TWO_STATE, "matrix": [[10**400, 0.25], [0.25, 0.75]]}, "spectrum", {}, 3),
+        (TWO_STATE, "spectrum", {"observable": [10**400, -1.0]}, 2),
+        ({**TWO_STATE, "observable": [10**400, -1.0]}, "spectrum", {}, 2),
     ],
     ids=[
         "asymmetric-weights",
@@ -336,6 +339,9 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         "fclt-grid-empty",
         "maximal-lambdas-empty",
         "ui-epsilon-grid-empty",
+        "matrix-huge-integer",
+        "config-observable-huge-integer",
+        "chain-observable-huge-integer",
     ],
 )
 def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra, code) -> None:
@@ -475,6 +481,9 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         (TWO_STATE, {"command": "clt", "params": {"n": 10, "m": 10**30}}, {}),
         (TWO_STATE, {"command": "decompose", "params": {"length": 10**30}}, {}),
         (TWO_STATE, {"command": "clt", "params": {"n": 10**30, "m": 10}}, {}),
+        (TWO_STATE, {"command": "decompose", "params": {"horizon": 10**400}}, {}),
+        (TWO_STATE, {"command": "clt", "params": {"n": 1, "m": 2**21}}, {}),
+        ({**TWO_STATE, "matrix": [[10**400, 0.25], [0.25, 0.75]]}, "spectrum", {}),
     ],
     ids=[
         "non-reversible",
@@ -495,6 +504,9 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         "clt-m-over-ceiling",
         "decompose-length-over-ceiling",
         "clt-n-over-ceiling",
+        "decompose-horizon-huge",
+        "clt-pass-generators-over-ceiling",
+        "matrix-huge-integer",
     ],
 )
 def test_validate_exits_like_run(tmp_path, capsys, chain, command, extra) -> None:

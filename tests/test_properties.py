@@ -1,9 +1,11 @@
 """Property tests: one shared pass gives every check the report it gives alone,
-``validate`` judges a config as ``run`` does, bulk seeds are numpy's, and random
-chains are admitted with their certificates or rejected with their documented error."""
+``validate`` judges a config as ``run`` does, bulk seeds are numpy's, random
+chains are admitted with their certificates or rejected with their documented error,
+and junk in any one argument of a public function ends in an ``RcltError`` or nothing."""
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import json
 import tempfile
@@ -244,3 +246,70 @@ def test_perturbed_random_inputs_raise_their_documented_errors(family, size, see
     shift = np.roll(np.eye(size), 1, axis=1)
     with pytest.raises(rclt.NotReversible):
         rclt.build_chain(0.5 * _random_chain(family, rng, size, coupling).kernel + 0.5 * shift)
+
+
+_KERNEL = [[0.75, 0.25], [0.25, 0.75]]
+_CHAIN = rclt.build_chain(_KERNEL)
+_PAIR = {"chain": _CHAIN, "f": rclt.project_mean_zero([1.0, -1.0], _CHAIN)}
+_RHO = rclt.spectral_measure(**_PAIR)
+_PATH = rclt.sample_trajectory(**_PAIR, length=6, seed=1)
+#: one small valid call of each public function of rclt, every argument named:
+#: two states, at most 10 steps and at most 10 replicas
+_VALID_CALLS = {
+    rclt.asymptotic_variance_poisson: _PAIR,
+    rclt.asymptotic_variance_series: {"rho": _RHO, "n_max": 10},
+    rclt.asymptotic_variance_spectral: {"rho": _RHO},
+    rclt.boundary_l2_norm: {"rho": _RHO, "n": 4, "k": 1},
+    rclt.boundary_term: {**_PAIR, "traj": _PATH, "k": 1, "n": 3},
+    rclt.build_chain: {"kernel": _KERNEL},
+    rclt.build_metropolis: {"target": [1.0, 2.0], "proposal": [[0.5, 0.5], [0.5, 0.5]]},
+    rclt.build_random_walk: {"weights": [[1.0, 2.0], [2.0, 1.0]]},
+    rclt.cauchy_quantity: {"rho": _RHO, "n": 1, "p": 3},
+    rclt.clt_test: {**_PAIR, "n": 10, "m": 10, "seed": 1, "ks_threshold": 1.0},
+    rclt.decompose_trajectory: {**_PAIR, "traj": _PATH, "horizon": 3},
+    rclt.derive_seed: {"master_seed": 1, "index": 2},
+    rclt.dkw_epsilon: {"m": 10, "alpha": 0.05},
+    rclt.extrapolate_series_limit: {"var_over_n": [1.0, 2.0, 3.0]},
+    rclt.fclt_profile: {**_PAIR, "n": 10, "m": 10, "grid": [0.5, 1.0], "seed": 1},
+    rclt.finiteness_integral: {"rho": _RHO},
+    rclt.ks_distance_to_normal: {"sample": [0.1, -0.2, 0.3]},
+    rclt.l2_convergence_table: {**_PAIR, "horizons": [1, 2]},
+    rclt.limit_difference_second_moment: _PAIR,
+    rclt.martingale_certificate: {**_PAIR, "horizon": 3},
+    rclt.maximal_inequality_check: {
+        **_PAIR, "n": 3, "lambdas": [0.0, 0.5], "mode": "reversed", "exhaustive": False,
+        "m": 10, "seed": 1, "two_sided": True,
+    },
+    rclt.moment: {"rho": _RHO, "k": 2},
+    rclt.poisson_solve: _PAIR,
+    rclt.project_mean_zero: {"raw": [1.0, 0.0], "chain": _CHAIN},
+    rclt.sample_trajectory: {**_PAIR, "length": 5, "seed": 1},
+    rclt.spectral_gap: {"chain": _CHAIN, "absolute": True},
+    rclt.spectral_measure: _PAIR,
+    rclt.uniform_integrability_diagnostic: {
+        **_PAIR, "n_list": [2, 5], "epsilon_grid": [1.0], "seed": 1, "m": 10,
+    },
+    rclt.variance_report: {**_PAIR, "n_max": 10},
+}
+#: values of every wrong kind; none is a count that passes the size ceiling,
+#: so no junk call allocates or steps much
+_JUNK = [None, True, -1, 2.5, 10**400, float("nan"), float("inf"), "1", [], [[1.0]], object()]
+
+
+def test_every_public_function_has_a_valid_call() -> None:
+    functions = {v for n, v in vars(rclt).items() if not n.startswith("_") and inspect.isfunction(v)}
+    assert set(_VALID_CALLS) == functions
+    for function, call in _VALID_CALLS.items():
+        assert list(call) == list(inspect.signature(function).parameters), function.__name__
+        function(**call)
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@hypothesis.given(function=st.sampled_from(list(_VALID_CALLS)), junk=st.sampled_from(_JUNK))
+def test_junk_in_one_argument_returns_or_raises_an_rclt_error(function, junk) -> None:
+    """Each argument of a valid call in turn is replaced by ``junk``; nothing but an RcltError escapes."""
+    for name in _VALID_CALLS[function]:
+        try:
+            function(**{**_VALID_CALLS[function], name: junk})
+        except rclt.RcltError:
+            pass

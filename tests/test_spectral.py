@@ -235,6 +235,15 @@ def test_cauchy_quantity_is_accurate_for_atoms_near_one(atom) -> None:
         assert abs(rclt.cauchy_quantity(rho, n, p) - exact) <= 1e-15 * exact, (n, p)
 
 
+@pytest.mark.parametrize("atom", [-1 + 2**-30, -1 + 2**-20, -1 + 1e-7, -1 + 2**-40])
+def test_cauchy_quantity_is_accurate_for_atoms_near_minus_one(atom) -> None:
+    """The geometric sum's terms cancel near t = -1, so 1 - t^m is taken without that sum."""
+    rho = rclt.SpectralMeasure(lambdas=np.array([atom]), weights=np.array([1.0]))
+    for n, p in [(1, 50), (3, 100), (1, 51), (2, 4), (10, 40), (1, 2)]:
+        exact = cauchy_quantity_exact(rho, n, p)
+        assert abs(rclt.cauchy_quantity(rho, n, p) - exact) <= 1e-15 * exact, (n, p)
+
+
 def test_cauchy_quantity_geometric_decay_bound() -> None:
     rho = rclt.spectral_measure(two_state(), observable(two_state(), [1, -1]))
     for n in (2, 4, 8):
@@ -284,13 +293,18 @@ _OFF_PATHS = [
     rclt.Trajectory(states=s, observables=[0.0] * 3, partial_sums=[0.0] * 3, seed=1)
     for s in ([0, 2, 1], [0, -1, 0])
 ]
-#: ragged chain input is a MalformedMatrix, like every other malformed builder input
+#: ragged chain input, or chain input holding an integer past the float range, is a
+#: MalformedMatrix, like every other malformed builder input
 _RAGGED = [
     lambda: rclt.build_chain([[0.5, 0.5], [1.0]]),
     lambda: rclt.build_random_walk([[0.5, 0.5], [1.0]]),
     lambda: rclt.build_metropolis([1.0, 1.0], [[0.5, 0.5], [1.0]]),
     lambda: rclt.build_metropolis([1.0, [2.0, 3.0]], [[0.5, 0.5], [0.5, 0.5]]),
     lambda: rclt.build_chain([["a", "b"], [0.5, 0.5]]),
+    lambda: rclt.build_chain([[10**400, 0.25], [0.25, 0.75]]),
+    lambda: rclt.build_random_walk([[10**400, 1.0], [1.0, 1.0]]),
+    lambda: rclt.build_metropolis([10**400, 1.0], [[0.5, 0.5], [0.5, 0.5]]),
+    lambda: rclt.build_metropolis([1.0, 1.0], [[10**400, 0.5], [0.5, 0.5]]),
 ]
 
 
@@ -427,6 +441,22 @@ _RAGGED = [
         lambda: rclt.maximal_inequality_check(*_TWO, n=10, lambdas=[0.0], m=2**24, seed=1),
         lambda: rclt.uniform_integrability_diagnostic(*_TWO, [5, 10], epsilon_grid=[1.0], seed=1, m=2**27),
         lambda: rclt.clt_test(*_TWO, n=1000, m=2**20, seed=1),
+        lambda: rclt.clt_test(*_TWO, n=1, m=2**21, seed=1),
+        lambda: rclt.moment(_ATOM, 10**9),
+        lambda: rclt.moment(_ATOM, 10**400),
+        lambda: rclt.cauchy_quantity(_ATOM, 10**400, 10**400 + 1),
+        lambda: rclt.cauchy_quantity(_ATOM, 1, 10**400),
+        lambda: rclt.boundary_l2_norm(_ATOM, 10**400, 1),
+        lambda: rclt.l2_convergence_table(*_TWO, [10**400]),
+        lambda: rclt.martingale_certificate(*_TWO, 10**400),
+        lambda: rclt.dkw_epsilon(10**400),
+        lambda: rclt.decompose_trajectory(*_TWO, _PATH, horizon=10**400),
+        lambda: rclt.Observable(values=[10**400, -1.0]),
+        lambda: rclt.SpectralMeasure(lambdas=[10**400], weights=[1.0]),
+        lambda: rclt.SpectralMeasure(lambdas=[0.5], weights=[10**400]),
+        lambda: rclt.project_mean_zero([10**400, -1.0], two_state()),
+        lambda: rclt.ks_distance_to_normal([10**400, 0.1]),
+        lambda: rclt.extrapolate_series_limit([1.0, 10**400]),
         *_RAGGED,
     ],
     ids=[
@@ -560,11 +590,31 @@ _RAGGED = [
         "maximal-paths-over-ceiling",
         "ui-maxima-over-ceiling",
         "clt-pass-buffer-over-ceiling",
+        "clt-pass-generators-over-ceiling",
+        "moment-order-over-ceiling",
+        "moment-order-huge",
+        "cauchy-n-huge",
+        "cauchy-p-huge",
+        "boundary-l2-norm-n-huge",
+        "l2-table-horizon-huge",
+        "certificate-horizon-huge",
+        "dkw-m-huge",
+        "decompose-horizon-huge",
+        "observable-huge-integer",
+        "measure-atom-huge-integer",
+        "measure-weight-huge-integer",
+        "project-huge-integer",
+        "ks-huge-integer-sample",
+        "series-limit-huge-integer",
         "build-chain-ragged",
         "build-random-walk-ragged",
         "build-metropolis-ragged-proposal",
         "build-metropolis-ragged-target",
         "build-chain-text",
+        "build-chain-huge-integer",
+        "build-random-walk-huge-integer",
+        "build-metropolis-huge-integer-target",
+        "build-metropolis-huge-integer-proposal",
     ],
 )
 def test_bad_library_arguments_raise_typed_errors(call) -> None:
