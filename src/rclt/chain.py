@@ -60,25 +60,34 @@ _STRIPES = 8
 MAX_CELLS = 2**27
 
 
-def _array(values, name: str, error: type = MalformedMatrix) -> np.ndarray:
-    """``values`` as a new float array, else ``error`` naming ``name``.
+def _array(values, name: str, error: type = MalformedMatrix, dtype: type = float) -> np.ndarray:
+    """``values`` as a new ``dtype`` (float or np.int64) array, else ``error`` naming ``name``.
 
-    The builders, ``project_mean_zero`` and the frozen value types convert their
-    input here, so a ragged or non-numeric one, or one holding an integer past the
-    float range, is a typed error: ``MalformedMatrix`` for what defines a chain,
-    ``InvalidArgument`` for everything else.
+    This is the one judge of array entries, by ``_numbers``' rule: numpy must
+    read the entries as integers or, for a float array, as integers or floats.
+    So an array of booleans, strings, bytes, None or other objects is rejected,
+    as is a ragged one or one holding an integer past the float range. (numpy
+    reads a boolean among integers or floats as a number, so that one is not
+    seen.) The cast to ``dtype`` must be safe, so a uint64 array, which may hold
+    entries of 2^63 or more, is no int64 one. The builders, ``project_mean_zero``
+    and the frozen value types convert their input here, so a bad one is a typed
+    error: ``MalformedMatrix`` for what defines a chain, ``InvalidArgument`` (or
+    the ``ConfigError`` of a config observable) for everything else.
     """
     try:
-        return np.array(values, dtype=float)
+        a = np.array(values)
+        if a.dtype.kind not in ("iuf" if dtype is float else "iu"):
+            raise TypeError(f"numpy reads its entries as {a.dtype}")
+        return a.astype(dtype, casting="safe", copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{name} is not a numeric array: {exc}") from exc
 
 
-def _frozen(a, name: str) -> np.ndarray:
-    """``a`` itself if it is a read-only float array, else a read-only float copy of it."""
-    if isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable:
+def _frozen(a, name: str, dtype: type = float) -> np.ndarray:
+    """``a`` itself if it is a read-only ``dtype`` array, else a read-only ``dtype`` copy of it."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
         return a
-    out = _array(a, name, InvalidArgument)
+    out = _array(a, name, InvalidArgument, dtype)
     out.setflags(write=False)
     return out
 
@@ -120,11 +129,12 @@ def _balance_defect(q: np.ndarray, pi: np.ndarray) -> float:
 def _numbers(kind: Callable, values, name: str, least: int | None = None) -> list:
     """Each entry of ``values`` converted by ``kind`` (float or int), else InvalidArgument.
 
-    This is the one judge of a number's type: of every float, of every count
-    through ``_counts``, and of every seed and stream index, which are
-    nonnegative integers of any size. A float must be finite. Integers take
-    integers only, as in a config file, so neither 10.7, 10.0 nor True is one,
-    and no boolean, string or bytes entry is a float.
+    This judges every number passed on its own or in a list: every float, every
+    count through ``_counts``, and every seed and stream index, which are
+    nonnegative integers of any size. ``_array`` judges array entries by the same
+    rule. A float must be finite. Integers take integers only, as in a config
+    file, so neither 10.7, 10.0 nor True is one, and no boolean, string or bytes
+    entry is a float.
     ``values`` must not be empty, and with ``least`` set, every entry must
     also be at least ``least``.
     """
@@ -157,6 +167,13 @@ def _counts(values, name: str, least: int | None = None) -> list[int]:
     if max(out) > MAX_CELLS:
         raise InvalidArgument(f"{name} must be <= {MAX_CELLS}, got {max(out)}")
     return out
+
+
+def _master_seed(seed) -> int:
+    """The master seed of seeded sampling, judged by ``_numbers``; None is a missing one."""
+    if seed is None:
+        raise InvalidArgument("the master seed is missing; Monte Carlo sampling needs one")
+    return _numbers(int, [seed], "master seed", least=0)[0]
 
 
 def _fits(cells: int, what: str) -> None:
@@ -270,11 +287,17 @@ class Trajectory:
     seed: int
 
     def __post_init__(self):
-        s = np.array(self.states, dtype=np.int64)
-        s.setflags(write=False)
+        s = _frozen(self.states, "states", np.int64)
+        x, p = _frozen(self.observables, "observables"), _frozen(self.partial_sums, "partial sums")
+        if s.ndim != 1 or s.size == 0 or not s.shape == x.shape == p.shape:
+            raise InvalidArgument(
+                "states must be a nonempty 1-d vector, and observables and partial sums of its "
+                f"shape; got {s.shape}, {x.shape} and {p.shape}"
+            )
         object.__setattr__(self, "states", s)
-        object.__setattr__(self, "observables", _frozen(self.observables, "observables"))
-        object.__setattr__(self, "partial_sums", _frozen(self.partial_sums, "partial sums"))
+        object.__setattr__(self, "observables", x)
+        object.__setattr__(self, "partial_sums", p)
+        object.__setattr__(self, "seed", _numbers(int, [self.seed], "seed", least=0)[0])
 
     @property
     def length(self) -> int:
@@ -554,7 +577,7 @@ def derive_seed(master_seed: int, index: int | np.ndarray) -> int | np.ndarray:
     nonnegative integer (no boolean, no float, however integral); anything
     else is an InvalidArgument.
     """
-    master = _int_words(_numbers(int, [master_seed], "master seed", least=0)[0])
+    master = _int_words(_master_seed(master_seed))
     if not isinstance(index, np.ndarray):
         index = _int_words(_numbers(int, [index], "index", least=0)[0])
         words = _seed_words([np.array([w], np.uint32) for w in master + index], 2)

@@ -30,10 +30,12 @@ only place a file becomes a value: an unreadable path, bytes that are not
 UTF-8 JSON, nesting too deep to parse or a top-level value of the wrong JSON
 type is a config error. ``load_config`` checks the config's structure (known
 keys only, a ``schema`` of 1 if given, string paths, a command list, a params
-object per command, typed params), then the chain file's keys (known ones
+object per command with known names), then the chain file's keys (known ones
 only, then ``kind``, ``matrix`` and ``target``), and last converts the
 matrix and target to float arrays (``MalformedMatrix`` for a ragged or
 non-numeric one), so the parsed lists are freed before the chain is admitted.
+Parameter values, and the master seed a sampling command needs, are judged
+by each command's reader in ``_prepare``.
 A single subcommand run narrows the config to that subcommand before
 anything reads it, so its manifest hashes the commands it ran.
 
@@ -61,7 +63,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from collections.abc import Callable
@@ -183,23 +184,6 @@ def _path(base: Path, value, key: str) -> Path:
         raise ConfigError(f"config {key!r} must be a path string, got {value!r}") from exc
 
 
-def _wrong_type(value, default) -> bool:
-    """Whether a config value cannot stand where ``default`` does.
-
-    Counts take integers only and other numbers must be finite. A list must hold
-    entries that could each stand where the default's first entry does.
-    """
-    if isinstance(default, list):
-        return not isinstance(value, list) or any(_wrong_type(v, default[0]) for v in value)
-    if isinstance(default, bool) or isinstance(value, bool):
-        return type(value) is not type(default)
-    if default is None or isinstance(default, int):
-        return not (isinstance(value, int) or (value is None and default is None))
-    if isinstance(default, float):  # Python json reads NaN and Infinity as floats
-        return not (isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
-    return not isinstance(value, type(default))
-
-
 def _known_keys(mapping: dict, known, what: str) -> None:
     """Reject the first key of ``mapping`` outside ``known``, naming it and the known ones."""
     for key in mapping:
@@ -224,20 +208,10 @@ def _normalize_commands(raw) -> list[tuple[str, dict]]:
             raise ConfigError(f"{name} params must be an object, got {params!r}")
         defaults = DEFAULT_PARAMS[name]
         _known_keys(params, defaults, f"{name} parameter")
-        for key, value in params.items():
-            if _wrong_type(value, defaults[key]):
-                raise ConfigError(f"{name} parameter {key!r} has the wrong type: {value!r}")
         merged = dict(defaults)
         merged.update(params)
         commands.append((name, merged))
     return commands
-
-
-def _needs_seed(commands: list[tuple[str, dict]]) -> bool:
-    return any(
-        _COMMANDS[name].seeded and not (name == "maximal" and params["exhaustive"])
-        for name, params in commands
-    )
 
 
 def load_config(
@@ -246,13 +220,19 @@ def load_config(
     """Load, path-resolve and structurally validate an experiment config.
 
     Paths in the config are strings relative to the config file's directory.
+    This judges the file's structure: its keys, the schema, the paths, the
+    command and parameter names, a ``master_seed`` in [0, 2^64), and the
+    entries of the observable and of the chain's matrix and target. The values
+    of the parameters, and whether a command needs the master seed, are judged
+    by each command's reader in ``_prepare``, so ``validate`` and ``run`` meet
+    such an error and this function does not.
     """
     path = Path(path)
     raw = _read_json(path, dict)[0]
     base = path.parent
     _known_keys(raw, _CONFIG_KEYS, "config key")
     schema = raw.get("schema", SCHEMA_VERSION)
-    if _wrong_type(schema, 0) or schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ConfigError(f"config 'schema' must be {SCHEMA_VERSION}, got {schema!r}")
 
     chain_path = _path(base, raw.get("chain_spec"), "chain_spec")
@@ -263,16 +243,12 @@ def load_config(
     if isinstance(observable, str):
         observable = _read_json(_path(base, observable, "observable"), list)[0]
     if observable is not None:
-        if _wrong_type(observable, [0.0]):
-            raise ConfigError("observable must be a vector of numbers (or a path to one)")
         observable = _array(observable, "observable", ConfigError).tolist()
 
     commands = _normalize_commands(raw.get("commands"))
     master_seed = raw.get("master_seed") if seed_override is None else seed_override
-    if master_seed is not None and (_wrong_type(master_seed, 0) or not 0 <= master_seed < 2**64):
+    if master_seed is not None and (type(master_seed) is not int or not 0 <= master_seed < 2**64):
         raise ConfigError(f"master_seed must be a nonnegative 64-bit integer, got {master_seed!r}")
-    if master_seed is None and _needs_seed(commands):
-        raise ConfigError("master_seed is required when a Monte Carlo subcommand is requested")
 
     output_dir = out_override if out_override is not None else raw.get("output_dir", "out")
     output_dir = _path(base, output_dir, "output_dir")
@@ -364,7 +340,7 @@ def _write_csv(path: Path, columns: dict) -> None:
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand: its reader, its params, whether it needs a seed, and what it writes.
+    """One subcommand: its reader, its params and what it writes.
 
     ``_COMMANDS`` holds one per subcommand; ``COMMANDS`` and ``DEFAULT_PARAMS``
     are read off it.
@@ -374,16 +350,15 @@ class _Command:
     replica count ``m``, which is None unless the run's pass steps it, and a
     ``report()`` that gives the result. ``payload`` turns the result into the
     JSON report body and ``csv``, if set, into CSV columns. ``defaults`` are
-    the command's params and their default values, and ``seeded`` marks a
-    command that consumes random streams and therefore needs a master seed
-    (``_needs_seed`` excuses exhaustive ``maximal``).
+    the command's params and their default values. The reader alone judges the
+    values of its params and whether it needs the master seed, which only a
+    command that consumes random streams does.
     """
 
     build: Callable
     payload: Callable
     csv: Callable | None = None
     defaults: dict = field(default_factory=dict)
-    seeded: bool = False
 
 
 class _Exactly:
@@ -428,7 +403,7 @@ _COMMANDS = {
     ),
     "decompose": _Command(
         build=_decompose_reader,
-        defaults={"length": 200, "horizon": None, "seed_index": 0}, seeded=True,
+        defaults={"length": 200, "horizon": None, "seed_index": 0},
         payload=lambda result: {
             "length": result[0].length,
             "horizon": result[1].horizon,
@@ -450,7 +425,7 @@ _COMMANDS = {
     ),
     "clt": _Command(
         build=_CltReader,
-        defaults={"n": 2000, "m": 10000, "ks_threshold": 0.02}, seeded=True,
+        defaults={"n": 2000, "m": 10000, "ks_threshold": 0.02},
         payload=lambda report: {"passed": report.passed, **report.to_dict()},
         csv=lambda report: {
             "replica": range(len(report.normalized_sums)),
@@ -458,18 +433,17 @@ _COMMANDS = {
         },
     ),
     "fclt": _Command(
-        build=_FcltReader, payload=_with_verdict, seeded=True,
+        build=_FcltReader, payload=_with_verdict,
         defaults={"n": 4000, "m": 10000, "grid": [0.25, 0.5, 0.75, 1.0]},
     ),
     "maximal": _Command(
-        build=_MaximalReader, payload=_with_verdict, seeded=True,  # unless exhaustive
+        build=_MaximalReader, payload=_with_verdict,
         defaults={"n": 6, "lambdas": [0.0, 0.5, 1.0], "mode": "forward", "exhaustive": True,
                   "m": None, "two_sided": False},
     ),
     "ui-diagnostic": _Command(
         build=_UiReader, payload=lambda report: report.to_dict(),
         defaults={"n_list": [100, 1000], "epsilon_grid": [1.0, 2.0, 5.0, 10.0, 20.0], "m": 2000},
-        seeded=True,
     ),
 }
 
@@ -563,8 +537,6 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     """
     if only is not None:
         commands = [(n, p) for n, p in config.commands if n == only] or _normalize_commands([only])
-        if config.master_seed is None and _needs_seed(commands):
-            raise ConfigError(f"subcommand {only!r} needs a master_seed")
         config = replace(config, commands=commands)
 
     exact, note, readers, error = _prepare(config)

@@ -9,9 +9,11 @@ Three families matter to callers (and to the CLI exit-code mapping):
 
 Every library argument outside its domain is an ``InvalidArgument``, a
 ``ConfigError``: a count, length, replica count, seed or index as much as a
-grid time or a mode. ``rclt.chain._numbers`` alone judges the type of
-numbers, and ``rclt.chain._counts`` alone holds every count to the one size
-ceiling, so a bad count is exit 2 wherever it is passed.
+grid time or a mode. One rule judges the type of a number: ``rclt.chain._numbers``
+applies it to numbers passed on their own or in a list, and ``rclt.chain._array``
+to every array's entries as numpy reads them.
+``rclt.chain._counts`` alone holds every count to the one size ceiling, so a
+bad count is exit 2 wherever it is passed.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ class InvalidArgument(ConfigError, ValueError):
 
     Raised for a count below its least value or above the size ceiling, a
     non-integral or boolean count, a negative or non-integral seed, a missing
-    Monte Carlo seed or replica count, an integer past the float range where a
+    master seed or replica count, an integer past the float range where a
     float is expected, an index outside the sampled path, a grid time outside
     [0, 1], an unknown mode, a non-boolean flag, a non-finite number, an
     observable that is not centered or does not fit, and a chain, observable,

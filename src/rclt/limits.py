@@ -68,7 +68,7 @@ import numpy as np
 
 from .chain import (
     Observable, ReversibleChain, _array, _booleans, _counts, _cumulative_tables, _fits,
-    _generators, _numbers, derive_seed,
+    _generators, _master_seed, _numbers, derive_seed,
 )
 from .decomposition import _limit_pair
 from .errors import DegenerateVariance, ExhaustiveTooLarge, InvalidArgument
@@ -177,7 +177,7 @@ def _iter_batch(chain: ReversibleChain, n: int, m: int, master_seed: int):
 
 def _replicas(m, seed) -> tuple[int, int]:
     """A sampling reader's replica count, a count from 1, and master seed, in that order."""
-    return _counts([m], "m", least=1)[0], _numbers(int, [seed], "seed", least=0)[0]
+    return _counts([m], "m", least=1)[0], _master_seed(seed)
 
 
 def _sigma2_or_raise(exact: _Exact) -> float:
@@ -430,7 +430,14 @@ class _MaximalReader:
         if not (isinstance(mode, str) and mode in ("forward", "reversed")):
             raise InvalidArgument(f"mode must be 'forward' or 'reversed', got {mode!r}")
         self.lambdas = _numbers(float, lambdas, "lambdas")
-        m, seed = (None, None) if exhaustive else _replicas(m, seed)
+        if exhaustive:  # neither is used, but each one given is judged
+            if m is not None:
+                _counts([m], "m", least=1)
+            if seed is not None:
+                _master_seed(seed)
+            m = seed = None
+        else:
+            m, seed = _replicas(m, seed)
         # every argument is judged above, before the costly work below
         if exhaustive:
             self.paths, self.prob = _enumerate_paths(exact.chain, n)

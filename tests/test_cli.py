@@ -73,21 +73,27 @@ def test_load_config_unknown_command(tmp_path) -> None:
         load_config(cfg)
 
 
+def _validated(cfg: Path) -> list[str]:
+    return validate(load_config(cfg))
+
+
 def test_load_config_requires_seed_for_monte_carlo(tmp_path) -> None:
     cfg = _config(tmp_path, [{"command": "clt", "params": {"n": 10, "m": 10}}], seed=None)
-    with pytest.raises(ConfigError):
-        load_config(cfg)
+    with pytest.raises(ConfigError, match="master seed is missing"):
+        _validated(cfg)
 
 
 @pytest.mark.parametrize(
-    "params",
-    [{"ks_treshold": 0.5}, {"n": True}, {"m": False}, {"n": 2.5}],
+    ("params", "judge"),
+    [({"ks_treshold": 0.5}, load_config), ({"n": True}, _validated), ({"m": False}, _validated),
+     ({"n": 2.5}, _validated)],
     ids=["typo", "bool-n", "bool-m", "float-n"],
 )
-def test_load_config_rejects_unknown_or_mistyped_params(tmp_path, params) -> None:
+def test_load_config_rejects_unknown_or_mistyped_params(tmp_path, params, judge) -> None:
+    """A misspelled name fails to load; a mistyped value is judged by the command's reader."""
     cfg = _config(tmp_path, [{"command": "clt", "params": params}])
     with pytest.raises(ConfigError):
-        load_config(cfg)
+        judge(cfg)
 
 
 def test_load_config_accepts_boolean_flags(tmp_path) -> None:
@@ -305,6 +311,10 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         ({**TWO_STATE, "matrix": [[10**400, 0.25], [0.25, 0.75]]}, "spectrum", {}, 3),
         (TWO_STATE, "spectrum", {"observable": [10**400, -1.0]}, 2),
         ({**TWO_STATE, "observable": [10**400, -1.0]}, "spectrum", {}, 2),
+        ({**TWO_STATE, "matrix": [["0.75", "0.25"], ["0.25", "0.75"]]}, "spectrum", {}, 3),
+        ({**TWO_STATE, "observable": ["1", "-1"]}, "spectrum", {}, 2),
+        (TWO_STATE, "spectrum", {"observable": [True, False]}, 2),
+        (TWO_STATE, {"command": "maximal", "params": {"m": "x"}}, {}, 2),
     ],
     ids=[
         "asymmetric-weights",
@@ -342,6 +352,10 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         "matrix-huge-integer",
         "config-observable-huge-integer",
         "chain-observable-huge-integer",
+        "matrix-numeric-strings",
+        "chain-observable-numeric-strings",
+        "config-observable-booleans",
+        "maximal-exhaustive-m-text",
     ],
 )
 def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra, code) -> None:
@@ -546,8 +560,10 @@ def test_validate_and_run_print_one_centering_note(tmp_path, capsys) -> None:
 def test_unlisted_subcommand_runs_with_its_defaults(tmp_path, capsys) -> None:
     cfg = _config(tmp_path, ["spectrum"], seed=None)
     assert main(["clt", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == "config error: subcommand 'clt' needs a master_seed\n"
-    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == (
+        "config error: the master seed is missing; Monte Carlo sampling needs one\n"
+    )
+    assert not any((tmp_path / "out").glob("*"))
     assert main(["variance", "--config", str(cfg)]) == 0
     payload = json.loads((tmp_path / "out" / "variance.json").read_text())
     assert len(payload["var_over_n"]) == DEFAULT_PARAMS["variance"]["n_max"]

@@ -1,7 +1,8 @@
 """Property tests: one shared pass gives every check the report it gives alone,
 ``validate`` judges a config as ``run`` does, bulk seeds are numpy's, random
 chains are admitted with their certificates or rejected with their documented error,
-and junk in any one argument of a public function ends in an ``RcltError`` or nothing."""
+and junk in any one argument of a public function or value type ends in an ``RcltError``
+or nothing."""
 from __future__ import annotations
 
 import contextlib
@@ -291,6 +292,15 @@ _VALID_CALLS = {
     },
     rclt.variance_report: {**_PAIR, "n_max": 10},
 }
+#: one valid construction of each value type of rclt, every field named
+_VALID_VALUES = {
+    rclt.ReversibleChain: {"kernel": _CHAIN.kernel, "stationary": _CHAIN.stationary},
+    rclt.Observable: {"values": [1.0, -1.0]},
+    rclt.SpectralMeasure: {"lambdas": [0.5], "weights": [1.0]},
+    rclt.Trajectory: {
+        "states": [0, 1], "observables": [1.0, -1.0], "partial_sums": [0.0, -1.0], "seed": 1,
+    },
+}
 #: values of every wrong kind; none is a count that passes the size ceiling,
 #: so no junk call allocates or steps much
 _JUNK = [None, True, -1, 2.5, 10**400, float("nan"), float("inf"), "1", [], [[1.0]], object()]
@@ -305,11 +315,17 @@ def test_every_public_function_has_a_valid_call() -> None:
 
 
 @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@hypothesis.given(function=st.sampled_from(list(_VALID_CALLS)), junk=st.sampled_from(_JUNK))
+@hypothesis.given(
+    function=st.sampled_from([*_VALID_CALLS, *_VALID_VALUES]), junk=st.sampled_from(_JUNK)
+)
 def test_junk_in_one_argument_returns_or_raises_an_rclt_error(function, junk) -> None:
-    """Each argument of a valid call in turn is replaced by ``junk``; nothing but an RcltError escapes."""
-    for name in _VALID_CALLS[function]:
+    """Each argument of a valid call in turn is replaced by ``junk``; nothing but an RcltError escapes.
+
+    A value type's call is its constructor, so each of its fields takes the junk in turn.
+    """
+    call = {**_VALID_CALLS, **_VALID_VALUES}[function]
+    for name in call:
         try:
-            function(**{**_VALID_CALLS[function], name: junk})
+            function(**{**call, name: junk})
         except rclt.RcltError:
             pass

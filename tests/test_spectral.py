@@ -305,6 +305,18 @@ _RAGGED = [
     lambda: rclt.build_random_walk([[10**400, 1.0], [1.0, 1.0]]),
     lambda: rclt.build_metropolis([10**400, 1.0], [[0.5, 0.5], [0.5, 0.5]]),
     lambda: rclt.build_metropolis([1.0, 1.0], [[10**400, 0.5], [0.5, 0.5]]),
+    lambda: rclt.build_chain([["0.5", "0.5"], ["0.5", "0.5"]]),
+    lambda: rclt.build_chain([[b"0.5", b"0.5"], [b"0.5", b"0.5"]]),
+    lambda: rclt.build_chain([[True, False], [False, True]]),
+    lambda: rclt.build_random_walk([["0.5", "1"], ["1", "0.5"]]),
+    lambda: rclt.build_random_walk([[b"0.5", b"1"], [b"1", b"0.5"]]),
+    lambda: rclt.build_random_walk([[True, True], [True, True]]),
+    lambda: rclt.build_metropolis(["0.5", "0.5"], [[0.5, 0.5], [0.5, 0.5]]),
+    lambda: rclt.build_metropolis([b"0.5", b"0.5"], [[0.5, 0.5], [0.5, 0.5]]),
+    lambda: rclt.build_metropolis([True, True], [[0.5, 0.5], [0.5, 0.5]]),
+    lambda: rclt.build_metropolis([1.0, 1.0], [["0.5", "0.5"], ["0.5", "0.5"]]),
+    lambda: rclt.build_metropolis([1.0, 1.0], [[b"0.5", b"0.5"], [b"0.5", b"0.5"]]),
+    lambda: rclt.build_metropolis([1.0, 1.0], [[True, False], [False, True]]),
 ]
 
 
@@ -457,6 +469,33 @@ _RAGGED = [
         lambda: rclt.project_mean_zero([10**400, -1.0], two_state()),
         lambda: rclt.ks_distance_to_normal([10**400, 0.1]),
         lambda: rclt.extrapolate_series_limit([1.0, 10**400]),
+        lambda: rclt.project_mean_zero(["0.5", "-0.5"], two_state()),
+        lambda: rclt.project_mean_zero([b"0.5", b"-0.5"], two_state()),
+        lambda: rclt.project_mean_zero([True, False], two_state()),
+        lambda: rclt.Observable(values=["0.5", "-0.5"]),
+        lambda: rclt.Observable(values=[b"0.5", b"-0.5"]),
+        lambda: rclt.Observable(values=[True, False]),
+        lambda: rclt.SpectralMeasure(lambdas=["0.5"], weights=[1.0]),
+        lambda: rclt.SpectralMeasure(lambdas=[0.5], weights=[b"0.5"]),
+        lambda: rclt.SpectralMeasure(lambdas=[0.5], weights=[True]),
+        lambda: rclt.ks_distance_to_normal(["0.5", "-0.5"]),
+        lambda: rclt.ks_distance_to_normal([b"0.5", b"-0.5"]),
+        lambda: rclt.ks_distance_to_normal([True, False]),
+        lambda: rclt.extrapolate_series_limit(["0.5", "0.5"]),
+        lambda: rclt.extrapolate_series_limit([b"0.5", b"0.5"]),
+        lambda: rclt.extrapolate_series_limit([True, True]),
+        lambda: rclt.maximal_inequality_check(*_TWO, 3, [0.0], exhaustive=True, m="x"),
+        lambda: rclt.maximal_inequality_check(*_TWO, 3, [0.0], exhaustive=True, m=2.5),
+        lambda: rclt.maximal_inequality_check(*_TWO, 3, [0.0], exhaustive=True, m=True),
+        lambda: rclt.maximal_inequality_check(*_TWO, 3, [0.0], exhaustive=True, seed=2.5),
+        lambda: rclt.maximal_inequality_check(*_TWO, 3, [0.0], exhaustive=True, seed=-3),
+        lambda: rclt.Trajectory([0.5, 1.0], [0.0] * 2, [0.0] * 2, 1),
+        lambda: rclt.Trajectory(["0", "1"], [0.0] * 2, [0.0] * 2, 1),
+        lambda: rclt.Trajectory([True, False], [0.0] * 2, [0.0] * 2, 1),
+        lambda: rclt.Trajectory([2**63], [0.0], [0.0], 1),
+        lambda: rclt.Trajectory(0, [0.0], [0.0], 1),
+        lambda: rclt.Trajectory([0, 1, 0], [0.0] * 2, [0.0] * 3, 1),
+        lambda: rclt.Trajectory([0, 1], [0.0] * 2, [0.0] * 2, "x"),
         *_RAGGED,
     ],
     ids=[
@@ -606,6 +645,33 @@ _RAGGED = [
         "project-huge-integer",
         "ks-huge-integer-sample",
         "series-limit-huge-integer",
+        "project-numeric-text",
+        "project-bytes",
+        "project-booleans",
+        "observable-numeric-text",
+        "observable-bytes",
+        "observable-booleans",
+        "measure-atom-numeric-text",
+        "measure-weight-bytes",
+        "measure-weight-boolean",
+        "ks-numeric-text-sample",
+        "ks-bytes-sample",
+        "ks-boolean-sample",
+        "series-limit-numeric-text",
+        "series-limit-bytes",
+        "series-limit-booleans",
+        "maximal-exhaustive-m-text",
+        "maximal-exhaustive-m-float",
+        "maximal-exhaustive-m-bool",
+        "maximal-exhaustive-seed-float",
+        "maximal-exhaustive-seed-negative",
+        "trajectory-states-float",
+        "trajectory-states-numeric-text",
+        "trajectory-states-booleans",
+        "trajectory-states-uint64",
+        "trajectory-states-scalar",
+        "trajectory-observables-short",
+        "trajectory-seed-text",
         "build-chain-ragged",
         "build-random-walk-ragged",
         "build-metropolis-ragged-proposal",
@@ -615,6 +681,18 @@ _RAGGED = [
         "build-random-walk-huge-integer",
         "build-metropolis-huge-integer-target",
         "build-metropolis-huge-integer-proposal",
+        "build-chain-numeric-text",
+        "build-chain-bytes",
+        "build-chain-booleans",
+        "build-random-walk-numeric-text",
+        "build-random-walk-bytes",
+        "build-random-walk-booleans",
+        "build-metropolis-numeric-text-target",
+        "build-metropolis-bytes-target",
+        "build-metropolis-boolean-target",
+        "build-metropolis-numeric-text-proposal",
+        "build-metropolis-bytes-proposal",
+        "build-metropolis-boolean-proposal",
     ],
 )
 def test_bad_library_arguments_raise_typed_errors(call) -> None:
