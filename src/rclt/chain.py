@@ -65,20 +65,26 @@ def _array(values, name: str, error: type = MalformedMatrix, dtype: type = float
 
     This is the one judge of array entries, by ``_numbers``' rule: numpy must
     read the entries as integers or, for a float array, as integers or floats.
-    So an array of booleans, strings, bytes, None or other objects is rejected,
-    as is a ragged one or one holding an integer past the float range. (numpy
-    reads a boolean among integers or floats as a number, so that one is not
-    seen.) The cast to ``dtype`` must be safe, so a uint64 array, which may hold
-    entries of 2^63 or more, is no int64 one. The builders, ``project_mean_zero``
-    and the frozen value types convert their input here, so a bad one is a typed
-    error: ``MalformedMatrix`` for what defines a chain, ``InvalidArgument`` (or
-    the ``ConfigError`` of a config observable) for everything else.
+    Integers past int64, which numpy keeps as Python objects, are taken entry
+    by entry with the floats beside them, so only one past the float range (or
+    past int64, for an integer array) is an error. An array of booleans,
+    strings, bytes, None or other objects is rejected, as is a ragged one.
+    (numpy reads a boolean among integers or floats as a number, so that one
+    is not seen.) The cast to np.int64 must be safe, so a uint64 array, which
+    may hold entries of 2^63 or more, is no int64 one. The builders,
+    ``project_mean_zero`` and the frozen value types convert their input here,
+    so a bad one is a typed error: ``MalformedMatrix`` for what defines a
+    chain, ``InvalidArgument`` for everything else.
     """
+    numbers = (int, np.integer, float, np.floating) if dtype is float else (int, np.integer)
     try:
         a = np.array(values)
+        if a.dtype == object and all(isinstance(v, numbers) and not isinstance(v, bool)
+                                     for v in a.flat):
+            a = a.astype(dtype)
         if a.dtype.kind not in ("iuf" if dtype is float else "iu"):
             raise TypeError(f"numpy reads its entries as {a.dtype}")
-        return a.astype(dtype, casting="safe", copy=False)
+        return a.astype(dtype, casting="same_kind" if dtype is float else "safe", copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{name} is not a numeric array: {exc}") from exc
 

@@ -221,8 +221,9 @@ def load_config(
 
     Paths in the config are strings relative to the config file's directory.
     This judges the file's structure: its keys, the schema, the paths, the
-    command and parameter names, a ``master_seed`` in [0, 2^64), and the
-    entries of the observable and of the chain's matrix and target. The values
+    command and parameter names, a ``master_seed`` in [0, 2^64), the entries
+    of the config's observable, each by ``_numbers`` (so no boolean among
+    numbers passes), and those of the chain's matrix and target. The values
     of the parameters, and whether a command needs the master seed, are judged
     by each command's reader in ``_prepare``, so ``validate`` and ``run`` meet
     such an error and this function does not.
@@ -243,7 +244,7 @@ def load_config(
     if isinstance(observable, str):
         observable = _read_json(_path(base, observable, "observable"), list)[0]
     if observable is not None:
-        observable = _array(observable, "observable", ConfigError).tolist()
+        observable = _numbers(float, observable, "observable")
 
     commands = _normalize_commands(raw.get("commands"))
     master_seed = raw.get("master_seed") if seed_override is None else seed_override

@@ -430,16 +430,13 @@ class _MaximalReader:
         if not (isinstance(mode, str) and mode in ("forward", "reversed")):
             raise InvalidArgument(f"mode must be 'forward' or 'reversed', got {mode!r}")
         self.lambdas = _numbers(float, lambdas, "lambdas")
-        if exhaustive:  # neither is used, but each one given is judged
-            if m is not None:
-                _counts([m], "m", least=1)
-            if seed is not None:
-                _master_seed(seed)
-            m = seed = None
-        else:
-            m, seed = _replicas(m, seed)
+        if m is not None or not exhaustive:  # exhaustive mode judges but drops each one given
+            m = _counts([m], "m", least=1)[0]
+        if seed is not None or not exhaustive:
+            seed = _master_seed(seed)
         # every argument is judged above, before the costly work below
         if exhaustive:
+            m = seed = None
             self.paths, self.prob = _enumerate_paths(exact.chain, n)
         else:
             _fits(m * (n + 1), "the m x (n + 1) replica paths")

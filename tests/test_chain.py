@@ -165,6 +165,26 @@ def test_metropolis_full_acceptance_row_rounding() -> None:
     assert chain.detailed_balance_residual() <= CERT
 
 
+@pytest.mark.parametrize(
+    ("make", "values"),
+    [
+        (lambda v: rclt.Observable(values=v).values, [2**70, -(2**70)]),
+        (lambda v: rclt.Observable(values=v).values, [2**64, 0.5]),
+        (lambda v: rclt.Observable(values=v).values, [10**20, -(10**20)]),
+        (lambda v: rclt.Observable(values=np.array(v, np.longdouble)).values, [0.25, -0.25]),
+        (lambda v: rclt.build_random_walk([v, v]).kernel, [10**20, 10**20]),
+        (lambda v: rclt.project_mean_zero(v, rclt.build_chain([[0.5, 0.5], [0.5, 0.5]])).values,
+         [2**64, -(2**64)]),
+    ],
+    ids=["observable-2^70", "observable-2^64-beside-float", "observable-10^20",
+         "observable-longdouble", "random-walk-10^20-weights", "project-2^64"],
+)
+def test_integers_past_int64_are_numbers(make, values) -> None:
+    """An integer within the float range is a number however large, as is a long double."""
+    out = make(values)
+    assert out.dtype == float and np.all(np.isfinite(out))
+
+
 def test_project_mean_zero_examples() -> None:
     chain = two_state()
     np.testing.assert_allclose(rclt.project_mean_zero([1, -1], chain).values, [1, -1], atol=0)

@@ -314,6 +314,7 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         ({**TWO_STATE, "matrix": [["0.75", "0.25"], ["0.25", "0.75"]]}, "spectrum", {}, 3),
         ({**TWO_STATE, "observable": ["1", "-1"]}, "spectrum", {}, 2),
         (TWO_STATE, "spectrum", {"observable": [True, False]}, 2),
+        (TWO_STATE, "spectrum", {"observable": [True, -1.0]}, 2),
         (TWO_STATE, {"command": "maximal", "params": {"m": "x"}}, {}, 2),
     ],
     ids=[
@@ -355,6 +356,7 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         "matrix-numeric-strings",
         "chain-observable-numeric-strings",
         "config-observable-booleans",
+        "config-observable-mixed-boolean",
         "maximal-exhaustive-m-text",
     ],
 )
