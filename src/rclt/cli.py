@@ -25,23 +25,33 @@ command list in order and writes a manifest last. Outputs are
 byte-identical across reruns of the same config and master seed; manifests
 differ only in their wall-clock timings.
 
-Each input reaches the run through one checking step. ``_read_json`` is the
-only place a file becomes a value: an unreadable path, bytes that are not
-UTF-8 JSON, nesting too deep to parse or a top-level value of the wrong JSON
-type is a config error. ``load_config`` checks the config's structure (known
-keys only, a ``schema`` of 1 if given, string paths, a command list, a params
-object per command with known names), then the chain file's keys (known ones
-only, then ``kind``, ``matrix`` and ``target``), and last converts the
+Each input reaches the run through one checking step, and each output
+leaves it through one writer. ``_read_json`` is the only place a file
+becomes a value: an unreadable path, bytes that are not UTF-8 JSON,
+nesting too deep to parse or a top-level value of the wrong JSON type is a
+config error. ``load_config`` checks the config's structure (known keys
+only, a ``schema`` of 1 if given, string paths, a command list, a params
+object per command with known names), then the chain file's keys (known
+ones only, then ``kind``, ``matrix`` and ``target``), and last converts the
 matrix and target to float arrays (``MalformedMatrix`` for a ragged or
 non-numeric one), so the parsed lists are freed before the chain is admitted.
-Parameter values, and the master seed a sampling command needs, are judged
-by each command's reader in ``_prepare``.
+It also requires the nearest existing path among ``output_dir`` and its
+parents to be a directory, so ``validate`` meets an unusable ``output_dir``
+as ``run`` would. ``_write``, the mirror of ``_read_json``, is the only
+place a value becomes a file: it writes ``name.tmp`` and renames it over
+``name``, so each report, CSV and manifest is whole or absent, and an
+``OSError`` there is a config error that names the path. ``main`` maps an
+``OSError`` left on that side, a path whose parents ``load_config`` cannot
+stat or a directory ``run`` cannot make, to the same exit 2, naming the
+path too. Parameter values, and the master seed a sampling command needs,
+are judged by each command's reader in ``_prepare``.
 A single subcommand run narrows the config to that subcommand before
 anything reads it, so its manifest hashes the commands it ran.
 
-Exit codes: 0 success, 2 config or argument error, 3 numerical error
-(including a ragged or non-numeric chain matrix), 4 statistical acceptance
-failure.
+Exit codes: 0 success, 2 config or argument error (an unusable
+``output_dir`` and a failed write included), 3 numerical error (including
+a ragged or non-numeric chain matrix, and a spectral sigma^2 that misses
+the Poisson one), 4 statistical acceptance failure.
 
 Every command is a reader with one protocol: ``_Command.build(exact,
 seed=master_seed, **params)`` judges the params and returns an object with
@@ -63,6 +73,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -223,7 +234,10 @@ def load_config(
     This judges the file's structure: its keys, the schema, the paths, the
     command and parameter names, a ``master_seed`` in [0, 2^64), the entries
     of the config's observable, each by ``_numbers`` (so no boolean among
-    numbers passes), and those of the chain's matrix and target. The values
+    numbers passes), those of the chain's matrix and target, and that the
+    nearest existing path among ``output_dir`` and its parents is a directory,
+    so ``run`` can make it and ``validate`` need not (a path that cannot be
+    stat'ed, such as a name too long, raises its ``OSError``). The values
     of the parameters, and whether a command needs the master seed, are judged
     by each command's reader in ``_prepare``, so ``validate`` and ``run`` meet
     such an error and this function does not.
@@ -253,6 +267,8 @@ def load_config(
 
     output_dir = out_override if out_override is not None else raw.get("output_dir", "out")
     output_dir = _path(base, output_dir, "output_dir")
+    if not (nearest := next(p for p in (output_dir, *output_dir.parents) if p.exists())).is_dir():
+        raise ConfigError(f"cannot use output_dir {output_dir}: {nearest} is not a directory")
     for key in _definition_inputs(chain_definition)[1]:  # frees each parsed list for its array
         chain_definition[key] = _array(chain_definition[key], f"chain {key!r}")
     return ExperimentConfig(
@@ -314,8 +330,23 @@ def resolve_observable(config: ExperimentConfig, chain: ReversibleChain) -> Obse
 # --- persistence -----------------------------------------------------------------
 
 
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole: into ``name.tmp``, then renamed over ``path``.
+
+    This is the one place a value becomes a file, the mirror of ``_read_json``.
+    An ``OSError`` removes the ``.tmp`` and is a ConfigError that names ``path``.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _float_cells(values) -> list[str]:
@@ -333,7 +364,7 @@ def _write_csv(path: Path, columns: dict) -> None:
     """One CSV column per entry of ``columns``: name -> a ``range`` of indices or floats."""
     cells = [map(str, c) if isinstance(c, range) else _float_cells(c) for c in columns.values()]
     lines = [f"# schema={SCHEMA_VERSION}", ",".join(columns), *map(",".join, zip(*cells))]
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 # --- command execution -------------------------------------------------------------
@@ -495,14 +526,21 @@ def validate(config: ExperimentConfig) -> list[str]:
 
 
 def _run_command(name, reader, outdir: Path, stem: str) -> list[Path]:
-    """Take one command's report from its reader, write it and judge it."""
+    """Take one command's report from its reader, write it and judge it.
+
+    A failed CSV write removes the command's JSON report before it propagates.
+    """
     command = _COMMANDS[name]
     result = reader.report()
     files = [outdir / f"{stem}.json"]
     _write_json(files[0], {"schema": SCHEMA_VERSION, "command": name, **command.payload(result)})
     if command.csv:
         files.append(outdir / f"{stem}.csv")
-        _write_csv(files[1], command.csv(result))
+        try:
+            _write_csv(files[1], command.csv(result))
+        except ConfigError:
+            files[0].unlink()
+            raise
     failures = getattr(result, "failures", ())
     if failures:
         raise StatisticalFailure(f"{name}: " + "; ".join(failures))
@@ -531,10 +569,14 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     ``_prepare`` builds every command's reader; the first sampling reader's
     turn steps them all in one pass, and each report is taken and written at
     its own command's turn, in config order. The setup's error is raised
-    after the readers before it, at its command's turn. On a module error,
-    files already written by this invocation are removed before the error
-    propagates; outputs of a statistical failure are complete reports and
-    are kept.
+    after the readers before it, at its command's turn. Each file is written
+    whole by ``_write``, and a failed write, the manifest's too, is a
+    ConfigError naming the path; an ``OSError`` making ``output_dir``
+    propagates as it is. On a module error, numerical or config, or an
+    ``OSError`` that ``_write`` could not map (a ``name.tmp`` that is a
+    directory, say), files already written by this invocation are removed
+    before the error propagates, and ``output_dir`` stays; outputs of a
+    statistical failure are complete reports and are kept.
     """
     if only is not None:
         commands = [(n, p) for n, p in config.commands if n == only] or _normalize_commands([only])
@@ -546,7 +588,6 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_hash=config.config_hash(), version=__version__)
-    written: list[Path] = []
     first = next((reader for reader in readers if reader.m is not None), None)
     try:
         for reader, (name, _), stem in zip(readers, config.commands, _output_stems(config.commands)):
@@ -554,17 +595,15 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
             if reader is first:
                 _one_pass(exact, config.master_seed, readers)
             files = _RUNNERS[name](reader, config.output_dir, stem)
-            written.extend(files)
             manifest.outputs[stem] = [p.name for p in files]
             manifest.timings[stem] = time.perf_counter() - start
         if error is not None:
             raise error
-    except (NumericalError, ConfigError):
-        for path in written:
-            path.unlink(missing_ok=True)
+        _write_json(config.output_dir / "manifest.json", manifest.to_dict())
+    except (NumericalError, ConfigError, OSError):
+        for name in sum(manifest.outputs.values(), []):  # the files written so far
+            (config.output_dir / name).unlink(missing_ok=True)
         raise
-    manifest_path = config.output_dir / "manifest.json"
-    _write_json(manifest_path, manifest.to_dict())
     return manifest
 
 
@@ -597,6 +636,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path on the output side that cannot be judged or made
+        print(f"config error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except StatisticalFailure as exc:
         print(f"statistical failure: {exc}", file=sys.stderr)

@@ -2,7 +2,10 @@
 
 Three families matter to callers (and to the CLI exit-code mapping):
 
-- ``ConfigError``       -> bad experiment configuration, input files or arguments (exit 2)
+- ``ConfigError``       -> bad experiment configuration, input files or arguments, and
+  the output side: an ``output_dir`` that cannot be one, or a file that
+  cannot be written (exit 2; the CLI gives exit 2 to an ``OSError`` on the
+  output side too, such as an ``output_dir`` it cannot make)
 - ``NumericalError``    -> chain admission, spectral or solver failures (exit 3)
 - ``StatisticalFailure``-> a seeded Monte Carlo check missed its declared
   threshold (exit 4); the computation itself succeeded.
@@ -23,7 +26,12 @@ class RcltError(Exception):
 
 
 class ConfigError(RcltError):
-    """Experiment configuration is unusable (missing file, bad schema, ...)."""
+    """Experiment configuration is unusable (missing file, bad schema, ...), or its outputs.
+
+    The output side is ``rclt.cli``'s: an ``output_dir`` whose nearest existing
+    path is not a directory, and an ``OSError`` while writing a file, each
+    naming the path.
+    """
 
 
 class InvalidArgument(ConfigError, ValueError):
@@ -80,7 +88,11 @@ class MalformedMatrix(NumericalError, ValueError):
 # --- spectral engine -------------------------------------------------------
 
 class EigenFailure(NumericalError):
-    """Symmetric eigensolver failed, or eigenvalues escaped [-1, 1]."""
+    """Symmetric eigensolver failed, eigenvalues escaped [-1, 1], or its numbers missed a check.
+
+    The checks compare with values found without the eigensolver: the spectral
+    mass against E(X_0^2), and the spectral sigma^2 against the Poisson one.
+    """
 
 
 class FiniteVarianceViolated(NumericalError):

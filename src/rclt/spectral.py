@@ -12,7 +12,7 @@ read-only), so every spectral measure, gap and series of one chain costs a
 projection, not an eigensolve.
 
 The asymptotic variance sigma^2 = lim Var(S_n)/n is computed by three
-routes that must agree:
+routes:
 
 - spectral:  sum of w * (1 + lambda) / (1 - lambda) over atoms,
 - resolvent: 2 <g, f> - <f, f> with (I - Q) g = f solved on the centered
@@ -23,8 +23,12 @@ Both spectral routes take the spectral measure, and only the resolvent
 route takes (chain, f). The series route reads the same measure as the
 spectral route, so it is not independent of the eigensolver: an
 eigensolver error both routes share goes unseen by their comparison. Only
-the resolvent route avoids the eigensolver. Every integral against the
-measure takes the measure itself, judged by ``_require_measure``.
+the resolvent route avoids the eigensolver, so the spectral and resolvent
+routes are the pair that ``variance_report`` judges: they must agree to
+``ROUTE_TOL`` relative, else EigenFailure. The series route is reported
+ungated, since at a finite ``n_max`` it need not have converged. Every
+integral against the measure takes the measure itself, judged by
+``_require_measure``.
 
 The finiteness of sum w / (1 - lambda) is exactly the asymptotic
 linearity of Var(S_n); mass at lambda = 1 is the failure mode and is
@@ -61,6 +65,8 @@ ATOM_AT_ONE_TOL = 1e-10
 WEIGHT_DROP_TOL = 1e-14
 #: residual tolerance of the deflated resolvent solve
 POISSON_TOL = 1e-9
+#: relative tolerance within which the spectral and Poisson sigma^2 must agree
+ROUTE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -376,13 +382,25 @@ class VarianceReport:
 
 
 def _variance_report(exact: _Exact, n_max: int) -> VarianceReport:
+    """The variance report of ``exact``'s (chain, f), its two independent routes judged.
+
+    Raises EigenFailure when the spectral and Poisson sigma^2 differ by more
+    than ``ROUTE_TOL`` times the larger of their magnitudes and 1e-3, as
+    ``spectral_measure`` does when the mass misses. The series route is not
+    judged: at a finite ``n_max`` below the chain's relaxation time it has not
+    converged, so its distance says how far ``n_max`` is from mixing, not
+    whether a number is wrong.
+    """
     _counts([n_max], "n_max", least=1)  # judged before the eigensolve
     rho = exact.rho
     series = asymptotic_variance_series(rho, n_max)
+    spectral, poisson = asymptotic_variance_spectral(rho), _sigma2_poisson(exact)
+    if abs(spectral - poisson) > ROUTE_TOL * max(abs(spectral), abs(poisson), 1e-3):
+        raise EigenFailure(f"sigma^2 routes disagree: spectral {spectral!r}, Poisson {poisson!r}")
     return VarianceReport(
         measure=rho,
-        sigma2_spectral=asymptotic_variance_spectral(rho),
-        sigma2_poisson=_sigma2_poisson(exact),
+        sigma2_spectral=spectral,
+        sigma2_poisson=poisson,
         sigma2_series=extrapolate_series_limit(series),
         finiteness_integral=finiteness_integral(rho),
         var_over_n=series,
@@ -390,5 +408,10 @@ def _variance_report(exact: _Exact, n_max: int) -> VarianceReport:
 
 
 def variance_report(chain: ReversibleChain, f: Observable, n_max: int = 1000) -> VarianceReport:
-    """Assemble the three-route variance comparison."""
+    """Assemble the three-route variance comparison.
+
+    The spectral and Poisson routes must agree to ``ROUTE_TOL`` relative, else
+    EigenFailure (a numerical error, exit 3 under the CLI); the series route is
+    reported as computed (see ``_variance_report``).
+    """
     return _variance_report(_Exact(chain, f), n_max)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import inspect
 import json
@@ -237,6 +238,50 @@ def test_numerical_failure_removes_partial_outputs(tmp_path) -> None:
     out = tmp_path / "out"
     assert not (out / "spectrum.json").exists()
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "failing", ["spectrum.json", "variance.json", "variance.csv", "manifest.json"]
+)
+def test_a_failed_write_leaves_no_file_of_the_run(tmp_path, capsys, monkeypatch, failing) -> None:
+    """A full disk at any report, CSV or the manifest is exit 2 naming the path; out/ is emptied."""
+    cfg = _config(tmp_path, ["spectrum", "variance"])
+    replace = os.replace
+
+    def full_disk(src, dst):
+        if Path(dst).name == failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    assert main(["run", "--config", str(cfg)]) == 2
+    path = load_config(cfg).output_dir / failing
+    err = f"config error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+    assert capsys.readouterr() == ("", err)
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_tmp_name_taken_by_a_directory_leaves_no_file_of_the_run(tmp_path, capsys) -> None:
+    """``_write`` cannot remove a ``.tmp`` directory: that OSError still empties out/ of the run."""
+    cfg = _config(tmp_path, ["spectrum", "variance"])
+    (tmp_path / "out" / "variance.json.tmp").mkdir(parents=True)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["variance.json.tmp"]
+
+
+def test_a_failed_mkdir_is_exit_2_naming_the_path(tmp_path, capsys, monkeypatch) -> None:
+    cfg = _config(tmp_path, ["spectrum"], output_dir="made/out")
+
+    def refused(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refused)
+    assert main(["run", "--config", str(cfg)]) == 2
+    path = load_config(cfg).output_dir
+    err = f"config error: cannot use {path}: {os.strerror(errno.EACCES)}\n"
+    assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "made").exists()
 
 
 def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
@@ -500,6 +545,9 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         (TWO_STATE, {"command": "decompose", "params": {"horizon": 10**400}}, {}),
         (TWO_STATE, {"command": "clt", "params": {"n": 1, "m": 2**21}}, {}),
         ({**TWO_STATE, "matrix": [[10**400, 0.25], [0.25, 0.75]]}, "spectrum", {}),
+        (TWO_STATE, "spectrum", {"output_dir": "config.chain.json"}),
+        (TWO_STATE, "spectrum", {"output_dir": "config.chain.json/out"}),
+        (TWO_STATE, "spectrum", {"output_dir": "a" * 300}),
     ],
     ids=[
         "non-reversible",
@@ -523,6 +571,9 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         "decompose-horizon-huge",
         "clt-pass-generators-over-ceiling",
         "matrix-huge-integer",
+        "output-dir-names-a-file",
+        "output-dir-under-a-file",
+        "output-dir-name-too-long",
     ],
 )
 def test_validate_exits_like_run(tmp_path, capsys, chain, command, extra) -> None:

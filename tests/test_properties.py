@@ -145,11 +145,15 @@ def test_validate_judges_a_config_as_run_does(data) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         (base / "chain.json").write_text(json.dumps(data.draw(st.sampled_from(_CHAINS), label="chain")))
-        config = {"chain_spec": "chain.json", "commands": commands, "master_seed": 7, "output_dir": "out"}
+        outputs = st.sampled_from(["out", "chain.json", "chain.json/out"])
+        output_dir = data.draw(outputs, label="output_dir")
+        config = {"chain_spec": "chain.json", "commands": commands, "master_seed": 7,
+                  "output_dir": output_dir}
         (base / "config.json").write_text(json.dumps(config))
         argv = ["--config", str(base / "config.json")]
         validated, ran = _main(["validate", *argv]), _main(["run", *argv])
         assert validated == ran
+        assert ran[0] == 2 or output_dir == "out"
         if ran[0] != 0:
             assert not any((base / "out").glob("*"))
 

@@ -272,6 +272,18 @@ def test_spectral_gap_checks_the_eigensystem() -> None:
         rclt.spectral_measure(broken, observable(broken, [1, -1]))
 
 
+def test_variance_report_judges_the_spectral_route_against_poisson() -> None:
+    """An eigenvalue shifted by 1e-7 keeps the mass but moves sigma^2 by 2.7e-7: EigenFailure."""
+    chain = two_state()
+    lam, u = chain._eigensystem
+    broken = rclt.ReversibleChain(kernel=chain.kernel, stationary=chain.stationary)
+    broken.__dict__["_eigensystem"] = (np.array([lam[0] + 1e-7, lam[1]]), u)
+    f = observable(broken, [1, -1])
+    assert rclt.spectral_measure(broken, f).total_mass == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(rclt.EigenFailure, match="sigma\\^2 routes disagree"):
+        rclt.variance_report(broken, f)
+
+
 def test_variance_report_three_way_agreement() -> None:
     for chain, f in identity_fixture_pairs():
         report = rclt.variance_report(chain, f, n_max=600)
