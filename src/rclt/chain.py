@@ -191,6 +191,19 @@ def _fits(cells: int, what: str) -> None:
         raise InvalidArgument(f"{what} would hold {cells} entries, above {MAX_CELLS}")
 
 
+def _gate(measured: float, tolerance: float, error: type, what: str) -> None:
+    """Raise ``error`` naming ``what``, ``measured`` and ``tolerance`` unless measured <= tolerance.
+
+    This is the one judge of a computed number, as ``_numbers``, ``_array``
+    and ``_counts`` judge inputs: every certificate of the package (a row
+    sum, a balance or identity defect, a solver residual, a spectral mass,
+    the route agreement) passes here. The test is ``measured <= tolerance``,
+    not ``measured > tolerance``, so a NaN fails it.
+    """
+    if not measured <= tolerance:
+        raise error(f"{what} {measured:.3e}, above its tolerance {tolerance:.3g}")
+
+
 def _booleans(flags: dict) -> None:
     """Reject with InvalidArgument unless every value of ``flags`` (name to value) is a boolean.
 
@@ -229,17 +242,14 @@ class ReversibleChain:
             raise MalformedMatrix("kernel has no states")
         if not np.all(np.isfinite(q)) or np.any(q < 0.0):
             raise NotStochastic("kernel entries must be finite and nonnegative")
-        row_err = np.max(np.abs(q.sum(axis=1) - 1.0))
-        if row_err > CERTIFIED_TOL:
-            raise NotStochastic(f"certified row sums off by {row_err:.3e}")
+        _gate(np.max(np.abs(q.sum(axis=1) - 1.0)), CERTIFIED_TOL, NotStochastic,
+              "certified row sums off by")
         if not (np.all(pi > 0.0) and abs(pi.sum() - 1.0) <= CERTIFIED_TOL):
             raise NotIrreducible("stationary vector not strictly positive and normalized")
-        db_err = _balance_defect(q, pi)
-        if db_err > CERTIFIED_TOL:
-            raise NotReversible(f"certified detailed balance off by {db_err:.3e}")
-        inv_err = np.max(np.abs(pi @ q - pi))
-        if inv_err > CERTIFIED_TOL:
-            raise NotIrreducible(f"stationary law not invariant: residual {inv_err:.3e}")
+        _gate(_balance_defect(q, pi), CERTIFIED_TOL, NotReversible,
+              "certified detailed balance off by")
+        _gate(np.max(np.abs(pi @ q - pi)), CERTIFIED_TOL, NotIrreducible,
+              "stationary law not invariant: residual")
 
     @property
     def n_states(self) -> int:
@@ -379,17 +389,13 @@ def build_chain(kernel) -> ReversibleChain:
         raise MalformedMatrix("kernel has no states")
     if not np.all(np.isfinite(q)) or np.any(q < -ADMISSION_TOL):
         raise NotStochastic("kernel entries must be finite and nonnegative")
-    row_err = np.max(np.abs(q.sum(axis=1) - 1.0))
-    if row_err > ADMISSION_TOL:
-        raise NotStochastic(f"row sums off by {row_err:.3e} (tolerance {ADMISSION_TOL})")
+    _gate(np.max(np.abs(q.sum(axis=1) - 1.0)), ADMISSION_TOL, NotStochastic, "row sums off by")
     np.clip(q, 0.0, None, out=q)
     q /= q.sum(axis=1, keepdims=True)
     if not _strongly_connected(q > 0.0):
         raise NotIrreducible("support graph of the kernel is not strongly connected")
     pi = _solve_stationary(q)
-    db_err = _balance_defect(q, pi)
-    if db_err > ADMISSION_TOL:
-        raise NotReversible(f"detailed balance off by {db_err:.3e} (tolerance {ADMISSION_TOL})")
+    _gate(_balance_defect(q, pi), ADMISSION_TOL, NotReversible, "detailed balance off by")
     return _certify(q, pi)
 
 
@@ -406,8 +412,7 @@ def build_random_walk(weights) -> ReversibleChain:
         raise MalformedMatrix(f"weights must be square with a state, got shape {w.shape}")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise NegativeWeight("weights must be finite and nonnegative")
-    if _asymmetry(w) > ADMISSION_TOL:
-        raise MalformedMatrix("weights must be symmetric")
+    _gate(_asymmetry(w), ADMISSION_TOL, MalformedMatrix, "weights are not symmetric: asymmetry")
     _symmetrize(w)
     degree = w.sum(axis=1)
     if np.any(degree <= 0.0):
@@ -424,8 +429,9 @@ def build_metropolis(target, proposal) -> ReversibleChain:
 
     Off-diagonal moves are accepted with probability min(1, target_j /
     target_i); rejected mass sits on the diagonal. Raises MalformedMatrix when
-    ``target`` or ``proposal`` is ragged or not numeric, ``target`` is empty, or
-    their shapes disagree.
+    ``target`` or ``proposal`` is ragged or not numeric, ``target`` is empty,
+    their shapes disagree, or the proposal is not symmetric, which a NaN entry,
+    on the diagonal too, is not.
     """
     p = _array(target, "target")
     prop = _array(proposal, "proposal")
@@ -437,8 +443,7 @@ def build_metropolis(target, proposal) -> ReversibleChain:
     n = p.shape[0]
     if prop.shape != (n, n):
         raise MalformedMatrix(f"proposal shape {prop.shape} does not match target size {n}")
-    if _asymmetry(prop) > ADMISSION_TOL:
-        raise MalformedMatrix("proposal must be symmetric")
+    _gate(_asymmetry(prop), ADMISSION_TOL, MalformedMatrix, "proposal is not symmetric: asymmetry")
     if np.max(np.abs(prop.sum(axis=1) - 1.0)) > ADMISSION_TOL or np.any(prop < 0.0):
         raise NotStochastic("proposal must be row-stochastic")
     accept = p[None, :] / p[:, None]
@@ -480,9 +485,9 @@ def require_centered(chain: ReversibleChain, f: Observable) -> None:
     if not isinstance(f, Observable):
         raise InvalidArgument(f"expected an Observable, got {type(f).__name__}")
     _require_fit(chain, f.values)
-    m = float(np.dot(chain.stationary, f.values))
-    if abs(m) > CERTIFIED_TOL * max(1.0, float(np.max(np.abs(f.values)))):
-        raise InvalidArgument(f"observable is not centered: stationary mean {m:.3e}")
+    _gate(abs(float(np.dot(chain.stationary, f.values))),
+          CERTIFIED_TOL * max(1.0, float(np.max(np.abs(f.values)))), InvalidArgument,
+          "observable is not centered: |stationary mean|")
 
 
 def _cumulative_tables(chain: ReversibleChain):

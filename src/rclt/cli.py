@@ -525,26 +525,24 @@ def validate(config: ExperimentConfig) -> list[str]:
     return [note] if note else []
 
 
-def _run_command(name, reader, outdir: Path, stem: str) -> list[Path]:
+def _run_command(name, reader, outdir: Path, stem: str, written: list[str]) -> None:
     """Take one command's report from its reader, write it and judge it.
 
-    A failed CSV write removes the command's JSON report before it propagates.
+    Each file's name enters ``written``, the run's one record of its files,
+    before ``_write`` writes it, so ``run``'s cleanup removes whatever this
+    command wrote: the JSON report of a failed CSV write too.
     """
     command = _COMMANDS[name]
     result = reader.report()
-    files = [outdir / f"{stem}.json"]
-    _write_json(files[0], {"schema": SCHEMA_VERSION, "command": name, **command.payload(result)})
+    written.append(f"{stem}.json")
+    _write_json(outdir / written[-1],
+                {"schema": SCHEMA_VERSION, "command": name, **command.payload(result)})
     if command.csv:
-        files.append(outdir / f"{stem}.csv")
-        try:
-            _write_csv(files[1], command.csv(result))
-        except ConfigError:
-            files[0].unlink()
-            raise
+        written.append(f"{stem}.csv")
+        _write_csv(outdir / written[-1], command.csv(result))
     failures = getattr(result, "failures", ())
     if failures:
         raise StatisticalFailure(f"{name}: " + "; ".join(failures))
-    return files
 
 
 _RUNNERS = {name: partial(_run_command, name) for name in COMMANDS}
@@ -572,11 +570,14 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     after the readers before it, at its command's turn. Each file is written
     whole by ``_write``, and a failed write, the manifest's too, is a
     ConfigError naming the path; an ``OSError`` making ``output_dir``
-    propagates as it is. On a module error, numerical or config, or an
-    ``OSError`` that ``_write`` could not map (a ``name.tmp`` that is a
-    directory, say), files already written by this invocation are removed
-    before the error propagates, and ``output_dir`` stays; outputs of a
-    statistical failure are complete reports and are kept.
+    propagates as it is. An earlier run's ``manifest.json`` is removed before
+    the first command's turn, so a manifest in ``output_dir`` always lists the
+    files of the run that wrote it. On a module error, numerical or config,
+    or an ``OSError`` that ``_write`` could not map (a ``name.tmp`` that is a
+    directory, say), every file this invocation entered in
+    ``manifest.outputs`` is removed before the error propagates, and
+    ``output_dir`` stays; outputs of a statistical failure are complete
+    reports and are kept.
     """
     if only is not None:
         commands = [(n, p) for n, p in config.commands if n == only] or _normalize_commands([only])
@@ -590,12 +591,12 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     manifest = RunManifest(config_hash=config.config_hash(), version=__version__)
     first = next((reader for reader in readers if reader.m is not None), None)
     try:
+        (config.output_dir / "manifest.json").unlink(missing_ok=True)
         for reader, (name, _), stem in zip(readers, config.commands, _output_stems(config.commands)):
             start = time.perf_counter()
             if reader is first:
                 _one_pass(exact, config.master_seed, readers)
-            files = _RUNNERS[name](reader, config.output_dir, stem)
-            manifest.outputs[stem] = [p.name for p in files]
+            _RUNNERS[name](reader, config.output_dir, stem, manifest.outputs.setdefault(stem, []))
             manifest.timings[stem] = time.perf_counter() - start
         if error is not None:
             raise error

@@ -51,7 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import exact_cumsum, two_sum
-from .chain import Observable, ReversibleChain, Trajectory, _counts, _fits, require_centered
+from .chain import (
+    Observable, ReversibleChain, Trajectory, _counts, _fits, _gate, require_centered,
+)
 from .errors import InvalidArgument, NumericalError
 # poisson_solve and spectral_measure are unused here, but bench/layer_trace.py rebinds them
 from .spectral import (
@@ -262,7 +264,7 @@ class DecompositionTerms:
 
     @property
     def max_pair_residual(self) -> float:
-        return float(np.nanmax(np.abs(self.pair_residual)))
+        return float(np.max(np.abs(self.pair_residual[:-1])))  # slots 0..N-1; a NaN there fails
 
     @property
     def max_decomposition_residual(self) -> float:
@@ -275,12 +277,9 @@ def _decompose(exact: _Exact, traj: Trajectory, horizon: int | None) -> Decompos
     n_hor = _decompose_horizon(n_len, horizon)
 
     phi, pred, drift = _horizon_vectors(exact.chain, exact.f, n_hor)
-    defect = float(np.max(np.abs(exact.chain.kernel @ phi - pred)))
-    scale = max(1.0, float(np.max(np.abs(phi))))
-    if not defect <= IDENTITY_TOL * scale:
-        raise NumericalError(
-            f"horizon vectors miss the kernel by {defect:.3e}, above {IDENTITY_TOL} * {scale:.3g}"
-        )
+    _gate(np.max(np.abs(exact.chain.kernel @ phi - pred)),
+          IDENTITY_TOL * max(1.0, float(np.max(np.abs(phi)))), NumericalError,
+          "horizon vectors miss the kernel by")
     value, w = _limit_pair(exact)
     x = traj.observables
     partial = traj.partial_sums
@@ -324,14 +323,8 @@ def _decompose(exact: _Exact, traj: Trajectory, horizon: int | None) -> Decompos
         pair_residual=pair_residual,
         decomposition_residual=decomposition_residual,
     )
-    if terms.max_pair_residual > IDENTITY_TOL:
-        raise NumericalError(
-            f"pair identity residual {terms.max_pair_residual:.3e} exceeds {IDENTITY_TOL}"
-        )
-    if terms.max_decomposition_residual > IDENTITY_TOL:
-        raise NumericalError(
-            f"decomposition residual {terms.max_decomposition_residual:.3e} exceeds {IDENTITY_TOL}"
-        )
+    _gate(terms.max_pair_residual, IDENTITY_TOL, NumericalError, "pair identity residual")
+    _gate(terms.max_decomposition_residual, IDENTITY_TOL, NumericalError, "decomposition residual")
     return terms
 
 

@@ -17,6 +17,13 @@ applies it to numbers passed on their own or in a list, and ``rclt.chain._array`
 to every array's entries as numpy reads them.
 ``rclt.chain._counts`` alone holds every count to the one size ceiling, so a
 bad count is exit 2 wherever it is passed.
+
+Those three judge inputs; ``rclt.chain._gate`` is the one judge of computed
+numbers. Every certificate (a row sum, a detailed-balance, invariance or
+identity defect, an eigenvalue's escape from [-1, 1], a spectral mass, a
+resolvent residual, the sigma^2 route agreement, an observable's stationary
+mean) passes it: the error its caller names, with the number, its value and
+its tolerance, unless the value is at most the tolerance, so a NaN fails.
 """
 from __future__ import annotations
 

@@ -50,8 +50,8 @@ from functools import cached_property
 import numpy as np
 
 from .chain import (
-    Observable, ReversibleChain, _array, _booleans, _counts, _frozen, _numbers, _require_chain,
-    require_centered,
+    Observable, ReversibleChain, _array, _booleans, _counts, _frozen, _gate, _numbers,
+    _require_chain, require_centered,
 )
 from .errors import (
     EigenFailure, FiniteVarianceViolated, InvalidArgument, NumericalError, SingularPoisson,
@@ -109,15 +109,13 @@ def _checked_eigensystem(chain: ReversibleChain) -> tuple[np.ndarray, np.ndarray
     """The chain's cached (eigenvalues clipped to [-1, 1], orthonormal eigenvectors).
 
     Raises EigenFailure when the eigensolver fails or an eigenvalue escapes
-    [-1, 1] by more than ``CLAMP_TOL``.
+    [-1, 1] by more than ``CLAMP_TOL`` or is NaN.
     """
     try:
         lam, phi = chain._eigensystem
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
-    excess = max(0.0, float(lam.max()) - 1.0, -1.0 - float(lam.min()))
-    if excess > CLAMP_TOL:
-        raise EigenFailure(f"eigenvalue escaped [-1, 1] by {excess:.3e}")
+    _gate(np.max(np.abs(lam)) - 1.0, CLAMP_TOL, EigenFailure, "eigenvalue escaped [-1, 1] by")
     return np.clip(lam, -1.0, 1.0), phi
 
 
@@ -129,19 +127,14 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
     weights = coef * coef
 
     at_one = np.abs(1.0 - lam) <= ATOM_AT_ONE_TOL
-    bad_mass = float(weights[at_one].sum())
-    if bad_mass > ATOM_AT_ONE_TOL:
-        raise FiniteVarianceViolated(
-            f"weight {bad_mass:.3e} at eigenvalue 1; observable is not centered "
-            "or the variance of partial sums is superlinear"
-        )
+    _gate(weights[at_one].sum(), ATOM_AT_ONE_TOL, FiniteVarianceViolated,
+          "superlinear variance of partial sums: the weight at eigenvalue 1 is")
     keep = ~at_one & (weights >= WEIGHT_DROP_TOL)
     rho = SpectralMeasure(lambdas=lam[keep], weights=weights[keep])
 
     mass = chain.pi_dot(f.values, f.values)
-    mass_err = abs(rho.total_mass - mass)
-    if mass_err > 1e-10 * max(1.0, mass):
-        raise EigenFailure(f"spectral mass misses E(X_0^2) by {mass_err:.3e}")
+    _gate(abs(rho.total_mass - mass), 1e-10 * max(1.0, mass), EigenFailure,
+          "spectral mass misses E(X_0^2) by")
     return rho
 
 
@@ -193,10 +186,9 @@ def poisson_solve(chain: ReversibleChain, f: Observable) -> np.ndarray:
         g = np.linalg.solve(shifted, f.values)
     except np.linalg.LinAlgError as exc:
         raise SingularPoisson(f"deflated resolvent solve failed: {exc}") from exc
-    residual = np.max(np.abs(f.values - (g - chain.kernel @ g)))
-    scale = max(1.0, float(np.max(np.abs(f.values))))
-    if not np.all(np.isfinite(g)) or residual > POISSON_TOL * scale:
-        raise SingularPoisson(f"resolvent residual {residual:.3e} exceeds {POISSON_TOL}")
+    _gate(np.max(np.abs(f.values - (g - chain.kernel @ g))),
+          POISSON_TOL * max(1.0, float(np.max(np.abs(f.values)))), SingularPoisson,
+          "resolvent residual")
     return g
 
 
@@ -395,8 +387,8 @@ def _variance_report(exact: _Exact, n_max: int) -> VarianceReport:
     rho = exact.rho
     series = asymptotic_variance_series(rho, n_max)
     spectral, poisson = asymptotic_variance_spectral(rho), _sigma2_poisson(exact)
-    if abs(spectral - poisson) > ROUTE_TOL * max(abs(spectral), abs(poisson), 1e-3):
-        raise EigenFailure(f"sigma^2 routes disagree: spectral {spectral!r}, Poisson {poisson!r}")
+    _gate(abs(spectral - poisson), ROUTE_TOL * max(abs(spectral), abs(poisson), 1e-3),
+          EigenFailure, f"sigma^2 routes disagree: spectral {spectral!r}, Poisson {poisson!r}, by")
     return VarianceReport(
         measure=rho,
         sigma2_spectral=spectral,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rclt
-from rclt.chain import _generators
+from rclt.chain import _gate, _generators
 from rclt.limits import _enumerate_paths
 
 from .fixture_chains import (
@@ -42,11 +42,31 @@ def test_build_chain_bad_rows() -> None:
 
 
 def test_direct_construction_rejects_a_nan_kernel() -> None:
-    # every certified check is a comparison, which NaN would pass
+    # the explicit finite and positivity checks stay: they name a NaN before a gate measures it
     with pytest.raises(rclt.NotStochastic):
         rclt.ReversibleChain(kernel=np.full((2, 2), np.nan), stationary=[0.5, 0.5])
     with pytest.raises(rclt.NotIrreducible):
         rclt.ReversibleChain(kernel=[[0.5, 0.5], [0.5, 0.5]], stationary=[np.nan, np.nan])
+
+
+@pytest.mark.parametrize(
+    ("measured", "text"), [(2.0, "2.000e+00"), (np.nan, "nan"), (np.inf, "inf")]
+)
+def test_the_gate_fails_above_its_tolerance_and_on_nan(measured, text) -> None:
+    _gate(1.0, 1.0, rclt.NumericalError, "defect")
+    with pytest.raises(rclt.NotReversible) as info:
+        _gate(measured, 1.0, rclt.NotReversible, "defect")
+    assert str(info.value) == f"defect {text}, above its tolerance 1"
+
+
+@pytest.mark.parametrize(
+    "proposal", [[[0.5, 0.5], [0.5, np.nan]], [[0.5, np.nan], [0.5, 0.5]]],
+    ids=["diagonal", "off-diagonal"],
+)
+def test_a_nan_proposal_entry_fails_the_symmetry_gate(proposal) -> None:
+    """A NaN on the diagonal, which the Metropolis kernel overwrites, is not admitted either."""
+    with pytest.raises(rclt.MalformedMatrix, match="^proposal is not symmetric: asymmetry nan,"):
+        rclt.build_metropolis([1.0, 1.0], proposal)
 
 
 def test_direct_construction_rejects_a_scalar_kernel() -> None:

@@ -230,7 +230,12 @@ def test_csv_floats_are_their_repr(tmp_path, columns) -> None:
     assert (tmp_path / "out.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_numerical_failure_removes_partial_outputs(tmp_path) -> None:
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh-out", "after-a-good-run"])
+def test_numerical_failure_removes_partial_outputs(tmp_path, earlier) -> None:
+    """A failed run leaves no report of its own, and no manifest, an earlier run's included."""
+    if earlier:
+        run(load_config(_config(tmp_path, ["spectrum", "variance"], name="good.json")))
+        assert (tmp_path / "out" / "manifest.json").exists()
     commands = ["spectrum", {"command": "clt", "params": {"n": 20, "m": 20}}]
     cfg = _config(tmp_path, commands, chain=FLIP)
     with pytest.raises(rclt.DegenerateVariance):
@@ -361,6 +366,13 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         (TWO_STATE, "spectrum", {"observable": [True, False]}, 2),
         (TWO_STATE, "spectrum", {"observable": [True, -1.0]}, 2),
         (TWO_STATE, {"command": "maximal", "params": {"m": "x"}}, {}, 2),
+        (
+            {"kind": "metropolis", "matrix": [[0.5, 0.5], [0.5, float("nan")]], "target": [1, 1],
+             "observable": [1, -1]},
+            "spectrum",
+            {},
+            3,
+        ),
     ],
     ids=[
         "asymmetric-weights",
@@ -403,6 +415,7 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         "config-observable-booleans",
         "config-observable-mixed-boolean",
         "maximal-exhaustive-m-text",
+        "metropolis-proposal-nan-diagonal",
     ],
 )
 def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra, code) -> None:

@@ -361,6 +361,21 @@ def test_small_gap_at_a_long_horizon_is_a_numerical_error() -> None:
     assert np.max(np.abs(_horizon_vectors(chain, f, 2 * 10**4)[0])) > 5e3
 
 
+def test_a_nan_pair_residual_fails_the_identity_gate(monkeypatch) -> None:
+    """Only the last slot of the pair residual is undefined; a NaN in another is not skipped."""
+    chain = two_state()
+    f = observable(chain, [1.0, -1.0])
+    traj = _fixed_trajectory(chain, f, [0, 1, 1, 0])
+
+    def nan_drift(*args):
+        phi, pred, drift = _horizon_vectors(*args)
+        return phi, pred, np.array([np.nan, drift[1]])
+
+    monkeypatch.setattr(rclt.decomposition, "_horizon_vectors", nan_drift)
+    with pytest.raises(rclt.NumericalError, match="^pair identity residual nan,"):
+        rclt.decompose_trajectory(chain, f, traj, horizon=2)
+
+
 def test_decompose_checks_the_eigensystem_against_the_kernel() -> None:
     chain, f = identity_fixture_pairs()[-1]
     lam, u = chain._eigensystem

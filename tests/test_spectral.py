@@ -260,12 +260,13 @@ def test_spectral_gap_values() -> None:
     assert rclt.spectral_gap(rclt.build_chain([[1.0]])) == 0.0
 
 
-def test_spectral_gap_checks_the_eigensystem() -> None:
-    """An eigenvalue escaped above 1 is an EigenFailure here as in spectral_measure."""
+@pytest.mark.parametrize("top", [1.0 + 1e-9, np.nan], ids=["escaped-above-one", "nan"])
+def test_spectral_gap_checks_the_eigensystem(top) -> None:
+    """An eigenvalue above 1, or a NaN one, is an EigenFailure here as in spectral_measure."""
     chain = two_state()
     lam, u = chain._eigensystem
     broken = rclt.ReversibleChain(kernel=chain.kernel, stationary=chain.stationary)
-    broken.__dict__["_eigensystem"] = (np.array([lam[0], 1.0 + 1e-9]), u)
+    broken.__dict__["_eigensystem"] = (np.array([lam[0], top]), u)
     with pytest.raises(rclt.EigenFailure):
         rclt.spectral_gap(broken)
     with pytest.raises(rclt.EigenFailure):
@@ -329,6 +330,8 @@ _RAGGED = [
     lambda: rclt.build_metropolis([1.0, 1.0], [["0.5", "0.5"], ["0.5", "0.5"]]),
     lambda: rclt.build_metropolis([1.0, 1.0], [[b"0.5", b"0.5"], [b"0.5", b"0.5"]]),
     lambda: rclt.build_metropolis([1.0, 1.0], [[True, False], [False, True]]),
+    lambda: rclt.build_metropolis([1.0, 1.0], [[0.5, 0.5], [0.5, np.nan]]),
+    lambda: rclt.build_metropolis([1.0, 1.0], [[0.5, np.nan], [0.5, 0.5]]),
 ]
 
 
@@ -705,6 +708,8 @@ _RAGGED = [
         "build-metropolis-numeric-text-proposal",
         "build-metropolis-bytes-proposal",
         "build-metropolis-boolean-proposal",
+        "build-metropolis-nan-proposal-diagonal",
+        "build-metropolis-nan-proposal-off-diagonal",
     ],
 )
 def test_bad_library_arguments_raise_typed_errors(call) -> None:
