@@ -69,9 +69,12 @@ def _array(values, name: str, error: type = MalformedMatrix, dtype: type = float
     by entry with the floats beside them, so only one past the float range (or
     past int64, for an integer array) is an error. An array of booleans,
     strings, bytes, None or other objects is rejected, as is a ragged one.
-    (numpy reads a boolean among integers or floats as a number, so that one
-    is not seen.) The cast to np.int64 must be safe, so a uint64 array, which
-    may hold entries of 2^63 or more, is no int64 one. The builders,
+    numpy reads a boolean among integers or floats as 0 or 1, so in a list or
+    tuple the rows (in one dimension, the entries) that it read as a 0 or a 1
+    are scanned once for a bool or np.bool_, which is rejected too; an ndarray
+    is taken as numpy typed it, and a 0 or 1 typed as a number passes. The cast
+    to np.int64 must be safe, so a uint64 array, which may hold entries of
+    2^63 or more, is no int64 one. The builders,
     ``project_mean_zero`` and the frozen value types convert their input here,
     so a bad one is a typed error: ``MalformedMatrix`` for what defines a
     chain, ``InvalidArgument`` for everything else.
@@ -84,7 +87,13 @@ def _array(values, name: str, error: type = MalformedMatrix, dtype: type = float
             a = a.astype(dtype)
         if a.dtype.kind not in ("iuf" if dtype is float else "iu"):
             raise TypeError(f"numpy reads its entries as {a.dtype}")
-        return a.astype(dtype, casting="same_kind" if dtype is float else "safe", copy=False)
+        a = a.astype(dtype, casting="same_kind" if dtype is float else "safe", copy=False)
+        if isinstance(values, (list, tuple)):  # numpy reads a boolean among numbers as 0 or 1
+            for i in np.flatnonzero(np.any((a == 0) | (a == 1), axis=tuple(range(1, a.ndim)))):
+                row = values[i] if a.ndim > 1 else [values[i]]
+                if not {bool, np.bool_}.isdisjoint(map(type, row)):
+                    raise TypeError(f"index {i} holds a boolean among numbers")
+        return a
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{name} is not a numeric array: {exc}") from exc
 

@@ -46,12 +46,17 @@ stat or a directory ``run`` cannot make, to the same exit 2, naming the
 path too. Parameter values, and the master seed a sampling command needs,
 are judged by each command's reader in ``_prepare``.
 A single subcommand run narrows the config to that subcommand before
-anything reads it, so its manifest hashes the commands it ran.
+anything reads it, so its manifest hashes the commands it ran. ``_outputs``
+is the one place a report or CSV name is formed: it names every file of a
+run before its setup, and ``run`` clears, writes, records in the manifest
+and cleans up by that one record, so a failed rerun leaves no earlier
+report of those names behind.
 
 Exit codes: 0 success, 2 config or argument error (an unusable
 ``output_dir`` and a failed write included), 3 numerical error (including
-a ragged or non-numeric chain matrix, and a spectral sigma^2 that misses
-the Poisson one), 4 statistical acceptance failure.
+a ragged or non-numeric chain matrix, a boolean among its numbers too, and
+a spectral sigma^2 that misses the Poisson one), 4 statistical acceptance
+failure.
 
 Every command is a reader with one protocol: ``_Command.build(exact,
 seed=master_seed, **params)`` judges the params and returns an object with
@@ -71,6 +76,7 @@ before it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -525,37 +531,51 @@ def validate(config: ExperimentConfig) -> list[str]:
     return [note] if note else []
 
 
-def _run_command(name, reader, outdir: Path, stem: str, written: list[str]) -> None:
-    """Take one command's report from its reader, write it and judge it.
+def _run_command(name, reader, report: Path, csv: Path | None = None) -> None:
+    """Take one command's report from its reader, write it to ``report`` (and ``csv``) and judge it.
 
-    Each file's name enters ``written``, the run's one record of its files,
-    before ``_write`` writes it, so ``run``'s cleanup removes whatever this
-    command wrote: the JSON report of a failed CSV write too.
+    The paths are the command's names from ``_outputs``, which ``run`` owns
+    before this is called, so its cleanup removes whatever this command
+    wrote: the JSON report of a failed CSV write too.
     """
     command = _COMMANDS[name]
     result = reader.report()
-    written.append(f"{stem}.json")
-    _write_json(outdir / written[-1],
-                {"schema": SCHEMA_VERSION, "command": name, **command.payload(result)})
+    _write_json(report, {"schema": SCHEMA_VERSION, "command": name, **command.payload(result)})
     if command.csv:
-        written.append(f"{stem}.csv")
-        _write_csv(outdir / written[-1], command.csv(result))
-    failures = getattr(result, "failures", ())
-    if failures:
+        _write_csv(csv, command.csv(result))
+    if failures := getattr(result, "failures", ()):
         raise StatisticalFailure(f"{name}: " + "; ".join(failures))
 
 
 _RUNNERS = {name: partial(_run_command, name) for name in COMMANDS}
 
 
-def _output_stems(commands: list[tuple[str, dict]]) -> list[str]:
-    seen: dict[str, int] = {}
-    stems = []
+def _outputs(commands: list[tuple[str, dict]]) -> dict[str, list[str]]:
+    """The run's one record of its files: each command's stem and the file names it writes.
+
+    A stem is the command's name with ``_`` for ``-``, and ``_2``, ``_3``, ...
+    from its second entry on; its files are ``stem.json`` and, for a command
+    with a CSV, ``stem.csv``. This is the one place a report or CSV name is
+    formed: ``run`` clears, writes, records in ``manifest.outputs`` and cleans
+    up by these names.
+    """
+    outputs, seen = {}, []
     for name, _ in commands:
-        seen[name] = seen.get(name, 0) + 1
-        base = name.replace("-", "_")
-        stems.append(base if seen[name] == 1 else f"{base}_{seen[name]}")
-    return stems
+        seen.append(name)
+        stem = name.replace("-", "_") + (f"_{seen.count(name)}" if seen.count(name) > 1 else "")
+        outputs[stem] = [f"{stem}.json", *[f"{stem}.csv"] * bool(_COMMANDS[name].csv)]
+    return outputs
+
+
+def _remove(paths) -> None:
+    """Unlink each of ``paths``; one that cannot be unlinked, such as a directory, stays.
+
+    A directory there is no report: writing the report of its name raises a
+    ConfigError naming it.
+    """
+    for path in paths:
+        with contextlib.suppress(OSError):
+            path.unlink(missing_ok=True)
 
 
 def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
@@ -570,40 +590,44 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     after the readers before it, at its command's turn. Each file is written
     whole by ``_write``, and a failed write, the manifest's too, is a
     ConfigError naming the path; an ``OSError`` making ``output_dir``
-    propagates as it is. An earlier run's ``manifest.json`` is removed before
-    the first command's turn, so a manifest in ``output_dir`` always lists the
-    files of the run that wrote it. On a module error, numerical or config,
-    or an ``OSError`` that ``_write`` could not map (a ``name.tmp`` that is a
-    directory, say), every file this invocation entered in
-    ``manifest.outputs`` is removed before the error propagates, and
-    ``output_dir`` stays; outputs of a statistical failure are complete
-    reports and are kept.
+    propagates as it is. ``_outputs`` names every file of the run, and that
+    one record is ``manifest.outputs``. Before the setup, the run removes
+    ``manifest.json`` and each named file, so a chain that ``_prepare``
+    rejects leaves none of them either. Each command is handed its own
+    names. On a module error, numerical or config, or an ``OSError`` that
+    ``_write`` could not map (a ``name.tmp`` that is a directory, say), the
+    run removes them all again before the error propagates. So no earlier
+    run's file of those names is left, a manifest in ``output_dir`` lists
+    the files of the run that wrote it, no other file is touched, and
+    ``output_dir`` stays. A name that cannot be removed, such as a
+    directory, stays, and its write meets the error. The reports of a
+    statistical failure are complete and are kept.
     """
     if only is not None:
         commands = [(n, p) for n, p in config.commands if n == only] or _normalize_commands([only])
         config = replace(config, commands=commands)
 
+    manifest = RunManifest(config.config_hash(), __version__, _outputs(config.commands))
+    owned = [config.output_dir / n for n in ("manifest.json", *sum(manifest.outputs.values(), []))]
+    _remove(owned)
     exact, note, readers, error = _prepare(config)
     if note:
         print(f"warning: {note}", file=sys.stderr)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_hash=config.config_hash(), version=__version__)
     first = next((reader for reader in readers if reader.m is not None), None)
     try:
-        (config.output_dir / "manifest.json").unlink(missing_ok=True)
-        for reader, (name, _), stem in zip(readers, config.commands, _output_stems(config.commands)):
+        for reader, (name, _), (stem, names) in zip(readers, config.commands, manifest.outputs.items()):
             start = time.perf_counter()
             if reader is first:
                 _one_pass(exact, config.master_seed, readers)
-            _RUNNERS[name](reader, config.output_dir, stem, manifest.outputs.setdefault(stem, []))
+            _RUNNERS[name](reader, *(config.output_dir / n for n in names))
             manifest.timings[stem] = time.perf_counter() - start
         if error is not None:
             raise error
         _write_json(config.output_dir / "manifest.json", manifest.to_dict())
     except (NumericalError, ConfigError, OSError):
-        for name in sum(manifest.outputs.values(), []):  # the files written so far
-            (config.output_dir / name).unlink(missing_ok=True)
+        _remove(owned)
         raise
     return manifest
 

@@ -14,7 +14,8 @@ Every library argument outside its domain is an ``InvalidArgument``, a
 ``ConfigError``: a count, length, replica count, seed or index as much as a
 grid time or a mode. One rule judges the type of a number: ``rclt.chain._numbers``
 applies it to numbers passed on their own or in a list, and ``rclt.chain._array``
-to every array's entries as numpy reads them.
+to every array's entries as numpy reads them, a boolean among numbers in a
+list included, which numpy would read as 0 or 1.
 ``rclt.chain._counts`` alone holds every count to the one size ceiling, so a
 bad count is exit 2 wherever it is passed.
 

@@ -205,6 +205,23 @@ def test_integers_past_int64_are_numbers(make, values) -> None:
     assert out.dtype == float and np.all(np.isfinite(out))
 
 
+@pytest.mark.parametrize(
+    ("make", "expected"),
+    [
+        (lambda: rclt.build_random_walk([[0, 1], [1, 0]]).kernel, [[0.0, 1.0], [1.0, 0.0]]),
+        (lambda: rclt.build_chain([[0.5, 0.5], [1.0, 0.0]]).kernel, [[0.5, 0.5], [1.0, 0.0]]),
+        (lambda: rclt.Observable([1, -1]).values, [1.0, -1.0]),
+        (lambda: rclt.Observable([np.int64(1), 0.0, -1.0]).values, [1.0, 0.0, -1.0]),
+        (lambda: rclt.Trajectory([0, 1], [0.0] * 2, [0.0] * 2, 1).states, [0, 1]),
+    ],
+    ids=["random-walk-integer-0-1", "kernel-float-0-1", "observable-integer-1",
+         "observable-numpy-integer-1", "trajectory-states-0-1"],
+)
+def test_zeros_and_ones_typed_as_numbers_are_numbers(make, expected) -> None:
+    """A 0 or 1 that is an integer or float, not a boolean, is read as the number it is."""
+    assert make().tolist() == expected
+
+
 def test_project_mean_zero_examples() -> None:
     chain = two_state()
     np.testing.assert_allclose(rclt.project_mean_zero([1, -1], chain).values, [1, -1], atol=0)

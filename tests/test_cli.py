@@ -230,19 +230,31 @@ def test_csv_floats_are_their_repr(tmp_path, columns) -> None:
     assert (tmp_path / "out.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("earlier", [False, True], ids=["fresh-out", "after-a-good-run"])
+@pytest.mark.parametrize(
+    "earlier",
+    [
+        None,
+        ["spectrum", "variance"],
+        ["spectrum", {"command": "clt", "params": {"n": 20, "m": 20, "ks_threshold": 1.0}}],
+    ],
+    ids=["fresh-out", "after-a-good-run", "after-a-run-of-its-own-names"],
+)
 def test_numerical_failure_removes_partial_outputs(tmp_path, earlier) -> None:
-    """A failed run leaves no report of its own, and no manifest, an earlier run's included."""
+    """A failed run leaves no file it names, and no manifest, an earlier run's included.
+
+    The earlier run's files of other names stay: the failed run never touches them.
+    """
+    out = tmp_path / "out"
     if earlier:
-        run(load_config(_config(tmp_path, ["spectrum", "variance"], name="good.json")))
-        assert (tmp_path / "out" / "manifest.json").exists()
+        run(load_config(_config(tmp_path, earlier, name="good.json")))
+        assert (out / "manifest.json").exists()
+    before = {p.name for p in out.iterdir()} if earlier else set()
     commands = ["spectrum", {"command": "clt", "params": {"n": 20, "m": 20}}]
     cfg = _config(tmp_path, commands, chain=FLIP)
     with pytest.raises(rclt.DegenerateVariance):
         run(load_config(cfg))
-    out = tmp_path / "out"
-    assert not (out / "spectrum.json").exists()
-    assert not (out / "manifest.json").exists()
+    named = {"manifest.json", "spectrum.json", "clt.json", "clt.csv"}
+    assert {p.name for p in out.iterdir()} == before - named
 
 
 @pytest.mark.parametrize(
@@ -275,6 +287,26 @@ def test_a_tmp_name_taken_by_a_directory_leaves_no_file_of_the_run(tmp_path, cap
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["variance.json.tmp"]
 
 
+def test_a_report_name_taken_by_a_directory_is_exit_2(tmp_path, capsys) -> None:
+    """The directory cannot be removed and stays; every other file the run names goes."""
+    cfg = _config(tmp_path, ["spectrum", "variance"])
+    run(load_config(cfg))
+    (tmp_path / "out" / "variance.json").unlink()
+    (tmp_path / "out" / "variance.json").mkdir()
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["variance.json"]
+
+
+def test_a_rejected_chain_leaves_no_earlier_file_of_its_names(tmp_path, capsys) -> None:
+    """A chain that setup rejects (exit 3) leaves no manifest and no report of the run's names."""
+    run(load_config(_config(tmp_path, ["spectrum", "variance", "decompose"], name="good.json")))
+    cycle = {"kind": "kernel", "matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+             "observable": [1.0, 0.0, -1.0]}
+    assert main(["run", "--config", str(_config(tmp_path, ["spectrum", "variance"], chain=cycle))]) == 3
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["decompose.csv", "decompose.json"]
+
+
 def test_a_failed_mkdir_is_exit_2_naming_the_path(tmp_path, capsys, monkeypatch) -> None:
     cfg = _config(tmp_path, ["spectrum"], output_dir="made/out")
 
@@ -304,6 +336,13 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
     assert not report.passed
     expected = "statistical failure: clt: " + "; ".join(report.failures) + "\n"
     assert capsys.readouterr().err == expected
+    # a failing rerun into an earlier run's out/ keeps only the reports it wrote of its names
+    rerun = tmp_path / "rerun"
+    rerun.mkdir()
+    run(load_config(_config(rerun, ["spectrum", "variance"], name="good.json")))
+    code = main(["run", "--config", str(_config(rerun, ["spectrum", *commands, "variance"]))])
+    assert code == 4
+    assert sorted(p.name for p in (rerun / "out").iterdir()) == ["clt.csv", "clt.json", "spectrum.json"]
 
 
 @pytest.mark.parametrize(
@@ -373,6 +412,8 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
             {},
             3,
         ),
+        ({**TWO_STATE, "matrix": [[0.5, 0.5], [True, 0.0]]}, "spectrum", {}, 3),
+        ({**TWO_STATE, "observable": [True, -1.0]}, "spectrum", {}, 2),
     ],
     ids=[
         "asymmetric-weights",
@@ -416,6 +457,8 @@ def test_statistical_failure_keeps_reports(tmp_path, capsys) -> None:
         "config-observable-mixed-boolean",
         "maximal-exhaustive-m-text",
         "metropolis-proposal-nan-diagonal",
+        "matrix-boolean-among-numbers",
+        "chain-observable-boolean-among-numbers",
     ],
 )
 def test_bad_config_exits_with_one_line(tmp_path, capsys, chain, command, extra, code) -> None:

@@ -332,6 +332,9 @@ _RAGGED = [
     lambda: rclt.build_metropolis([1.0, 1.0], [[True, False], [False, True]]),
     lambda: rclt.build_metropolis([1.0, 1.0], [[0.5, 0.5], [0.5, np.nan]]),
     lambda: rclt.build_metropolis([1.0, 1.0], [[0.5, np.nan], [0.5, 0.5]]),
+    lambda: rclt.build_chain([[0.5, 0.5], [True, 0.0]]),
+    lambda: rclt.build_random_walk([[0.5, True], [True, 0.5]]),
+    lambda: rclt.build_metropolis([True, 2.0], [[0.5, 0.5], [0.5, 0.5]]),
 ]
 
 
@@ -511,6 +514,9 @@ _RAGGED = [
         lambda: rclt.Trajectory(0, [0.0], [0.0], 1),
         lambda: rclt.Trajectory([0, 1, 0], [0.0] * 2, [0.0] * 3, 1),
         lambda: rclt.Trajectory([0, 1], [0.0] * 2, [0.0] * 2, "x"),
+        lambda: rclt.Observable([True, -1.0]),
+        lambda: rclt.Trajectory([0, True], [0.0] * 2, [0.0] * 2, 1),
+        lambda: rclt.ks_distance_to_normal([0.1, np.True_, -0.3]),
         *_RAGGED,
     ],
     ids=[
@@ -687,6 +693,9 @@ _RAGGED = [
         "trajectory-states-scalar",
         "trajectory-observables-short",
         "trajectory-seed-text",
+        "observable-boolean-among-numbers",
+        "trajectory-states-boolean-among-integers",
+        "ks-numpy-boolean-among-floats",
         "build-chain-ragged",
         "build-random-walk-ragged",
         "build-metropolis-ragged-proposal",
@@ -710,6 +719,9 @@ _RAGGED = [
         "build-metropolis-boolean-proposal",
         "build-metropolis-nan-proposal-diagonal",
         "build-metropolis-nan-proposal-off-diagonal",
+        "build-chain-boolean-among-numbers",
+        "build-random-walk-boolean-among-numbers",
+        "build-metropolis-boolean-among-numbers-target",
     ],
 )
 def test_bad_library_arguments_raise_typed_errors(call) -> None:
