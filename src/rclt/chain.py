@@ -200,16 +200,28 @@ def _fits(cells: int, what: str) -> None:
         raise InvalidArgument(f"{what} would hold {cells} entries, above {MAX_CELLS}")
 
 
+def _misses(checks) -> tuple[str, ...]:
+    """The message of each ``(measured, bound, message)`` in ``checks`` that misses its bound.
+
+    This is the one verdict rule of the package: a number passes when
+    ``measured <= bound < inf``, so a NaN value, a NaN bound or an infinite
+    bound misses, and a value equal to its bound passes. ``_gate`` applies it
+    to every certificate, and each statistical check of ``rclt.limits`` hands
+    it its comparisons, so no verdict passes on a number that is not one.
+    """
+    return tuple(message for measured, bound, message in checks if not measured <= bound < math.inf)
+
+
 def _gate(measured: float, tolerance: float, error: type, what: str) -> None:
-    """Raise ``error`` naming ``what``, ``measured`` and ``tolerance`` unless measured <= tolerance.
+    """Raise ``error`` naming ``what``, ``measured`` and ``tolerance`` if measured misses it.
 
     This is the one judge of a computed number, as ``_numbers``, ``_array``
     and ``_counts`` judge inputs: every certificate of the package (a row
     sum, a balance or identity defect, a solver residual, a spectral mass,
-    the route agreement) passes here. The test is ``measured <= tolerance``,
-    not ``measured > tolerance``, so a NaN fails it.
+    the route agreement) passes here, by the one rule of ``_misses``: a NaN
+    value or tolerance, or an infinite tolerance, fails it.
     """
-    if not measured <= tolerance:
+    if _misses([(measured, tolerance, what)]):
         raise error(f"{what} {measured:.3e}, above its tolerance {tolerance:.3g}")
 
 

@@ -40,7 +40,13 @@ parents to be a directory, so ``validate`` meets an unusable ``output_dir``
 as ``run`` would. ``_write``, the mirror of ``_read_json``, is the only
 place a value becomes a file: it writes ``name.tmp`` and renames it over
 ``name``, so each report, CSV and manifest is whole or absent, and an
-``OSError`` there is a config error that names the path. ``main`` maps an
+``OSError`` there is a config error that names the path. ``_write_json``
+hands it strict JSON: a report or manifest that would hold a NaN or an
+infinity, which Python's ``json`` writes as ``NaN`` and ``Infinity``, is a
+numerical error naming the file, and the run removes its files. CSVs are
+not judged. So every reported number is judged, and ``main`` silences
+numpy's floating-point warnings, which would only add lines to stderr.
+``main`` maps an
 ``OSError`` left on that side, a path whose parents ``load_config`` cannot
 stat or a directory ``run`` cannot make, to the same exit 2, naming the
 path too. Parameter values, and the master seed a sampling command needs,
@@ -54,8 +60,9 @@ report of those names behind.
 
 Exit codes: 0 success, 2 config or argument error (an unusable
 ``output_dir`` and a failed write included), 3 numerical error (including
-a ragged or non-numeric chain matrix, a boolean among its numbers too, and
-a spectral sigma^2 that misses the Poisson one), 4 statistical acceptance
+a ragged or non-numeric chain matrix, a boolean among its numbers too,
+a spectral sigma^2 that misses the Poisson one, and a report that would hold
+a non-finite number), 4 statistical acceptance
 failure.
 
 Every command is a reader with one protocol: ``_Command.build(exact,
@@ -223,11 +230,8 @@ def _normalize_commands(raw) -> list[tuple[str, dict]]:
             raise ConfigError(f"unknown subcommand {name!r}; known: {', '.join(COMMANDS)}")
         if not isinstance(params, dict):
             raise ConfigError(f"{name} params must be an object, got {params!r}")
-        defaults = DEFAULT_PARAMS[name]
-        _known_keys(params, defaults, f"{name} parameter")
-        merged = dict(defaults)
-        merged.update(params)
-        commands.append((name, merged))
+        _known_keys(params, DEFAULT_PARAMS[name], f"{name} parameter")
+        commands.append((name, {**DEFAULT_PARAMS[name], **params}))
     return commands
 
 
@@ -352,7 +356,16 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` to ``path`` as strict JSON; a NaN or infinity in it is a NumericalError.
+
+    Python's ``json`` would write them as ``NaN`` and ``Infinity``, which strict
+    parsers reject, so no report or manifest holds one: the run exits 3.
+    """
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path.name} would hold a non-finite number") from exc
+    _write(path, text + "\n")
 
 
 def _float_cells(values) -> list[str]:
@@ -647,6 +660,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(all="ignore")  # every reported number is judged, so a warning only adds lines
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:

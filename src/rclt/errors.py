@@ -24,7 +24,12 @@ numbers. Every certificate (a row sum, a detailed-balance, invariance or
 identity defect, an eigenvalue's escape from [-1, 1], a spectral mass, a
 resolvent residual, the sigma^2 route agreement, an observable's stationary
 mean) passes it: the error its caller names, with the number, its value and
-its tolerance, unless the value is at most the tolerance, so a NaN fails.
+its tolerance, unless the value is at most a finite tolerance, so a NaN
+value or tolerance, or an infinite tolerance, fails. That rule is
+``rclt.chain._misses``, which also decides every statistical verdict of
+``rclt.limits``; a missed verdict is a ``StatisticalFailure`` at the command
+line. A JSON report or manifest that would hold a NaN or an infinity is a
+``NumericalError`` there.
 """
 from __future__ import annotations
 

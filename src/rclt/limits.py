@@ -19,8 +19,12 @@ centered observable of nondegenerate asymptotic variance sigma^2:
 - uniform integrability: tail expectations of max_j S_j^2 / n over a grid
   of cutoffs, reported per trajectory length as a decay diagnostic.
 
-A check with a threshold also judges it: ``LimitReport.failures`` names
-every comparison that missed, and ``passed`` is true when none did.
+A check with a threshold also judges it, by the one verdict rule of
+``rclt.chain._misses``: each check hands it its comparisons as
+(measured, bound, message) triples, and a value misses unless it is at most
+a finite bound, so a NaN value or bound, or an infinite one, misses.
+``LimitReport.failures`` names every comparison that missed, and ``passed``
+is true when none did.
 
 Replica r always consumes its own generator stream seeded from
 (master seed, r), so every number is bit-reproducible and batch
@@ -68,7 +72,7 @@ import numpy as np
 
 from .chain import (
     Observable, ReversibleChain, _array, _booleans, _counts, _cumulative_tables, _fits,
-    _generators, _master_seed, _numbers, derive_seed,
+    _generators, _master_seed, _misses, _numbers, derive_seed,
 )
 from .decomposition import _limit_pair
 from .errors import DegenerateVariance, ExhaustiveTooLarge, InvalidArgument
@@ -283,7 +287,6 @@ class _CltReader:
 
     def report(self) -> LimitReport:
         ks = ks_distance_to_normal(self.z)
-        miss = f"KS statistic {ks:.5f} exceeds threshold {self.ks_threshold:.5f}"
         return LimitReport(
             op="clt",
             n=self.n,
@@ -295,7 +298,8 @@ class _CltReader:
             dkw_epsilon_99=dkw_epsilon(self.m),
             tolerances={"ks_threshold": self.ks_threshold},
             normalized_sums=self.z,
-            failures=() if ks <= self.ks_threshold else (miss,),
+            failures=_misses([(ks, self.ks_threshold,
+                               f"KS statistic {ks:.5f} exceeds threshold {self.ks_threshold:.5f}")]),
         )
 
 
@@ -340,34 +344,31 @@ class _FcltReader:
     def report(self) -> LimitReport:
         """Cov(W(s), W(t)) for grid times s <= t; s == t is the variance profile.
 
-        Every variance miss is listed before every covariance miss.
+        One table holds (s, t, mean, se) for the pairs of grid indices a <= b,
+        the k pairs a == b first, so every variance comparison comes before
+        every covariance comparison. Each misses when it is off sigma^2 s by
+        more than SE_MULTIPLIER standard errors (+1e-12).
         """
-        grid, sigma2 = self.grid, self.sigma2
+        grid, sigma2, k = self.grid, self.sigma2, len(self.grid)
         centered = self.snapshots - self.snapshots.mean(axis=1, keepdims=True)
-        variance_profile, covariance_profile, var_misses, cov_misses = [], [], [], []
-        for a, s in enumerate(grid):  # the grid is sorted, so min(s, t) = s
-            for b, t in enumerate(grid[a:], a):
-                cov, se = _mean_se(centered[a] * centered[b])
-                target = sigma2 * s
-                missed = abs(cov - target) > SE_MULTIPLIER * se + 1e-12
-                if a == b:
-                    variance_profile.append((t, cov, se))
-                    if missed:
-                        var_misses.append(f"Var at t={t}: {cov:.5g} vs {target:.5g} (se {se:.3g})")
-                else:
-                    covariance_profile.append((s, t, cov, se))
-                    if missed:
-                        cov_misses.append(f"Cov at ({s},{t}): {cov:.5g} vs {target:.5g}")
+        pairs = [(a, a) for a in range(k)] + [(a, b) for a in range(k) for b in range(a + 1, k)]
+        table = [(grid[a], grid[b], *_mean_se(centered[a] * centered[b])) for a, b in pairs]
+        failures = _misses(  # the grid is sorted, so min(s, t) = s
+            (abs(cov - sigma2 * s), SE_MULTIPLIER * se + 1e-12,
+             f"Var at t={t}: {cov:.5g} vs {sigma2 * s:.5g} (se {se:.3g})" if i < k
+             else f"Cov at ({s},{t}): {cov:.5g} vs {sigma2 * s:.5g}")
+            for i, (s, t, cov, se) in enumerate(table)
+        )
         return LimitReport(
             op="fclt",
             n=self.n,
             m=self.m,
             sigma2_used=sigma2,
             master_seed=self.seed,
-            variance_profile=variance_profile,
-            covariance_profile=covariance_profile,
+            variance_profile=[(t, cov, se) for _, t, cov, se in table[:k]],
+            covariance_profile=table[k:],
             tolerances={"se_multiplier": SE_MULTIPLIER},
-            failures=tuple(var_misses + cov_misses),
+            failures=failures,
         )
 
 
@@ -461,7 +462,7 @@ class _MaximalReader:
             run_maxima.append(np.maximum.accumulate(np.maximum(-sums, 0.0), axis=1))
         peak = np.maximum.reduce([run_max[:, -1] for run_max in run_maxima])
         squares = increments * increments
-        margins, failures = [], []
+        margins, checks = [], []
         for lam in self.lambdas:
             lhs_vals = np.clip(peak - lam, 0.0, None) ** 2
             hit = sum(run_max > lam for run_max in run_maxima)  # 0, 1 or 2 sides above lam
@@ -476,8 +477,7 @@ class _MaximalReader:
                 {"lambda": lam, "lhs": lhs, "rhs": rhs, "slack": slack,
                  "se_lhs": se_lhs, "se_rhs": se_rhs}
             )
-            if lhs > rhs + slack + 1e-12:
-                failures.append(f"lambda={lam}: lhs {lhs:.6g} > rhs {rhs:.6g}")
+            checks.append((lhs, rhs + slack + 1e-12, f"lambda={lam}: lhs {lhs:.6g} > rhs {rhs:.6g}"))
         return LimitReport(
             op="maximal",
             n=self.n,
@@ -487,7 +487,7 @@ class _MaximalReader:
             mode=self.mode,
             maximal_margins=margins,
             tolerances={"se_multiplier": SE_MULTIPLIER, "two_sided": bool(self.two_sided)},
-            failures=tuple(failures),
+            failures=_misses(checks),
         )
 
 

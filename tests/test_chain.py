@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rclt
-from rclt.chain import _gate, _generators
+from rclt.chain import _gate, _generators, _misses
 from rclt.limits import _enumerate_paths
 
 from .fixture_chains import (
@@ -57,6 +57,23 @@ def test_the_gate_fails_above_its_tolerance_and_on_nan(measured, text) -> None:
     with pytest.raises(rclt.NotReversible) as info:
         _gate(measured, 1.0, rclt.NotReversible, "defect")
     assert str(info.value) == f"defect {text}, above its tolerance 1"
+
+
+def test_one_verdict_rule_misses_nan_and_infinite_bounds() -> None:
+    """A value passes only at most a finite bound: equality passes, NaN or an infinite bound misses."""
+    for tolerance in (np.inf, np.nan):
+        with pytest.raises(rclt.NotReversible) as info:
+            _gate(1.0, tolerance, rclt.NotReversible, "defect")
+        assert str(info.value) == f"defect 1.000e+00, above its tolerance {tolerance}"
+    checks = [(1.0, 1.0, "equal"), (0.5, 1.0, "below"), (np.nan, 1.0, "nan value"),
+              (1.0, np.nan, "nan bound"), (1.0, np.inf, "infinite bound"),
+              (np.inf, np.inf, "both infinite"), (-np.inf, np.inf, "below an infinite bound"),
+              (2.0, 1.0, "above")]
+    assert _misses(checks) == (
+        "nan value", "nan bound", "infinite bound", "both infinite", "below an infinite bound",
+        "above",
+    )
+    assert _misses([]) == ()
 
 
 @pytest.mark.parametrize(

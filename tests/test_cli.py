@@ -307,6 +307,30 @@ def test_a_rejected_chain_leaves_no_earlier_file_of_its_names(tmp_path, capsys) 
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["decompose.csv", "decompose.json"]
 
 
+_MAXIMAL_EXACT = {"command": "maximal", "params": {"n": 4, "lambdas": [0], "exhaustive": True}}
+_UI = {"command": "ui-diagnostic", "params": {"n_list": [5], "m": 50}}
+
+
+@pytest.mark.parametrize(
+    ("commands", "report"),
+    [([_MAXIMAL_EXACT, _UI], "maximal.json"), ([_UI], "ui_diagnostic.json")],
+    ids=["maximal-first", "ui-diagnostic-alone"],
+)
+def test_a_report_that_would_hold_a_non_finite_number_is_exit_3(
+    tmp_path, capsys, commands, report
+) -> None:
+    """An observable of +-1e160 overflows both sides: no report holds NaN or Infinity.
+
+    ``validate`` runs no pass and exits 0; ``run`` exits 3 with one line and leaves no file.
+    """
+    chain = {**TWO_STATE, "observable": [1e160, -1e160]}
+    cfg = _config(tmp_path, commands, chain=chain, seed=1)
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert capsys.readouterr() == ("", f"numerical error: {report} would hold a non-finite number\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_a_failed_mkdir_is_exit_2_naming_the_path(tmp_path, capsys, monkeypatch) -> None:
     cfg = _config(tmp_path, ["spectrum"], output_dir="made/out")
 

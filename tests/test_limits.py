@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rclt
-from rclt.limits import _enumerate_paths, _iter_batch, _MaximalReader, _one_pass
+from rclt.limits import _enumerate_paths, _FcltReader, _iter_batch, _MaximalReader, _one_pass
 from rclt.spectral import _Exact
 
 from .fixture_chains import (
@@ -456,6 +456,48 @@ def test_a_drifting_limit_pair_fails_the_levels_below_its_peak(monkeypatch) -> N
     for report in (exact, sampled):
         assert not report.passed
         assert report.failures == ("lambda=0.0: lhs 100 > rhs 40", "lambda=0.5: lhs 90.25 > rhs 40")
+
+
+def test_a_nan_limit_pair_fails_every_level(monkeypatch) -> None:
+    """NaN increments make both sides NaN: every level misses in both modes, none passes."""
+    monkeypatch.setattr(rclt.limits, "_limit_pair", lambda exact: (np.full(2, np.nan), np.zeros(2)))
+    chain = two_state()
+    f = observable(chain, [1, -1])
+    exact = rclt.maximal_inequality_check(chain, f, 4, [0.0, 2.0], exhaustive=True)
+    sampled = rclt.maximal_inequality_check(chain, f, 4, [0.0, 2.0], m=50, seed=1)
+    for report in (exact, sampled):
+        assert not report.passed
+        assert report.failures == ("lambda=0.0: lhs nan > rhs nan", "lambda=2.0: lhs nan > rhs nan")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_observable_fails_the_maximal_check() -> None:
+    """Sides that overflow miss: inf lhs against a NaN rhs, and an infinite statistical slack."""
+    chain = two_state()
+    exact = rclt.maximal_inequality_check(chain, observable(chain, [1e160, -1e160]), 4, [0.0],
+                                          exhaustive=True)
+    assert exact.failures == ("lambda=0.0: lhs inf > rhs nan",)
+    sampled = rclt.maximal_inequality_check(chain, observable(chain, [1e100, -1e100]), 4, [0.0],
+                                            m=200, seed=1)
+    assert sampled.maximal_margins[0]["slack"] == math.inf
+    assert sampled.failures == ("lambda=0.0: lhs 8.245e+200 > rhs 3.272e+201",)
+
+
+def test_a_nan_snapshot_fails_the_fclt_profile() -> None:
+    """A NaN snapshot row misses its variance and every covariance it enters, variances first."""
+    chain = iid_chain()
+    exact = _Exact(chain, observable(chain, [1, -1]))
+    reader = _FcltReader(exact, n=20, m=100, grid=[0.25, 0.5, 1.0], seed=3)
+    _one_pass(exact, 3, [reader])
+    assert reader.report().passed
+    reader.snapshots[1] = np.nan
+    report = reader.report()
+    quarter, half = f"{reader.sigma2 * 0.25:.5g}", f"{reader.sigma2 * 0.5:.5g}"
+    assert report.failures == (
+        f"Var at t=0.5: nan vs {half} (se nan)",
+        f"Cov at (0.25,0.5): nan vs {quarter}",
+        f"Cov at (0.5,1.0): nan vs {half}",
+    )
 
 
 def test_exhaustive_maximal_joins_the_pass_without_stepping(monkeypatch) -> None:
