@@ -72,13 +72,16 @@ a replica count ``m`` (None for a reader the pass does not step) and a
 command's is a ``_Exactly``, whose ``report()`` computes the result.
 ``run`` and ``validate`` share one setup, ``_prepare``: it builds the
 chain, centers the observable, makes the run's one exact layer (the
-``rclt.spectral._Exact`` holder whose rho and Poisson solution every
-reader reads, each built at most once) and builds the readers in config
-order, stopping at the first error. ``validate`` raises that error, so it
-exits with the code ``run`` would give. ``run`` steps every sampling
-reader in one pass at the first of them, takes each report at its own
-command's turn, and raises the error after the reports of the commands
-before it.
+``rclt.spectral._Exact`` holder whose rho, Poisson solution and judged
+sigma^2 every reader reads, each built at most once) and builds the
+readers in config order, stopping at the first error. ``validate`` raises
+that error. ``run`` steps every sampling reader in one pass at the first
+of them, takes each report at its own command's turn, and raises the
+error after the reports of the commands before it. So the two give the
+same code unless a command before the error fails at its own turn, an
+exit 3 of an exact command's report or an exit 4 of a check's verdict,
+which ``run`` meets first and ``validate``, computing no report, never
+meets.
 """
 from __future__ import annotations
 
@@ -534,9 +537,11 @@ def _prepare(config: ExperimentConfig):
 def validate(config: ExperimentConfig) -> list[str]:
     """``run``'s setup without the run: the centering note, if any, else what ``run`` raises.
 
-    Every command's parameters, and sigma^2, are judged by ``_prepare`` as in
-    ``run``, and the error ``run`` would meet first is raised, so ``main``
-    gives both the same exit code.
+    Every command's parameters, and the sigma^2 of each check that reads it,
+    are judged by ``_prepare`` as in ``run``, and the setup error is raised.
+    ``run`` meets that error at its command's turn, so an earlier command's
+    own exit 3 or 4 comes first there: a ``clt`` that misses its threshold
+    before an ``fclt`` with a grid time of 2 exits 4 under ``run`` and 2 here.
     """
     _, note, _, error = _prepare(config)
     if error is not None:

@@ -105,6 +105,8 @@ class EigenFailure(NumericalError):
 
     The checks compare with values found without the eigensolver: the spectral
     mass against E(X_0^2), and the spectral sigma^2 against the Poisson one.
+    The latter is judged once per exact layer, in ``rclt.spectral._Exact.sigma2``,
+    so ``variance_report``, ``clt_test`` and ``fclt_profile`` all raise it.
     """
 
 

@@ -43,9 +43,10 @@ on an exact layer, the ``rclt.spectral._Exact`` holder that judged
 constructor judges every argument, each count by ``rclt.chain._counts``
 and each array the check sizes from its counts by ``rclt.chain._fits``,
 under the one size ceiling, then computes what it needs before any
-replica moves: sigma^2 from the holder's rho, the limit martingale from
-its Poisson solution, or, for exhaustive ``maximal``, every path with its
-exact probability. A reader that samples sets its replica count ``m``;
+replica moves: sigma^2 from the holder's ``sigma2``, the spectral route
+judged against the Poisson one, the limit martingale from its Poisson
+solution, or, for exhaustive ``maximal``, every path with its exact
+probability. A reader that samples sets its replica count ``m``;
 an exhaustive one sets ``m = None`` and is never stepped. ``_one_pass``
 steps max m replicas to max n once, keeps one vector of running partial
 sums S_t, and calls ``feed(t, states, sums)`` on each stepped reader with
@@ -60,8 +61,9 @@ run, whose exact commands are readers with ``m = None`` too: ``_prepare``
 builds them all on the run's one holder, ``run`` makes the one pass at
 the first sampling reader, and takes each report at its own command's turn.
 
-Every Monte Carlo estimate in a report is a sample mean with its standard
-error, std / sqrt(size), from ``_mean_se``.
+Every expectation in a report comes from ``_mean_se``: a Monte Carlo one
+is a sample mean with its standard error, std / sqrt(size), and an exact one
+is the dot product with the exact path probabilities, with standard error 0.
 """
 from __future__ import annotations
 
@@ -77,7 +79,7 @@ from .chain import (
 from .decomposition import _limit_pair
 from .errors import DegenerateVariance, ExhaustiveTooLarge, InvalidArgument
 # spectral_measure is unused here, but bench/layer_trace.py rebinds it
-from .spectral import _Exact, asymptotic_variance_spectral, spectral_measure
+from .spectral import _Exact, spectral_measure
 
 #: sigma^2 below this is treated as the degenerate case
 DEGENERATE_TOL = 1e-8
@@ -185,7 +187,13 @@ def _replicas(m, seed) -> tuple[int, int]:
 
 
 def _sigma2_or_raise(exact: _Exact) -> float:
-    sigma2 = asymptotic_variance_spectral(exact.rho)
+    """The spectral sigma^2 of ``exact``, judged against the Poisson route, unless degenerate.
+
+    sigma^2 comes from ``exact.sigma2``, which raises EigenFailure when the
+    two routes disagree, so a check reads the number ``variance`` reports and
+    meets the same gate. Only the degenerate judgement is made here.
+    """
+    sigma2 = exact.sigma2[0]
     if sigma2 <= DEGENERATE_TOL:
         raise DegenerateVariance(
             f"asymptotic variance {sigma2:.3e} is degenerate; the CLT scaling is void"
@@ -193,9 +201,23 @@ def _sigma2_or_raise(exact: _Exact) -> float:
     return sigma2
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    """The sample mean of ``values`` and its standard error, std / sqrt(size)."""
-    return float(values.mean()), float(values.std() / math.sqrt(values.size))
+def _mean_se(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[float, float]:
+    """The expectation of ``values`` and its standard error.
+
+    Under exact path probabilities ``weights`` it is their dot product, with
+    standard error 0. Otherwise it is the sample mean with std / sqrt(size).
+    The std squares the deviations, so it overflows from about 1e154 while the
+    mean is finite; only then is it taken of ``values`` times 2^-e, with e the
+    exponent of max |values|, and scaled back by 2^e. A std that is finite is
+    never retaken, so it keeps its bits.
+    """
+    if weights is not None:
+        return float(np.dot(weights, values)), 0.0
+    mean, std = values.mean(), values.std()
+    if math.isfinite(mean) and not math.isfinite(std):
+        e = math.frexp(float(np.max(np.abs(values))))[1]
+        std = np.ldexp(np.ldexp(values, -e).std(), e)
+    return float(mean), float(std / math.sqrt(values.size))
 
 
 # --- one pass, many readers ---------------------------------------------------
@@ -467,11 +489,7 @@ class _MaximalReader:
             lhs_vals = np.clip(peak - lam, 0.0, None) ** 2
             hit = sum(run_max > lam for run_max in run_maxima)  # 0, 1 or 2 sides above lam
             rhs_vals = 4.0 * np.sum(squares * hit, axis=1)
-            if self.prob is not None:
-                lhs, rhs = float(np.dot(self.prob, lhs_vals)), float(np.dot(self.prob, rhs_vals))
-                se_lhs = se_rhs = 0.0
-            else:
-                (lhs, se_lhs), (rhs, se_rhs) = _mean_se(lhs_vals), _mean_se(rhs_vals)
+            (lhs, se_lhs), (rhs, se_rhs) = (_mean_se(v, self.prob) for v in (lhs_vals, rhs_vals))
             slack = SE_MULTIPLIER * (se_lhs + se_rhs)
             margins.append(
                 {"lambda": lam, "lhs": lhs, "rhs": rhs, "slack": slack,

@@ -24,23 +24,26 @@ route takes (chain, f). The series route reads the same measure as the
 spectral route, so it is not independent of the eigensolver: an
 eigensolver error both routes share goes unseen by their comparison. Only
 the resolvent route avoids the eigensolver, so the spectral and resolvent
-routes are the pair that ``variance_report`` judges: they must agree to
-``ROUTE_TOL`` relative, else EigenFailure. The series route is reported
-ungated, since at a finite ``n_max`` it need not have converged. Every
-integral against the measure takes the measure itself, judged by
+routes are the pair that ``_Exact.sigma2`` judges: they must agree to
+``ROUTE_TOL`` relative, else EigenFailure. Every reader of sigma^2 reads
+it there, ``variance_report`` and the normal-limit and path-scaling checks
+of ``rclt.limits`` alike, so each meets that one gate. The series route is
+reported ungated, since at a finite ``n_max`` it need not have converged.
+Every integral against the measure takes the measure itself, judged by
 ``_require_measure``.
 
 The finiteness of sum w / (1 - lambda) is exactly the asymptotic
 linearity of Var(S_n); mass at lambda = 1 is the failure mode and is
 reported as ``FiniteVarianceViolated``.
 
-The two exact objects of a (chain, f), the spectral measure rho and the
-Poisson solution g, are held by ``_Exact``: it judges the pair once and
-builds each object at its first read. This module decides who builds
-them. The command line makes one holder per run and hands it to every
-command and reader, so a run builds rho once and solves for g once; each
-public (chain, f) function, ``variance_report`` among them, is a thin
-adapter that makes a holder of its own.
+The exact objects of a (chain, f), the spectral measure rho, the Poisson
+solution g and the judged sigma^2 of the two routes, are held by
+``_Exact``: it judges the pair once and builds each object at its first
+read. This module decides who builds them. The command line makes one
+holder per run and hands it to every command and reader, so a run builds
+rho once, solves for g once and judges sigma^2 once; each public
+(chain, f) function, ``variance_report`` among them, is a thin adapter
+that makes a holder of its own.
 """
 from __future__ import annotations
 
@@ -193,13 +196,14 @@ def poisson_solve(chain: ReversibleChain, f: Observable) -> np.ndarray:
 
 
 class _Exact:
-    """The exact layer of one (chain, f): its spectral measure ``rho`` and Poisson solution ``g``.
+    """The exact layer of one (chain, f): its ``rho``, its Poisson solution ``g`` and ``sigma2``.
 
-    The pair is judged once, when the holder is made. Each of ``rho`` and ``g``
-    is built at its first read, by ``spectral_measure`` or ``poisson_solve``
-    looked up in this module's globals, and kept for every later read. A build
-    that raises keeps nothing, so each later read raises again. The command
-    line makes one holder per run; each public (chain, f) function makes its own.
+    The pair is judged once, when the holder is made. Each of ``rho``, ``g``
+    and ``sigma2`` is built at its first read, ``rho`` and ``g`` by
+    ``spectral_measure`` or ``poisson_solve`` looked up in this module's
+    globals, and kept for every later read. A build that raises keeps nothing,
+    so each later read raises again. The command line makes one holder per
+    run; each public (chain, f) function makes its own.
     """
 
     def __init__(self, chain: ReversibleChain, f: Observable):
@@ -213,6 +217,20 @@ class _Exact:
     @cached_property
     def g(self) -> np.ndarray:
         return poisson_solve(self.chain, self.f)
+
+    @cached_property
+    def sigma2(self) -> tuple[float, float]:
+        """(spectral, Poisson) sigma^2, the two routes independent of each other, judged.
+
+        Raises EigenFailure when they differ by more than ``ROUTE_TOL`` times
+        the larger of their magnitudes and 1e-3, as ``spectral_measure`` does
+        when the mass misses. Every reader of sigma^2 reads it here, so each
+        meets this gate.
+        """
+        spectral, poisson = asymptotic_variance_spectral(self.rho), _sigma2_poisson(self)
+        _gate(abs(spectral - poisson), ROUTE_TOL * max(abs(spectral), abs(poisson), 1e-3),
+              EigenFailure, f"sigma^2 routes disagree: spectral {spectral!r}, Poisson {poisson!r}, by")
+        return spectral, poisson
 
 
 def _sigma2_poisson(exact: _Exact) -> float:
@@ -376,19 +394,15 @@ class VarianceReport:
 def _variance_report(exact: _Exact, n_max: int) -> VarianceReport:
     """The variance report of ``exact``'s (chain, f), its two independent routes judged.
 
-    Raises EigenFailure when the spectral and Poisson sigma^2 differ by more
-    than ``ROUTE_TOL`` times the larger of their magnitudes and 1e-3, as
-    ``spectral_measure`` does when the mass misses. The series route is not
-    judged: at a finite ``n_max`` below the chain's relaxation time it has not
-    converged, so its distance says how far ``n_max`` is from mixing, not
-    whether a number is wrong.
+    The spectral and Poisson sigma^2 are ``exact.sigma2``, judged there. The
+    series route is not judged: at a finite ``n_max`` below the chain's
+    relaxation time it has not converged, so its distance says how far
+    ``n_max`` is from mixing, not whether a number is wrong.
     """
     _counts([n_max], "n_max", least=1)  # judged before the eigensolve
     rho = exact.rho
     series = asymptotic_variance_series(rho, n_max)
-    spectral, poisson = asymptotic_variance_spectral(rho), _sigma2_poisson(exact)
-    _gate(abs(spectral - poisson), ROUTE_TOL * max(abs(spectral), abs(poisson), 1e-3),
-          EigenFailure, f"sigma^2 routes disagree: spectral {spectral!r}, Poisson {poisson!r}, by")
+    spectral, poisson = exact.sigma2
     return VarianceReport(
         measure=rho,
         sigma2_spectral=spectral,

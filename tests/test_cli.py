@@ -833,6 +833,25 @@ def test_shared_pass_keeps_error_order(
     assert sorted(calls) == list(range(seeds))
 
 
+def test_validate_meets_a_setup_error_that_run_meets_after_a_failed_check(tmp_path, capsys) -> None:
+    """``validate`` judges every command's setup and runs no pass: exit 2 at the bad grid.
+
+    ``run`` meets that setup error at the fclt's turn, so the clt's own exit 4
+    before it comes first.
+    """
+    commands = [
+        {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 1e-9}},
+        {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
+    ]
+    cfg = str(_config(tmp_path, commands, seed=1))
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: grid times must lie in [0, 1], got [0.5, 2.0]\n"
+    assert main(["run", "--config", cfg]) == 4
+    assert capsys.readouterr().err == (
+        "statistical failure: clt: KS statistic 0.08681 exceeds threshold 0.00000\n"
+    )
+
+
 def test_one_replica_pass_per_run(tmp_path, monkeypatch) -> None:
     """Four Monte Carlo commands derive each replica's seed once: 200 seeds, not 550.
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import rclt
-from rclt.limits import _enumerate_paths, _FcltReader, _iter_batch, _MaximalReader, _one_pass
+from rclt.limits import (
+    _enumerate_paths, _FcltReader, _iter_batch, _MaximalReader, _mean_se, _one_pass,
+)
 from rclt.spectral import _Exact
 
 from .fixture_chains import (
@@ -472,15 +474,41 @@ def test_a_nan_limit_pair_fails_every_level(monkeypatch) -> None:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_observable_fails_the_maximal_check() -> None:
-    """Sides that overflow miss: inf lhs against a NaN rhs, and an infinite statistical slack."""
+    """Sides that overflow miss, inf lhs against a NaN rhs; finite sides keep a finite slack.
+
+    At +-1e100 the sides are finite but the std squares deviations past the
+    float range, so only ``_mean_se``'s power-of-two rescaling keeps the
+    slack finite, and the level passes.
+    """
     chain = two_state()
     exact = rclt.maximal_inequality_check(chain, observable(chain, [1e160, -1e160]), 4, [0.0],
                                           exhaustive=True)
     assert exact.failures == ("lambda=0.0: lhs inf > rhs nan",)
     sampled = rclt.maximal_inequality_check(chain, observable(chain, [1e100, -1e100]), 4, [0.0],
                                             m=200, seed=1)
-    assert sampled.maximal_margins[0]["slack"] == math.inf
-    assert sampled.failures == ("lambda=0.0: lhs 8.245e+200 > rhs 3.272e+201",)
+    (margin,) = sampled.maximal_margins
+    assert f"{margin['lhs']:.4g} {margin['rhs']:.4g} {margin['slack']:.3g}" == (
+        "8.245e+200 3.272e+201 9.05e+200"
+    )
+    assert sampled.failures == ()
+
+
+def test_mean_se_is_every_expectation_of_a_report() -> None:
+    """The sample form keeps the bits of mean and std / sqrt(size); the weighted form is np.dot."""
+    rng = np.random.default_rng(11)
+    for x in (rng.normal(size=101), rng.exponential(size=7) * 1e150, np.full(5, 0.3), np.array([2.5])):
+        assert _mean_se(x) == (float(x.mean()), float(x.std() / math.sqrt(x.size)))
+        w = rng.dirichlet(np.ones(x.size))
+        assert _mean_se(x, w) == (float(np.dot(w, x)), 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mean_se_keeps_a_finite_std_of_huge_values() -> None:
+    """Deviations of 1e200 square past the float range, yet their std and mean are finite."""
+    x = np.array([1e200, -1e200] * 50 + [3e200])
+    mean, se = _mean_se(x)
+    assert mean == float(x.mean())
+    assert se == pytest.approx(float((x / 1e200).std()) * 1e200 / math.sqrt(x.size), rel=1e-15)
 
 
 def test_a_nan_snapshot_fails_the_fclt_profile() -> None:

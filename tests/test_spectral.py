@@ -285,6 +285,33 @@ def test_variance_report_judges_the_spectral_route_against_poisson() -> None:
         rclt.variance_report(broken, f)
 
 
+def _shifted(chain: rclt.ReversibleChain) -> rclt.ReversibleChain:
+    """``chain`` with its second eigenvalue moved by 1e-7 in its cached eigensystem."""
+    lam, u = chain._eigensystem
+    chain.__dict__["_eigensystem"] = (np.array([lam[0], lam[1] + 1e-7, *lam[2:]]), u)
+    return chain
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda chain, f: rclt.clt_test(chain, f, n=50, m=200, seed=1, ks_threshold=0.5),
+        lambda chain, f: rclt.fclt_profile(chain, f, n=50, m=100, grid=[0.5, 1.0], seed=1),
+    ],
+    ids=["clt", "fclt"],
+)
+def test_every_reader_of_sigma2_meets_the_route_gate(check) -> None:
+    """The checks scale by the sigma^2 that ``variance_report`` judges, so they meet its gate."""
+    chain = _shifted(rclt.build_chain([[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.3, 0.6]]))
+    f = observable(chain, [1, 0, -1])
+    with pytest.raises(rclt.EigenFailure) as judged:
+        rclt.variance_report(chain, f, 10)
+    assert str(judged.value).startswith("sigma^2 routes disagree: spectral 2.000000533")
+    with pytest.raises(rclt.EigenFailure) as raised:
+        check(chain, f)
+    assert str(raised.value) == str(judged.value)
+
+
 def test_variance_report_three_way_agreement() -> None:
     for chain, f in identity_fixture_pairs():
         report = rclt.variance_report(chain, f, n_max=600)
@@ -897,3 +924,33 @@ def test_a_failed_exact_build_is_raised_at_each_reader(
     assert cli.main([subcommand, "--config", _exact_config(tmp_path, commands)]) == 3
     assert capsys.readouterr() == ("", "numerical error: broken build\n")
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("subcommand", ["validate", "run"])
+def test_a_check_meets_the_route_gate_in_a_run(tmp_path, capsys, monkeypatch, subcommand) -> None:
+    """A clt alone on a chain whose sigma^2 routes disagree: exit 3 with one line, and no report."""
+    build = cli.build_chain_from_definition
+    monkeypatch.setattr(cli, "build_chain_from_definition", lambda spec: _shifted(build(spec)))
+    commands = [{"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 0.5}}]
+    assert cli.main([subcommand, "--config", _exact_config(tmp_path, commands)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical error: sigma^2 routes disagree: spectral ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_the_checks_of_a_run_judge_sigma2_once(tmp_path, monkeypatch) -> None:
+    """clt and fclt alone read one judged sigma^2: one rho and one Poisson solution per run."""
+    calls = []
+    measure, solve = rclt.spectral.spectral_measure, rclt.spectral.poisson_solve
+
+    def counted(name, build):
+        return lambda chain, f: calls.append(name) or build(chain, f)
+
+    for module in (cli, rclt.spectral, rclt.limits, rclt.decomposition):
+        monkeypatch.setattr(module, "spectral_measure", counted("rho", measure))
+    for module in (rclt.spectral, rclt.decomposition):
+        monkeypatch.setattr(module, "poisson_solve", counted("g", solve))
+    assert cli.main(["run", "--config", _exact_config(tmp_path, _SIX_COMMANDS[3:5])]) == 0
+    assert sorted(calls) == ["g", "rho"]
