@@ -50,7 +50,8 @@ from .errors import (
 
 #: tolerance for admitting user-supplied matrices
 ADMISSION_TOL = 1e-9
-#: tolerance certified by a constructed ReversibleChain
+#: tolerance certified by a constructed ReversibleChain, and of an observable's
+#: stationary mean relative to max|f|
 CERTIFIED_TOL = 1e-12
 #: row stripes of the in-place symmetric part and of the asymmetry defect
 _STRIPES = 8
@@ -498,7 +499,7 @@ def project_mean_zero(raw, chain: ReversibleChain) -> Observable:
 
 
 def require_centered(chain: ReversibleChain, f: Observable) -> None:
-    """Reject f unless it has one value per state and mean within CERTIFIED_TOL * max(1, max|f|).
+    """Reject f unless it has one value per state and mean within CERTIFIED_TOL * max|f|.
 
     A chain that is not a ReversibleChain or an f that is not an Observable
     is an InvalidArgument too; every library entry that takes both calls this.
@@ -507,7 +508,7 @@ def require_centered(chain: ReversibleChain, f: Observable) -> None:
         raise InvalidArgument(f"expected an Observable, got {type(f).__name__}")
     _require_fit(chain, f.values)
     _gate(abs(float(np.dot(chain.stationary, f.values))),
-          CERTIFIED_TOL * max(1.0, float(np.max(np.abs(f.values)))), InvalidArgument,
+          CERTIFIED_TOL * float(np.max(np.abs(f.values))), InvalidArgument,
           "observable is not centered: |stationary mean|")
 
 

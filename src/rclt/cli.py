@@ -324,15 +324,20 @@ def build_chain_from_definition(definition: dict) -> ReversibleChain:
 
 
 def _centered_observable(config: ExperimentConfig, chain: ReversibleChain):
-    """(centered observable, auto-centering note or None), from the config or the chain file."""
+    """(centered observable, auto-centering note or None), from the config or the chain file.
+
+    The note is made when the raw stationary mean exceeds 1e-12 max|raw|, so
+    raw times a power of two is noted as raw is.
+    """
     raw = config.observable
     if raw is None:
         raw = config.chain_definition.get("observable")
     if raw is None:
         raise ConfigError("no observable given in config or chain definition")
-    f = project_mean_zero(raw, chain)
-    m = float(np.dot(chain.stationary, np.asarray(raw, dtype=float)))
-    return f, f"observable auto-centered (stationary mean {m:.6g})" if abs(m) > 1e-12 else None
+    f, v = project_mean_zero(raw, chain), np.asarray(raw, dtype=float)
+    m = float(np.dot(chain.stationary, v))
+    note = f"observable auto-centered (stationary mean {m:.6g})"
+    return f, note if abs(m) > 1e-12 * float(np.max(np.abs(v))) else None
 
 
 def resolve_observable(config: ExperimentConfig, chain: ReversibleChain) -> Observable:

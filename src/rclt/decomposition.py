@@ -28,7 +28,7 @@ Two layers of objects are computed for a trajectory xi_0..xi_N:
   for g once. Each martingale summand is carried as an exact (hi, lo) pair
   of doubles and summed by a compensated prefix sum, so no rounding
   accumulates along the path and both identity residuals stay at the
-  1e-12 certification level along 10^5-step paths.
+  1e-12 max|f| certification level along 10^5-step paths.
 
 ``decompose_trajectory``, an adapter over ``_decompose``, which takes a
 holder, returns every per-position term as an array indexed by time (the
@@ -61,7 +61,8 @@ from .spectral import (
     poisson_solve, spectral_measure,
 )
 
-#: residual level certified for both decomposition identities
+#: residual level certified for both decomposition identities, relative to max|f|,
+#: and for the kernel check of phi, relative to max|phi|
 IDENTITY_TOL = 1e-12
 
 
@@ -247,7 +248,7 @@ class DecompositionTerms:
     forward increments over k = 1..j and ``reversed_martingale[j]`` the
     reversed ones over k = 0..j-1 (the offset the whole-path identity
     forces). ``pair_residual[k]`` and ``decomposition_residual[j]`` are the
-    defects of the two identities, certified below 1e-12.
+    defects of the two identities, certified below 1e-12 max|f|.
     """
 
     horizon: int
@@ -278,7 +279,7 @@ def _decompose(exact: _Exact, traj: Trajectory, horizon: int | None) -> Decompos
 
     phi, pred, drift = _horizon_vectors(exact.chain, exact.f, n_hor)
     _gate(np.max(np.abs(exact.chain.kernel @ phi - pred)),
-          IDENTITY_TOL * max(1.0, float(np.max(np.abs(phi)))), NumericalError,
+          IDENTITY_TOL * float(np.max(np.abs(phi))), NumericalError,
           "horizon vectors miss the kernel by")
     value, w = _limit_pair(exact)
     x = traj.observables
@@ -323,8 +324,9 @@ def _decompose(exact: _Exact, traj: Trajectory, horizon: int | None) -> Decompos
         pair_residual=pair_residual,
         decomposition_residual=decomposition_residual,
     )
-    _gate(terms.max_pair_residual, IDENTITY_TOL, NumericalError, "pair identity residual")
-    _gate(terms.max_decomposition_residual, IDENTITY_TOL, NumericalError, "decomposition residual")
+    tolerance = IDENTITY_TOL * float(np.max(np.abs(exact.f.values)))
+    _gate(terms.max_pair_residual, tolerance, NumericalError, "pair identity residual")
+    _gate(terms.max_decomposition_residual, tolerance, NumericalError, "decomposition residual")
     return terms
 
 
@@ -338,9 +340,10 @@ def decompose_trajectory(
 
     The lookahead horizon of the finite-horizon terms defaults to the
     trajectory length. Raises NumericalError if the kernel applied to phi
-    misses the eigenbasis prediction by more than 1e-12 * max(1, max|phi|)
+    misses the eigenbasis prediction by more than 1e-12 * max|phi|
     (phi grows like min(n, 1 / gap)), or if either identity residual
-    exceeds 1e-12, which would mean the arithmetic (not the statistics)
-    went wrong.
+    exceeds 1e-12 * max|f|, which would mean the arithmetic (not the
+    statistics) went wrong. Both tolerances scale with f, so f times a
+    power of two meets them as f does.
     """
     return _decompose(_Exact(chain, f), traj, horizon)

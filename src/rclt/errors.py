@@ -25,7 +25,10 @@ identity defect, an eigenvalue's escape from [-1, 1], a spectral mass, a
 resolvent residual, the sigma^2 route agreement, an observable's stationary
 mean) passes it: the error its caller names, with the number, its value and
 its tolerance, unless the value is at most a finite tolerance, so a NaN
-value or tolerance, or an infinite tolerance, fails. That rule is
+value or tolerance, or an infinite tolerance, fails. A tolerance on a
+number of the observable f is a constant times f's own scale, max|f| or
+E f^2 by the number's degree in f, so f times a power of two meets every
+gate as f does; the kernel's own certificates take no scale. That rule is
 ``rclt.chain._misses``, which also decides every statistical verdict of
 ``rclt.limits``; a missed verdict is a ``StatisticalFailure`` at the command
 line. A JSON report or manifest that would hold a NaN or an infinity is a

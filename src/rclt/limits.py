@@ -81,7 +81,7 @@ from .errors import DegenerateVariance, ExhaustiveTooLarge, InvalidArgument
 # spectral_measure is unused here, but bench/layer_trace.py rebinds it
 from .spectral import _Exact, spectral_measure
 
-#: sigma^2 below this is treated as the degenerate case
+#: sigma^2 at most this times E f^2 is treated as the degenerate case
 DEGENERATE_TOL = 1e-8
 #: cap on n_states ** (n + 1) in exhaustive mode
 EXHAUSTIVE_BUDGET = 10**6
@@ -191,10 +191,11 @@ def _sigma2_or_raise(exact: _Exact) -> float:
 
     sigma^2 comes from ``exact.sigma2``, which raises EigenFailure when the
     two routes disagree, so a check reads the number ``variance`` reports and
-    meets the same gate. Only the degenerate judgement is made here.
+    meets the same gate. Only the degenerate judgement is made here: sigma^2
+    at most ``DEGENERATE_TOL`` E f^2, the mass of ``exact.rho``.
     """
     sigma2 = exact.sigma2[0]
-    if sigma2 <= DEGENERATE_TOL:
+    if sigma2 <= DEGENERATE_TOL * exact.rho.total_mass:
         raise DegenerateVariance(
             f"asymptotic variance {sigma2:.3e} is degenerate; the CLT scaling is void"
         )
@@ -206,16 +207,19 @@ def _mean_se(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[flo
 
     Under exact path probabilities ``weights`` it is their dot product, with
     standard error 0. Otherwise it is the sample mean with std / sqrt(size).
-    The std squares the deviations, so it overflows from about 1e154 while the
-    mean is finite; only then is it taken of ``values`` times 2^-e, with e the
-    exponent of max |values|, and scaled back by 2^e. A std that is finite is
-    never retaken, so it keeps its bits.
+    The std squares the deviations, so it overflows from about 1e154, and the
+    mean sums before it divides, so it can overflow near the top of the float
+    range, though finite values have a finite mean and std. Only then is the
+    std, and the mean if it overflowed, taken of ``values`` times 2^-e, with e
+    the exponent of max |values|, and scaled back by 2^e. A finite mean is
+    never retaken, nor a finite std beside it, so each keeps its bits.
     """
     if weights is not None:
         return float(np.dot(weights, values)), 0.0
     mean, std = values.mean(), values.std()
-    if math.isfinite(mean) and not math.isfinite(std):
+    if not (math.isfinite(mean) and math.isfinite(std)):
         e = math.frexp(float(np.max(np.abs(values))))[1]
+        mean = mean if math.isfinite(mean) else np.ldexp(np.ldexp(values, -e).mean(), e)
         std = np.ldexp(np.ldexp(values, -e).std(), e)
     return float(mean), float(std / math.sqrt(values.size))
 
@@ -369,14 +373,15 @@ class _FcltReader:
         One table holds (s, t, mean, se) for the pairs of grid indices a <= b,
         the k pairs a == b first, so every variance comparison comes before
         every covariance comparison. Each misses when it is off sigma^2 s by
-        more than SE_MULTIPLIER standard errors (+1e-12).
+        more than SE_MULTIPLIER standard errors, so a row of standard error 0,
+        such as S_0 = 0 at grid time 0, passes only on its exact target.
         """
         grid, sigma2, k = self.grid, self.sigma2, len(self.grid)
         centered = self.snapshots - self.snapshots.mean(axis=1, keepdims=True)
         pairs = [(a, a) for a in range(k)] + [(a, b) for a in range(k) for b in range(a + 1, k)]
         table = [(grid[a], grid[b], *_mean_se(centered[a] * centered[b])) for a, b in pairs]
         failures = _misses(  # the grid is sorted, so min(s, t) = s
-            (abs(cov - sigma2 * s), SE_MULTIPLIER * se + 1e-12,
+            (abs(cov - sigma2 * s), SE_MULTIPLIER * se,
              f"Var at t={t}: {cov:.5g} vs {sigma2 * s:.5g} (se {se:.3g})" if i < k
              else f"Cov at ({s},{t}): {cov:.5g} vs {sigma2 * s:.5g}")
             for i, (s, t, cov, se) in enumerate(table)
@@ -495,7 +500,7 @@ class _MaximalReader:
                 {"lambda": lam, "lhs": lhs, "rhs": rhs, "slack": slack,
                  "se_lhs": se_lhs, "se_rhs": se_rhs}
             )
-            checks.append((lhs, rhs + slack + 1e-12, f"lambda={lam}: lhs {lhs:.6g} > rhs {rhs:.6g}"))
+            checks.append((lhs, rhs + slack, f"lambda={lam}: lhs {lhs:.6g} > rhs {rhs:.6g}"))
         return LimitReport(
             op="maximal",
             n=self.n,

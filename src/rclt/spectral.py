@@ -36,6 +36,13 @@ The finiteness of sum w / (1 - lambda) is exactly the asymptotic
 linearity of Var(S_n); mass at lambda = 1 is the failure mode and is
 reported as ``FiniteVarianceViolated``.
 
+The measure scales by c^2 when f scales by c, and so do sigma^2 and the
+finiteness integral. So every gate on a number of f reads f's own scale:
+the weight at 1, the spectral mass and the route agreement are judged
+relative to E f^2, and the resolvent residual relative to max|f|. No atom
+off 1 is dropped for being light, since a light atom near 1 can carry a
+share of sigma^2 far above its share of the mass.
+
 The exact objects of a (chain, f), the spectral measure rho, the Poisson
 solution g and the judged sigma^2 of the two routes, are held by
 ``_Exact``: it judges the pair once and builds each object at its first
@@ -62,11 +69,10 @@ from .errors import (
 
 #: eigenvalues may exceed [-1, 1] by at most this much before clamping fails
 CLAMP_TOL = 1e-10
-#: an atom this close to 1 is treated as sitting at 1
+#: an atom this close to 1 is treated as sitting at 1, and it may carry at most this
+#: share of the spectral mass E f^2
 ATOM_AT_ONE_TOL = 1e-10
-#: atoms below this weight are numerical dust and are dropped
-WEIGHT_DROP_TOL = 1e-14
-#: residual tolerance of the deflated resolvent solve
+#: residual tolerance of the deflated resolvent solve, relative to max|f|
 POISSON_TOL = 1e-9
 #: relative tolerance within which the spectral and Poisson sigma^2 must agree
 ROUTE_TOL = 1e-8
@@ -123,20 +129,23 @@ def _checked_eigensystem(chain: ReversibleChain) -> tuple[np.ndarray, np.ndarray
 
 
 def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
-    """Project f onto the chain's eigenbasis of the symmetrized kernel."""
+    """Project f onto the chain's eigenbasis of the symmetrized kernel.
+
+    Every atom off 1 is kept, whatever its weight. FiniteVarianceViolated
+    when the weight at 1 exceeds ``ATOM_AT_ONE_TOL`` E f^2, EigenFailure when
+    the mass misses E f^2 by more than 1e-10 E f^2.
+    """
     require_centered(chain, f)
     lam, phi = _checked_eigensystem(chain)
     coef = (np.sqrt(chain.stationary) * f.values) @ phi
     weights = coef * coef
+    mass = chain.pi_dot(f.values, f.values)
 
     at_one = np.abs(1.0 - lam) <= ATOM_AT_ONE_TOL
-    _gate(weights[at_one].sum(), ATOM_AT_ONE_TOL, FiniteVarianceViolated,
+    _gate(weights[at_one].sum(), ATOM_AT_ONE_TOL * mass, FiniteVarianceViolated,
           "superlinear variance of partial sums: the weight at eigenvalue 1 is")
-    keep = ~at_one & (weights >= WEIGHT_DROP_TOL)
-    rho = SpectralMeasure(lambdas=lam[keep], weights=weights[keep])
-
-    mass = chain.pi_dot(f.values, f.values)
-    _gate(abs(rho.total_mass - mass), 1e-10 * max(1.0, mass), EigenFailure,
+    rho = SpectralMeasure(lambdas=lam[~at_one], weights=weights[~at_one])
+    _gate(abs(rho.total_mass - mass), 1e-10 * mass, EigenFailure,
           "spectral mass misses E(X_0^2) by")
     return rho
 
@@ -180,7 +189,8 @@ def poisson_solve(chain: ReversibleChain, f: Observable) -> np.ndarray:
     The constant eigendirection is deflated by a rank-one shift (adding the
     outer product of the all-ones vector with the stationary law), which
     leaves a well-conditioned system whose solution is automatically
-    centered. Raises SingularPoisson when the residual exceeds 1e-9.
+    centered. Raises SingularPoisson when the residual exceeds
+    ``POISSON_TOL`` max|f|.
     """
     require_centered(chain, f)
     n = chain.n_states
@@ -190,8 +200,7 @@ def poisson_solve(chain: ReversibleChain, f: Observable) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularPoisson(f"deflated resolvent solve failed: {exc}") from exc
     _gate(np.max(np.abs(f.values - (g - chain.kernel @ g))),
-          POISSON_TOL * max(1.0, float(np.max(np.abs(f.values)))), SingularPoisson,
-          "resolvent residual")
+          POISSON_TOL * float(np.max(np.abs(f.values))), SingularPoisson, "resolvent residual")
     return g
 
 
@@ -223,12 +232,13 @@ class _Exact:
         """(spectral, Poisson) sigma^2, the two routes independent of each other, judged.
 
         Raises EigenFailure when they differ by more than ``ROUTE_TOL`` times
-        the larger of their magnitudes and 1e-3, as ``spectral_measure`` does
-        when the mass misses. Every reader of sigma^2 reads it here, so each
+        the larger of their magnitudes and 1e-3 E f^2, the mass of ``rho``, as
+        ``spectral_measure`` does when the mass misses. Every reader of sigma^2 reads it here, so each
         meets this gate.
         """
         spectral, poisson = asymptotic_variance_spectral(self.rho), _sigma2_poisson(self)
-        _gate(abs(spectral - poisson), ROUTE_TOL * max(abs(spectral), abs(poisson), 1e-3),
+        floor = 1e-3 * self.rho.total_mass
+        _gate(abs(spectral - poisson), ROUTE_TOL * max(abs(spectral), abs(poisson), floor),
               EigenFailure, f"sigma^2 routes disagree: spectral {spectral!r}, Poisson {poisson!r}, by")
         return spectral, poisson
 

@@ -42,8 +42,30 @@ def complete_walk(n: int, laziness: float = 0.5) -> rclt.ReversibleChain:
     return rclt.build_chain((1.0 - laziness) * np.eye(n) + laziness * q)
 
 
+def symmetric_three_state() -> rclt.ReversibleChain:
+    """A symmetric 3-state kernel, pi uniform, with eigenvalues 1, 0.5 and 0.1."""
+    return rclt.build_chain([[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.3, 0.6]])
+
+
+def weakly_coupled_pairs(epsilon: float = 1e-8) -> rclt.ReversibleChain:
+    """Two 2-state blocks {0, 1} and {2, 3} coupled by ``epsilon``: spectral gap 2 epsilon."""
+    return rclt.build_chain(
+        [
+            [0.5, 0.5 - epsilon, epsilon, 0.0],
+            [0.5 - epsilon, 0.5, 0.0, epsilon],
+            [epsilon, 0.0, 0.5, 0.5 - epsilon],
+            [0.0, epsilon, 0.5 - epsilon, 0.5],
+        ]
+    )
+
+
 def observable(chain: rclt.ReversibleChain, raw) -> rclt.Observable:
     return rclt.project_mean_zero(np.asarray(raw, dtype=float), chain)
+
+
+def scaled(f: rclt.Observable, k: int) -> rclt.Observable:
+    """f times 2^k, which is exact in binary floating point short of overflow or underflow."""
+    return rclt.Observable(values=np.ldexp(f.values, k))
 
 
 def random_lazy_chain(

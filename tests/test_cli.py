@@ -690,6 +690,14 @@ def test_validate_and_run_print_one_centering_note(tmp_path, capsys) -> None:
     assert capsys.readouterr().err == f"warning: {note}\n"
 
 
+def test_the_centering_note_reads_the_observable_scale(tmp_path, capsys) -> None:
+    """A stationary mean of 0.1 max|raw| is noted at max|raw| = 2^-45 as at 1."""
+    chain = {"kind": "kernel", "matrix": [[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.3, 0.6]],
+             "observable": [2.0**-45, 0.3 * 2.0**-45, -(2.0**-45)]}
+    assert main(["validate", "--config", str(_config(tmp_path, ["spectrum"], chain=chain))]) == 0
+    assert capsys.readouterr() == ("observable auto-centered (stationary mean 2.84217e-15)\n", "")
+
+
 def test_unlisted_subcommand_runs_with_its_defaults(tmp_path, capsys) -> None:
     cfg = _config(tmp_path, ["spectrum"], seed=None)
     assert main(["clt", "--config", str(cfg)]) == 2

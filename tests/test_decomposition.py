@@ -13,6 +13,8 @@ from .fixture_chains import (
     identity_fixture_pairs,
     iid_chain,
     observable,
+    scaled,
+    symmetric_three_state,
     two_state,
 )
 
@@ -348,7 +350,7 @@ def test_decompose_a_chain_with_a_tiny_gap() -> None:
 
 
 def test_small_gap_at_a_long_horizon_is_a_numerical_error() -> None:
-    """A known limit: past |phi| ~ 1e4 one rounding of phi is ~1e-12, so the absolute gate fails.
+    """A known limit: past |phi| ~ 1e4 one rounding of phi is ~1e-12, so the max|f|-scaled gate fails.
 
     Horizon 2e4 on a gap of ~8e-7 gives a pair residual of ~1.7e-12, which the
     command line turns into exit 3, not into a silently uncertified report.
@@ -359,6 +361,17 @@ def test_small_gap_at_a_long_horizon_is_a_numerical_error() -> None:
     with pytest.raises(rclt.NumericalError, match="pair identity residual"):
         rclt.decompose_trajectory(chain, f, traj, horizon=2 * 10**4)
     assert np.max(np.abs(_horizon_vectors(chain, f, 2 * 10**4)[0])) > 5e3
+
+
+def test_a_large_observable_certifies_its_decomposition() -> None:
+    """At max|f| ~ 2^20 both residuals are ~1e-15 max|f|, inside 1e-12 max|f|, as at unit scale."""
+    chain = symmetric_three_state()
+    f = scaled(observable(chain, [1.0, 0.3, -1.0]), 20)
+    traj = rclt.sample_trajectory(chain, f, 2000, seed=1)
+    terms = rclt.decompose_trajectory(chain, f, traj)
+    limit = 1e-12 * float(np.max(np.abs(f.values)))
+    assert terms.max_pair_residual <= limit
+    assert terms.max_decomposition_residual <= limit
 
 
 def test_a_nan_pair_residual_fails_the_identity_gate(monkeypatch) -> None:

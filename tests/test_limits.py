@@ -18,6 +18,8 @@ from .fixture_chains import (
     iid_chain,
     observable,
     random_lazy_chain,
+    scaled,
+    symmetric_three_state,
     tiny_fixture_pairs,
     two_state,
 )
@@ -509,6 +511,33 @@ def test_mean_se_keeps_a_finite_std_of_huge_values() -> None:
     mean, se = _mean_se(x)
     assert mean == float(x.mean())
     assert se == pytest.approx(float((x / 1e200).std()) * 1e200 / math.sqrt(x.size), rel=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mean_se_keeps_a_finite_mean_of_huge_values() -> None:
+    """200 values of 1e307 sum past the float range, yet their mean and its se are finite."""
+    mean, se = _mean_se(np.full(200, 1e307))
+    assert mean == pytest.approx(1e307, rel=1e-15)
+    assert math.isfinite(se)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_huge_finite_maximal_side_is_judged() -> None:
+    """At +-1.2e153 every replica's side is finite, though the sum of 200 of them is not."""
+    chain = two_state()
+    report = rclt.maximal_inequality_check(chain, observable(chain, [1.2e153, -1.2e153]), 4, [0.0],
+                                           m=200, seed=1)
+    (margin,) = report.maximal_margins
+    assert all(math.isfinite(margin[key]) for key in ("lhs", "rhs", "slack"))
+    assert report.passed
+
+
+def test_a_small_observable_is_not_degenerate() -> None:
+    """At max|f| ~ 2^-21, sigma^2 ~ 4.6e-13 is ~3 E f^2, far from degenerate."""
+    chain = symmetric_three_state()
+    f = scaled(observable(chain, [1.0, 0.3, -1.0]), -21)
+    report = rclt.clt_test(chain, f, n=50, m=200, seed=1, ks_threshold=0.2)
+    assert report.sigma2_used == pytest.approx(4.603e-13, rel=1e-3)
 
 
 def test_a_nan_snapshot_fails_the_fclt_profile() -> None:

@@ -1,4 +1,5 @@
 """Property tests: one shared pass gives every check the report it gives alone,
+f times 2^k gives every check the verdict of f with every number scaled exactly,
 ``validate`` judges a config as ``run`` does, bulk seeds are numpy's, random
 chains are admitted with their certificates or rejected with their documented error,
 and junk in any one argument of a public function or value type ends in an ``RcltError``
@@ -6,6 +7,7 @@ or nothing."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -20,7 +22,9 @@ from rclt.cli import main
 from rclt.limits import _CltReader, _FcltReader, _MaximalReader, _one_pass, _UiReader
 from rclt.spectral import _Exact
 
-from .fixture_chains import mixing_fixture_pairs
+from .fixture_chains import (
+    flip_chain, mixing_fixture_pairs, observable, scaled, symmetric_three_state,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -81,6 +85,87 @@ def test_one_pass_reports_equal_one_request_calls(data) -> None:
             assert report.normalized_sums is None
         else:
             assert np.array_equal(report.normalized_sums, alone.normalized_sums)
+
+
+_THREE, _FLIP = symmetric_three_state(), flip_chain()
+#: the (chain, f) pairs of the scaling test; the flip chain's sigma^2 is 0, so its
+#: normal-limit checks raise DegenerateVariance
+_SCALED_PAIRS = [
+    (_THREE, observable(_THREE, [1.0, 0.3, -1.0])), (_FLIP, observable(_FLIP, [1.0, -1.0])), *_PAIRS,
+]
+#: the degree in f of each number of a maximal margin or a ui-diagnostic row
+_DEGREES = {"lambda": 1, "lhs": 2, "rhs": 2, "slack": 2, "se_lhs": 2, "se_rhs": 2,
+            "n": 0, "cutoff": 2, "tail_expectation": 2, "se": 2}
+
+
+def _scaled_checks(chain, f, k: int) -> dict:
+    """Each check of (chain, f 2^k) by name, with its levels scaled by 2^k and its cutoffs by 4^k."""
+    f = scaled(f, k)
+    levels = np.ldexp([0.0, 0.4, 1.5], k).tolist()
+    path = rclt.sample_trajectory(chain, f, 200, seed=5)
+    return {
+        "variance": lambda: rclt.variance_report(chain, f, n_max=20),
+        "clt": lambda: rclt.clt_test(chain, f, n=16, m=64, seed=5, ks_threshold=0.15),
+        "fclt": lambda: rclt.fclt_profile(chain, f, n=16, m=64, grid=[0.0, 0.5, 1.0], seed=5),
+        "maximal exhaustive": lambda: rclt.maximal_inequality_check(
+            chain, f, 3, levels, exhaustive=True, two_sided=True
+        ),
+        "maximal sampled": lambda: rclt.maximal_inequality_check(
+            chain, f, 6, levels, mode="reversed", m=64, seed=5
+        ),
+        "ui-diagnostic": lambda: rclt.uniform_integrability_diagnostic(
+            chain, f, [4, 12], np.ldexp([0.1, 1.0, 4.0], 2 * k).tolist(), seed=5, m=64
+        ),
+        "decompose": lambda: rclt.decompose_trajectory(chain, f, path, horizon=50),
+    }
+
+
+def _verdict_and_numbers(call) -> tuple:
+    """The error type ``call`` raises, or its number of failures and each number it reports
+    with its degree in f."""
+    try:
+        result = call()
+    except rclt.RcltError as exc:
+        return type(exc), []
+    if isinstance(result, rclt.DecompositionTerms):
+        return 0, [(value, 0 if name == "horizon" else 1) for name, value in vars(result).items()]
+    if isinstance(result, rclt.VarianceReport):
+        totals = [result.sigma2_spectral, result.sigma2_poisson, result.sigma2_series,
+                  result.finiteness_integral]
+        return 0, [(result.measure.lambdas, 0), (result.measure.weights, 2),
+                   (result.var_over_n, 2), (totals, 2)]
+    numbers = [] if result.sigma2_used is None else [([result.sigma2_used], 2)]
+    if result.normalized_sums is not None:
+        numbers += [(result.normalized_sums, 0), ([result.ks_statistic], 0)]
+    for row in result.variance_profile + result.covariance_profile:
+        numbers += [(row[:-2], 0), (row[-2:], 2)]
+    for row in result.maximal_margins + result.ui_table:
+        numbers += [([value], _DEGREES[key]) for key, value in row.items()]
+    return len(result.failures), numbers
+
+
+@functools.cache
+def _unscaled(pair: int) -> dict:
+    """The error or verdict and the numbers of each check of a pair at k = 0."""
+    checks = _scaled_checks(*_SCALED_PAIRS[pair], 0)
+    return {name: _verdict_and_numbers(call) for name, call in checks.items()}
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(pair=st.integers(0, len(_SCALED_PAIRS) - 1), k=st.integers(-200, 200))
+@hypothesis.example(pair=0, k=-23)
+@hypothesis.example(pair=0, k=37)
+def test_scaling_f_by_a_power_of_two_keeps_every_verdict(pair, k) -> None:
+    """f 2^k gives each check the error or verdict of f, and each number of degree d in f
+    times 2^(k d), bit for bit: every tolerance reads f's own scale."""
+    for name, call in _scaled_checks(*_SCALED_PAIRS[pair], k).items():
+        verdict, numbers = _verdict_and_numbers(call)
+        expected_verdict, expected = _unscaled(pair)[name]
+        assert verdict == expected_verdict, name
+        assert len(numbers) == len(expected), name
+        for (value, degree), (base, _) in zip(numbers, expected):
+            base = np.ldexp(np.asarray(base, dtype=float), k * degree)
+            assert np.array_equal(np.asarray(value, dtype=float), base, equal_nan=True), name
 
 
 #: chains whose file observable is centered, so neither command prints a centering note

@@ -14,7 +14,10 @@ from .fixture_chains import (
     iid_chain,
     observable,
     random_pairs,
+    scaled,
+    symmetric_three_state,
     two_state,
+    weakly_coupled_pairs,
 )
 from .oracles import cauchy_quantity_direct, cauchy_quantity_exact, variance_integrand_check
 
@@ -784,6 +787,31 @@ def test_centering_and_mass_checks_scale_with_the_observable(scale: float) -> No
     off_centre = rclt.Observable(values=f.values + 1e-9 * scale)
     with pytest.raises(rclt.InvalidArgument):
         rclt.spectral_measure(chain, off_centre)
+
+
+@pytest.mark.parametrize("k", [-23, -21, 37])
+def test_the_spectral_gates_read_the_observable_scale(k: int) -> None:
+    """At max|f| ~ 2^k both atoms off 1 are kept and the two routes agree, as at unit scale.
+
+    At k = -23 and -21 the atoms weigh 3e-16 to 2e-13, and at k = 37 the rounding
+    weight at eigenvalue 1 is 4.8e-10, a share of 4e-32 of E f^2.
+    """
+    chain = symmetric_three_state()
+    f = scaled(observable(chain, [1.0, 0.3, -1.0]), k)
+    assert rclt.spectral_measure(chain, f).lambdas.size == 2
+    report = rclt.variance_report(chain, f)
+    assert abs(report.sigma2_spectral - report.sigma2_poisson) <= (
+        rclt.spectral.ROUTE_TOL * report.sigma2_poisson
+    )
+
+
+def test_a_light_slow_atom_is_kept_at_unit_scale() -> None:
+    """The slow atom of two weakly coupled blocks weighs 2.5e-15 yet carries 2.5e-7 of sigma^2."""
+    chain = weakly_coupled_pairs()
+    f = observable(chain, np.array([1.0, -1.0, 1.0, -1.0]) + 5e-8 * np.array([1.0, 1.0, -1.0, -1.0]))
+    report = rclt.variance_report(chain, f)
+    assert report.sigma2_spectral == pytest.approx(1.00000029, rel=1e-9)
+    assert report.sigma2_poisson == pytest.approx(1.00000029, rel=1e-9)
 
 
 def test_one_eigensolve_per_chain(tmp_path, monkeypatch) -> None:
