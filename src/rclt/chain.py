@@ -491,11 +491,26 @@ def _require_fit(chain: ReversibleChain, v: np.ndarray) -> None:
         raise InvalidArgument(f"observable shape {v.shape} does not fit {chain.n_states} states")
 
 
+def _centering(chain: ReversibleChain, v: np.ndarray) -> tuple[float, float]:
+    """The centering gate of ``v``: (|stationary mean|, its tolerance CERTIFIED_TOL * max|v|)."""
+    return abs(float(np.dot(chain.stationary, v))), CERTIFIED_TOL * float(np.max(np.abs(v)))
+
+
 def project_mean_zero(raw, chain: ReversibleChain) -> Observable:
-    """Center a raw vector so its stationary mean vanishes."""
+    """Center a raw vector so its stationary mean vanishes, within ``require_centered``'s gate.
+
+    The stationary mean of a raw vector with a large constant offset carries a
+    rounding error of about eps times the offset, which the centered vector
+    keeps; when that misses the gate, the centered vector's own mean is
+    subtracted once more. A vector that passes the gate at once is returned as
+    ``v - mean``, bit for bit.
+    """
     v = _array(raw, "observable", InvalidArgument)
     _require_fit(chain, v)
-    return Observable(values=v - float(np.dot(chain.stationary, v)))
+    f = v - float(np.dot(chain.stationary, v))
+    if _misses([(*_centering(chain, f), "")]):
+        f -= float(np.dot(chain.stationary, f))
+    return Observable(values=f)
 
 
 def require_centered(chain: ReversibleChain, f: Observable) -> None:
@@ -507,8 +522,7 @@ def require_centered(chain: ReversibleChain, f: Observable) -> None:
     if not isinstance(f, Observable):
         raise InvalidArgument(f"expected an Observable, got {type(f).__name__}")
     _require_fit(chain, f.values)
-    _gate(abs(float(np.dot(chain.stationary, f.values))),
-          CERTIFIED_TOL * float(np.max(np.abs(f.values))), InvalidArgument,
+    _gate(*_centering(chain, f.values), InvalidArgument,
           "observable is not centered: |stationary mean|")
 
 

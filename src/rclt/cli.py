@@ -74,14 +74,11 @@ command's is a ``_Exactly``, whose ``report()`` computes the result.
 chain, centers the observable, makes the run's one exact layer (the
 ``rclt.spectral._Exact`` holder whose rho, Poisson solution and judged
 sigma^2 every reader reads, each built at most once) and builds the
-readers in config order, stopping at the first error. ``validate`` raises
-that error. ``run`` steps every sampling reader in one pass at the first
-of them, takes each report at its own command's turn, and raises the
-error after the reports of the commands before it. So the two give the
-same code unless a command before the error fails at its own turn, an
-exit 3 of an exact command's report or an exit 4 of a check's verdict,
-which ``run`` meets first and ``validate``, computing no report, never
-meets.
+readers in config order. The first setup error ends the run before any
+command runs: no seed is derived, no report written and no ``output_dir``
+made. ``validate`` is that setup alone, so it meets exactly the errors
+``run``'s setup meets. ``run`` then steps every sampling reader in one pass
+at the first of them and takes each report at its own command's turn.
 """
 from __future__ import annotations
 
@@ -511,7 +508,7 @@ DEFAULT_PARAMS = {name: command.defaults for name, command in _COMMANDS.items()}
 
 
 def _prepare(config: ExperimentConfig):
-    """``run``'s setup: (exact layer, centering note, readers, error).
+    """``run``'s setup: (exact layer, centering note, readers), or the first setup error raised.
 
     Builds the chain, centers the observable and makes the run's one exact
     layer, the ``_Exact`` holder of (chain, f) that every reader reads, so rho
@@ -519,38 +516,30 @@ def _prepare(config: ExperimentConfig):
     each command's reader in config order, unstepped: a check's computes
     sigma^2 and, for exhaustive ``maximal``, every path; an exact command's
     only judges its params. Each reader must also fit the run's one pass
-    with the readers before it. The first error ends the walk: ``readers``
-    holds the readers of the commands before it, so ``error`` belongs to
-    command ``len(readers)``, and is None when every command has a reader.
-    This is the one walk that judges commands, so ``validate`` and ``run``
-    meet the same error.
+    with the readers before it. The first command whose reader fails to
+    build or to fit raises its error here, before any command runs. This is
+    the one walk that judges commands, so ``validate`` and ``run`` meet the
+    same error.
     """
     chain = build_chain_from_definition(config.chain_definition)
     f, note = _centered_observable(config, chain)
     exact = _Exact(chain, f)
     readers = []
     for name, params in config.commands:
-        try:
-            reader = _COMMANDS[name].build(exact, seed=config.master_seed, **params)
-            _pass_shape([*readers, reader])
-        except Exception as exc:  # run raises it after the readers before it
-            return exact, note, readers, exc
-        readers.append(reader)
-    return exact, note, readers, None
+        readers.append(_COMMANDS[name].build(exact, seed=config.master_seed, **params))
+        _pass_shape(readers)
+    return exact, note, readers
 
 
 def validate(config: ExperimentConfig) -> list[str]:
-    """``run``'s setup without the run: the centering note, if any, else what ``run`` raises.
+    """``run``'s setup without the run: the centering note, if any; a setup error is raised.
 
     Every command's parameters, and the sigma^2 of each check that reads it,
-    are judged by ``_prepare`` as in ``run``, and the setup error is raised.
-    ``run`` meets that error at its command's turn, so an earlier command's
-    own exit 3 or 4 comes first there: a ``clt`` that misses its threshold
-    before an ``fclt`` with a grid time of 2 exits 4 under ``run`` and 2 here.
+    are judged by ``_prepare`` as in ``run``, so the two meet exactly the same
+    setup errors. No pass is run and no report is computed, so an exit 3 or 4
+    that ``run`` meets at a command's own turn is not met here.
     """
-    _, note, _, error = _prepare(config)
-    if error is not None:
-        raise error
+    note = _prepare(config)[1]
     return [note] if note else []
 
 
@@ -607,15 +596,15 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     With ``only`` the config is first narrowed to that subcommand's entries,
     or to one entry with its default params if it lists none, so the manifest
     hash, the setup and the command loop all read the commands that run.
-    ``_prepare`` builds every command's reader; the first sampling reader's
-    turn steps them all in one pass, and each report is taken and written at
-    its own command's turn, in config order. The setup's error is raised
-    after the readers before it, at its command's turn. Each file is written
-    whole by ``_write``, and a failed write, the manifest's too, is a
-    ConfigError naming the path; an ``OSError`` making ``output_dir``
-    propagates as it is. ``_outputs`` names every file of the run, and that
-    one record is ``manifest.outputs``. Before the setup, the run removes
-    ``manifest.json`` and each named file, so a chain that ``_prepare``
+    ``_prepare`` builds every command's reader, and its first error ends the
+    run before ``output_dir`` is made; the first sampling reader's turn steps
+    them all in one pass, and each report is taken and written at its own
+    command's turn, in config order. Each file is written whole by
+    ``_write``, and a failed write, the manifest's too, is a ConfigError
+    naming the path; an ``OSError`` making ``output_dir`` propagates as it
+    is. ``_outputs`` names every file of the run, and that one record is
+    ``manifest.outputs``. Before the setup, the run removes
+    ``manifest.json`` and each named file, so a config that ``_prepare``
     rejects leaves none of them either. Each command is handed its own
     names. On a module error, numerical or config, or an ``OSError`` that
     ``_write`` could not map (a ``name.tmp`` that is a directory, say), the
@@ -633,7 +622,7 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
     manifest = RunManifest(config.config_hash(), __version__, _outputs(config.commands))
     owned = [config.output_dir / n for n in ("manifest.json", *sum(manifest.outputs.values(), []))]
     _remove(owned)
-    exact, note, readers, error = _prepare(config)
+    exact, note, readers = _prepare(config)
     if note:
         print(f"warning: {note}", file=sys.stderr)
 
@@ -646,8 +635,6 @@ def run(config: ExperimentConfig, only: str | None = None) -> RunManifest:
                 _one_pass(exact, config.master_seed, readers)
             _RUNNERS[name](reader, *(config.output_dir / n for n in names))
             manifest.timings[stem] = time.perf_counter() - start
-        if error is not None:
-            raise error
         _write_json(config.output_dir / "manifest.json", manifest.to_dict())
     except (NumericalError, ConfigError, OSError):
         _remove(owned)

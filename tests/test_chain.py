@@ -247,8 +247,15 @@ def test_project_mean_zero_examples() -> None:
 
 
 def test_projected_observables_are_centered_everywhere() -> None:
+    """Each fixture's f, shifted by a constant offset, projects to an f that passes the gate.
+
+    The raw mean of f + 1e9 carries a rounding error of ~eps * 1e9, far above
+    CERTIFIED_TOL * max|f|; ``project_mean_zero`` removes it.
+    """
     for chain, f in identity_fixture_pairs():
         assert abs(float(np.dot(chain.stationary, f.values))) <= CERT
+        for offset in (0.0, 1e3, 1e6, 1e9):
+            rclt.chain.require_centered(chain, rclt.project_mean_zero(f.values + offset, chain))
 
 
 def test_certified_invariants_on_all_fixtures() -> None:

@@ -242,19 +242,24 @@ def test_csv_floats_are_their_repr(tmp_path, columns) -> None:
 def test_numerical_failure_removes_partial_outputs(tmp_path, earlier) -> None:
     """A failed run leaves no file it names, and no manifest, an earlier run's included.
 
-    The earlier run's files of other names stay: the failed run never touches them.
+    The earlier run's files of other names stay: the failed run never touches
+    them. The clt's degenerate variance fails the setup, so on a fresh
+    ``out/`` the run does not make it.
     """
     out = tmp_path / "out"
     if earlier:
         run(load_config(_config(tmp_path, earlier, name="good.json")))
         assert (out / "manifest.json").exists()
-    before = {p.name for p in out.iterdir()} if earlier else set()
+        before = {p.name for p in out.iterdir()}
     commands = ["spectrum", {"command": "clt", "params": {"n": 20, "m": 20}}]
     cfg = _config(tmp_path, commands, chain=FLIP)
     with pytest.raises(rclt.DegenerateVariance):
         run(load_config(cfg))
-    named = {"manifest.json", "spectrum.json", "clt.json", "clt.csv"}
-    assert {p.name for p in out.iterdir()} == before - named
+    if earlier:
+        named = {"manifest.json", "spectrum.json", "clt.json", "clt.csv"}
+        assert {p.name for p in out.iterdir()} == before - named
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -628,6 +633,41 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         (TWO_STATE, "spectrum", {"output_dir": "config.chain.json"}),
         (TWO_STATE, "spectrum", {"output_dir": "config.chain.json/out"}),
         (TWO_STATE, "spectrum", {"output_dir": "a" * 300}),
+        (
+            TWO_STATE,
+            [
+                {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 1e-9}},
+                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
+            ],
+            {},
+        ),
+        (
+            TWO_STATE,
+            [
+                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
+                {"command": "clt", "params": {"n": 50, "m": 100}},
+            ],
+            {},
+        ),
+        (
+            TWO_STATE,
+            [
+                {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 0.5}},
+                {"command": "decompose", "params": {"horizon": 0}},
+                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
+            ],
+            {},
+        ),
+        (
+            TWO_STATE,
+            [
+                {"command": "clt", "params": {"n": 20, "m": 30, "ks_threshold": 0.5}},
+                {"command": "fclt", "params": {"n": 20, "m": 10, "grid": [2.0]}},
+                {"command": "ui-diagnostic", "params": {"n_list": [5], "m": 500}},
+            ],
+            {},
+        ),
+        (TWO_STATE, ["spectrum", {"command": "variance", "params": {"n_max": 0}}], {}),
     ],
     ids=[
         "non-reversible",
@@ -654,10 +694,27 @@ def test_incomplete_chain_definition(tmp_path, capsys, chain, message) -> None:
         "output-dir-names-a-file",
         "output-dir-under-a-file",
         "output-dir-name-too-long",
+        "failed-clt-before-bad-fclt",
+        "bad-fclt-first",
+        "decompose-error-before-bad-fclt",
+        "bad-fclt-between-checks",
+        "spectrum-before-bad-variance",
     ],
 )
-def test_validate_exits_like_run(tmp_path, capsys, chain, command, extra) -> None:
-    cfg = _config(tmp_path, [command], chain=chain, **extra)
+def test_validate_exits_like_run(tmp_path, capsys, monkeypatch, chain, command, extra) -> None:
+    """A setup error, in any command of the list, ends ``run`` before any command runs.
+
+    ``validate`` and ``run`` exit alike with the same one line, and ``run``
+    derives no seed and makes no ``out/``: a command before the error, even a
+    ``clt`` that would miss its threshold, is never run.
+    """
+    calls = []
+    derive_seed = rclt.limits.derive_seed
+    monkeypatch.setattr(
+        rclt.limits, "derive_seed", lambda s, i: calls.extend(np.ravel(i)) or derive_seed(s, i)
+    )
+    commands = command if isinstance(command, list) else [command]
+    cfg = _config(tmp_path, commands, chain=chain, **extra)
     code = main(["validate", "--config", str(cfg)])
     out, err = capsys.readouterr()
     assert code != 0
@@ -666,6 +723,8 @@ def test_validate_exits_like_run(tmp_path, capsys, chain, command, extra) -> Non
     assert not (tmp_path / "out").exists()
     assert main(["run", "--config", str(cfg)]) == code
     assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "out").exists()
+    assert calls == []
 
 
 def test_observable_read_from_a_file(tmp_path) -> None:
@@ -688,6 +747,16 @@ def test_validate_and_run_print_one_centering_note(tmp_path, capsys) -> None:
     assert not (tmp_path / "out").exists()
     assert main(["run", "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == f"warning: {note}\n"
+
+
+def test_an_observable_with_a_large_offset_is_centered_within_the_gate(tmp_path, capsys) -> None:
+    """The raw mean of f + 1e6 carries a rounding error that centering must not leave behind."""
+    chain = {"kind": "metropolis", "matrix": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+             "target": [0.5, 0.3, 0.2], "observable": [0.3 + 1e6, 1.7 + 1e6, -1.1 + 1e6]}
+    cfg = _config(tmp_path, ["spectrum", "variance"], chain=chain)
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == "warning: observable auto-centered (stationary mean 1e+06)\n"
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_the_centering_note_reads_the_observable_scale(tmp_path, capsys) -> None:
@@ -768,98 +837,6 @@ def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
             assert together[shared_name] == data, shared_name
 
 
-@pytest.mark.parametrize(
-    ("commands", "code", "err", "kept", "seeds"),
-    [
-        (
-            [
-                {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 1e-9}},
-                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
-            ],
-            4,
-            "statistical failure: clt: KS statistic 0.07641 exceeds threshold 0.00000\n",
-            ["clt.csv", "clt.json"],
-            100,
-        ),
-        (
-            [
-                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
-                {"command": "clt", "params": {"n": 50, "m": 100}},
-            ],
-            2,
-            "config error: grid times must lie in [0, 1], got [0.5, 2.0]\n",
-            [],
-            0,
-        ),
-        (
-            [
-                {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 0.5}},
-                {"command": "decompose", "params": {"horizon": 0}},
-                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
-            ],
-            2,
-            "config error: horizon must be >= 1, got 0\n",
-            [],
-            100,
-        ),
-        (
-            [
-                {"command": "clt", "params": {"n": 20, "m": 30, "ks_threshold": 0.5}},
-                {"command": "fclt", "params": {"n": 20, "m": 10, "grid": [2.0]}},
-                {"command": "ui-diagnostic", "params": {"n_list": [5], "m": 500}},
-            ],
-            2,
-            "config error: grid times must lie in [0, 1], got [2.0]\n",
-            [],
-            30,
-        ),
-    ],
-    ids=[
-        "failed-clt-before-bad-fclt",
-        "bad-fclt-first",
-        "decompose-error-before-bad-fclt",
-        "bad-fclt-between-checks",
-    ],
-)
-def test_shared_pass_keeps_error_order(
-    tmp_path, capsys, monkeypatch, commands, code, err, kept, seeds
-) -> None:
-    """A check that raises before the pass does so at its own turn, as a run without sharing did.
-
-    Only the checks before it are stepped: a check after it is neither built
-    nor stepped, so the run derives the earlier checks' seeds alone.
-    """
-    calls = []
-    derive_seed = rclt.limits.derive_seed
-    monkeypatch.setattr(
-        rclt.limits, "derive_seed", lambda s, i: calls.extend(np.ravel(i)) or derive_seed(s, i)
-    )
-    cfg = _config(tmp_path, commands)
-    assert main(["run", "--config", str(cfg)]) == code
-    assert capsys.readouterr().err == err
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == kept
-    assert sorted(calls) == list(range(seeds))
-
-
-def test_validate_meets_a_setup_error_that_run_meets_after_a_failed_check(tmp_path, capsys) -> None:
-    """``validate`` judges every command's setup and runs no pass: exit 2 at the bad grid.
-
-    ``run`` meets that setup error at the fclt's turn, so the clt's own exit 4
-    before it comes first.
-    """
-    commands = [
-        {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 1e-9}},
-        {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
-    ]
-    cfg = str(_config(tmp_path, commands, seed=1))
-    assert main(["validate", "--config", cfg]) == 2
-    assert capsys.readouterr().err == "config error: grid times must lie in [0, 1], got [0.5, 2.0]\n"
-    assert main(["run", "--config", cfg]) == 4
-    assert capsys.readouterr().err == (
-        "statistical failure: clt: KS statistic 0.08681 exceeds threshold 0.00000\n"
-    )
-
-
 def test_one_replica_pass_per_run(tmp_path, monkeypatch) -> None:
     """Four Monte Carlo commands derive each replica's seed once: 200 seeds, not 550.
 
@@ -888,7 +865,7 @@ def test_a_pass_over_the_ceiling_fails_at_the_reader_that_grows_it(tmp_path, cap
 
     The ui-diagnostic steps 1000 times and the clt holds 2^18 + 1 replicas, so
     the pass's buffer would be 512 x (2^18 + 1) uniforms. ``validate`` and
-    ``run`` exit 2 at the clt, and ``run`` removes the report written before it.
+    ``run`` exit 2 at the clt's setup, so ``run`` runs no command and makes no out/.
     """
     commands = [
         {"command": "ui-diagnostic", "params": {"n_list": [1000], "m": 1}},
@@ -903,7 +880,7 @@ def test_a_pass_over_the_ceiling_fails_at_the_reader_that_grows_it(tmp_path, cap
     )
     assert main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == err
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_each_report_is_taken_at_its_own_turn(tmp_path, monkeypatch) -> None:
