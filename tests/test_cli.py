@@ -837,6 +837,78 @@ def test_shared_pass_reports_equal_separate_commands(tmp_path) -> None:
             assert together[shared_name] == data, shared_name
 
 
+@pytest.mark.parametrize(
+    ("commands", "err"),
+    [
+        (
+            [
+                {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 1e-9}},
+                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
+            ],
+            "config error: grid times must lie in [0, 1], got [0.5, 2.0]\n",
+        ),
+        (
+            [
+                {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 0.5}},
+                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
+                {"command": "decompose", "params": {"horizon": 0}},
+            ],
+            "config error: grid times must lie in [0, 1], got [0.5, 2.0]\n",
+        ),
+        (
+            [
+                {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 0.5}},
+                {"command": "decompose", "params": {"horizon": 0}},
+                {"command": "fclt", "params": {"grid": [0.5, 2.0]}},
+            ],
+            "config error: horizon must be >= 1, got 0\n",
+        ),
+    ],
+    ids=[
+        "failed-clt-before-bad-fclt",
+        "bad-fclt-before-decompose-error",
+        "decompose-error-before-bad-fclt-after-clt",
+    ],
+)
+def test_shared_pass_keeps_error_order(tmp_path, capsys, monkeypatch, commands, err) -> None:
+    """The first setup error in command order is the one met, and no check is stepped.
+
+    A check before it, even a clt that would miss its threshold, is never run:
+    the run exits 2, derives no seed and makes no ``out/``.
+    """
+    calls = []
+    derive_seed = rclt.limits.derive_seed
+    monkeypatch.setattr(
+        rclt.limits, "derive_seed", lambda s, i: calls.extend(np.ravel(i)) or derive_seed(s, i)
+    )
+    cfg = _config(tmp_path, commands)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
+    assert calls == []
+
+
+def test_validate_meets_a_setup_error_that_run_meets_after_a_failed_check(tmp_path, capsys) -> None:
+    """A clt that alone exits 4 does not run before a bad fclt: both commands exit 2 at its grid.
+
+    ``validate`` and ``run`` judge every command's setup before any pass, so
+    the clt's own statistical failure is never met when a later setup fails.
+    """
+    clt = {"command": "clt", "params": {"n": 50, "m": 100, "ks_threshold": 1e-9}}
+    alone = str(_config(tmp_path, [clt], seed=1, name="alone.json", output_dir="alone"))
+    assert main(["run", "--config", alone]) == 4
+    assert capsys.readouterr().err == (
+        "statistical failure: clt: KS statistic 0.08681 exceeds threshold 0.00000\n"
+    )
+    cfg = str(_config(tmp_path, [clt, {"command": "fclt", "params": {"grid": [0.5, 2.0]}}], seed=1))
+    err = "config error: grid times must lie in [0, 1], got [0.5, 2.0]\n"
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == err
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
+
+
 def test_one_replica_pass_per_run(tmp_path, monkeypatch) -> None:
     """Four Monte Carlo commands derive each replica's seed once: 200 seeds, not 550.
 
